@@ -21,8 +21,6 @@ from .spectra import Spectrum, eigenvalues, trace_check, weyl_check
 from .multipartite import (
     SecularSpectrum,
     ZeroBasisVector,
-    closed_forms,
-    lambda2_multipartite,
     multipartite_spectrum,
     quotient_eigenvector,
     secular_roots,

@@ -13,12 +13,13 @@ manifest, so re-running an invocation reproduces the output bytes exactly.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 from . import __version__
-from .conjecture import OutOfDomainError, bn_report, bn_report_multipartite
+from .conjecture import OutOfDomainError, bn_report
 from .graphs import (
     Graph,
     Graph6Error,
@@ -33,7 +34,7 @@ from .search import (
     SweepSummary,
     exhaustive_check,
     hill_climb,
-    partitions_into_parts,
+    sweep_multipartite,
     zykov_trajectory,
 )
 from .spectra import eigenvalues
@@ -113,12 +114,11 @@ def _status(message: str) -> None:
     print(f"bngap: {message}", file=sys.stderr)
 
 
-def _mapper(args: argparse.Namespace):
-    threads = getattr(args, "threads", 1) or 1
-    if threads <= 1:
-        return map, None
-    pool = ThreadPoolExecutor(max_workers=threads)
-    return pool.map, pool
+def _vertex_count(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 vertices, got {n}")
+    return n
 
 
 def _parse_parts(text: str) -> PartSizes:
@@ -207,31 +207,24 @@ def _cmd_report(run: _Run) -> int:
 
 
 def _summary_csv(summary: SweepSummary) -> str:
-    head = "total,holds,equality,excluded,violations,out_of_domain,min_gap,argmin_source"
+    head = ("total", "holds", "equality", "excluded", "violations",
+            "out_of_domain", "min_gap", "argmin_source")
     d = summary.as_dict()
-    row = ",".join(csv_cell(d[k]) if d[k] is not None else ""
-                   for k in head.split(","))
-    return head + "\n" + row + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(head)
+    writer.writerow(csv_cell(d[k]) if d[k] is not None else "" for k in head)
+    return buf.getvalue()
 
 
 def _cmd_sweep(run: _Run) -> int:
     args = run.args
-    mapper, pool = _mapper(args)
     summary = SweepSummary()
-    try:
-        all_parts = [
-            PartSizes(p)
-            for n in range(2, args.n_max + 1)
-            for p in partitions_into_parts(n, args.r_max)
-        ]
-        for report in mapper(bn_report_multipartite, all_parts):
-            summary.add(report)
-            run.emit(dumps(report.to_dict()))
-            if not report.excluded and not report.holds:
-                _status(f"VIOLATION: {report.source} gap={report.gap!r}")
-    finally:
-        if pool:
-            pool.shutdown()
+    for report in sweep_multipartite(args.n_max, args.r_max):
+        summary.add(report)
+        run.emit(dumps(report.to_dict()))
+        if not report.excluded and not report.holds:
+            _status(f"VIOLATION: {report.source} gap={report.gap!r}")
     run.finish(extra_files={".summary.csv": _summary_csv(summary)})
     d = summary.as_dict()
     _status(
@@ -291,12 +284,7 @@ def _cmd_search(run: _Run) -> int:
         objective={"bn-gap": "bn_gap_negated", "lambda1": "lambda1"}[args.objective],
         init_density=args.density,
     )
-    mapper, pool = _mapper(args)
-    try:
-        result = hill_climb(cfg, mapper=mapper)
-    finally:
-        if pool:
-            pool.shutdown()
+    result = hill_climb(cfg)
     run.emit(dumps({
         "config": {
             "seed": cfg.seed, "n": cfg.n, "max_iters": cfg.max_iters,
@@ -346,13 +334,7 @@ def _cmd_zykov(run: _Run) -> int:
 def _cmd_stability(run: _Run) -> int:
     args = run.args
     grid = _parse_grid(args.grid)
-    mapper, pool = _mapper(args)
-    try:
-        rows = stability_experiment(args.n_max, grid, args.samples, args.seed,
-                                    mapper=mapper)
-    finally:
-        if pool:
-            pool.shutdown()
+    rows = stability_experiment(args.n_max, grid, args.samples, args.seed)
     run.emit(",".join(STABILITY_CSV_COLUMNS))
     for row in rows:
         run.emit(",".join(csv_cell(row[col]) for col in STABILITY_CSV_COLUMNS))
@@ -421,23 +403,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep", _cmd_sweep, "exact reports for all part-size partitions")
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--r-max", type=int, default=6)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("exhaustive", _cmd_exhaustive,
             "check every labeled graph (n<=6) or a graph6 stream")
     p.add_argument("--n-max", type=int)
     p.add_argument("--graph6", help="graph6 file, '-' for stdin")
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("search", _cmd_search, "hill-climb for gap violations")
-    p.add_argument("--n-max", type=int, required=True, help="vertex count")
+    p.add_argument("--n-max", type=_vertex_count, required=True,
+                   help="vertex count, at least 2")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=10)
     p.add_argument("--steps", type=int, default=1000, help="iterations per restart")
     p.add_argument("--method", choices=["k4free", "free"], default="k4free")
     p.add_argument("--objective", choices=["bn-gap", "lambda1"], default="bn-gap")
     p.add_argument("--density", type=float, default=0.5, help="initial density")
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("zykov", _cmd_zykov, "random neighbourhood-replacement trajectory")
     p.add_argument("--graph6", help="graph6 file, '-' for stdin")
@@ -452,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated deletion counts")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("dense-check", _cmd_dense_check,
             "dense K4-free case diagnostics per input graph")
@@ -472,7 +451,8 @@ def main(argv: list[str] | None = None) -> int:
     run = _Run(args)
     try:
         return args.func(run)
-    except _InputError as exc:
+    except (_InputError, ValueError) as exc:
+        # Library ValueErrors are out-of-range inputs, never violations.
         _status(f"error: {exc}")
         return EXIT_USAGE
     except BrokenPipeError:

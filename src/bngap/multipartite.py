@@ -10,26 +10,25 @@ For K_{n1,...,nr} the adjacency spectrum splits into three groups:
   * zero, with multiplicity n - r, spanned by within-part difference
     vectors.
 
-Repeated part sizes are collapsed to distinct sizes before root finding so
-every pole of the rational function is simple and every bracket is clean;
-the collapsed poles re-enter as explicit eigenvalues.
+Repeated part sizes are collapsed to distinct sizes p_k with multiplicities
+t_k, so every pole of the rational function is simple; the collapsed poles
+re-enter as explicit eigenvalues.  The s secular roots are exactly the
+eigenvalues of the s x s symmetric matrix diag(-p) + w w^T with
+w_k = sqrt(t_k p_k), since det(lam I - diag(-p) - w w^T) equals
+prod_k (lam + p_k) times (1 - sum_k t_k p_k / (lam + p_k)) (Golub, "Some
+modified matrix eigenvalue problems", SIAM Review 15, 1973).  One small
+dense eigensolve therefore gives all of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, sqrt
+
+import numpy as np
 
 from .graphs import PartSizes
-from .spectra import Spectrum
 
-ROOT_ATOL = 1e-12
-_WIDTH_FACTOR = 1e-13
 _POLE_GUARD = 1e-9
-
-
-def _distinct_terms(parts: PartSizes) -> list[tuple[int, int]]:
-    return parts.distinct()
 
 
 def multipartite_edge_count(parts: PartSizes) -> int:
@@ -40,7 +39,7 @@ def multipartite_edge_count(parts: PartSizes) -> int:
 def secular_value(parts: PartSizes, lam: float) -> float:
     """Evaluate sum_i n_i / (lam + n_i); lam must not be a pole."""
     total = 0.0
-    for p, t in _distinct_terms(parts):
+    for p, t in parts.distinct():
         d = lam + p
         if d == 0.0:
             raise ValueError(f"lambda = {lam} is a pole")
@@ -48,49 +47,18 @@ def secular_value(parts: PartSizes, lam: float) -> float:
     return total
 
 
-def _secular_derivative(parts: PartSizes, lam: float) -> float:
-    return -sum(t * p / (lam + p) ** 2 for p, t in _distinct_terms(parts))
-
-
-def _bisect_root(parts: PartSizes, lo: float, hi: float) -> float:
-    """Root of f(lam) = 1 in (lo, hi); f is strictly decreasing there."""
-    flo = secular_value(parts, lo) - 1.0
-    fhi = secular_value(parts, hi) - 1.0
-    if flo <= 0.0 or fhi >= 0.0:
-        raise ValueError(f"bracket ({lo}, {hi}) does not enclose a root")
-    width_tol = _WIDTH_FACTOR * max(1.0, abs(lo), abs(hi))
-    while hi - lo > width_tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if secular_value(parts, mid) - 1.0 > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    # One Newton polish; the bisection endpoint is already inside the basin.
-    deriv = _secular_derivative(parts, root)
-    polished = root - (secular_value(parts, root) - 1.0) / deriv
-    if lo < polished < hi or abs(polished - root) < width_tol:
-        root = polished
-    return root
-
-
 def secular_roots(parts: PartSizes) -> tuple[float, ...]:
     """All s roots of the secular equation, in descending order.
 
-    The first is the unique positive root (bracketed by (0, n], since the
-    value at 0 is r > 1 and at n is below 1); the rest lie strictly between
-    consecutive distinct poles.
+    The first is the unique positive root; the rest interlace the distinct
+    poles, one strictly between each consecutive pair.
     """
-    dist = _distinct_terms(parts)
-    roots = [_bisect_root(parts, 0.0, float(parts.n))]
-    for k in range(len(dist) - 2, -1, -1):
-        p_lo, p_hi = dist[k][0], dist[k + 1][0]  # p_lo > p_hi
-        eps_lo = max(1e-12, 1e-12 * p_lo)
-        eps_hi = max(1e-12, 1e-12 * p_hi)
-        roots.append(_bisect_root(parts, -p_lo + eps_lo, -p_hi - eps_hi))
-    return tuple(roots)
+    dist = parts.distinct()
+    tp = np.array([p * t for p, t in dist], dtype=float)
+    # w w^T as sqrt(t_i p_i t_j p_j): one rounding per entry and an exact
+    # diagonal, which makes the balanced and bipartite closed forms exact.
+    matrix = np.sqrt(np.outer(tp, tp)) - np.diag([float(p) for p, _ in dist])
+    return tuple(np.linalg.eigvalsh(matrix)[::-1].tolist())
 
 
 @dataclass(frozen=True)
@@ -121,7 +89,7 @@ class SecularSpectrum:
 
 
 def multipartite_spectrum(parts: PartSizes) -> SecularSpectrum:
-    dist = tuple(_distinct_terms(parts))
+    dist = tuple(parts.distinct())
     poles = tuple(
         (float(-p), t - 1) for p, t in dist if t >= 2
     )
@@ -132,11 +100,6 @@ def multipartite_spectrum(parts: PartSizes) -> SecularSpectrum:
         pole_eigenvalues=poles,
         zero_multiplicity=parts.n - parts.r,
     )
-
-
-def lambda2_multipartite(parts: PartSizes) -> float:
-    """Second largest eigenvalue: 0 whenever n > r, else -1 (complete graph)."""
-    return 0.0 if parts.n > parts.r else -1.0
 
 
 @dataclass(frozen=True)
@@ -177,29 +140,8 @@ def quotient_eigenvector(parts: PartSizes, root: float) -> tuple[float, ...]:
     Normalized so that sum_i n_i c_i = 1; lifting c to the full vertex set
     (value c_i on every vertex of part i) gives an eigenvector for `root`.
     """
-    for p, _ in _distinct_terms(parts):
+    for p, _ in parts.distinct():
         if abs(root + p) <= _POLE_GUARD:
             raise ValueError(f"root {root} is within {_POLE_GUARD} of pole {-p}")
     return tuple(1.0 / (root + s) for s in parts.sizes)
 
-
-def closed_forms(parts: PartSizes) -> Spectrum | None:
-    """Exact spectrum for the closed-form families, without root finding.
-
-    Covers complete bipartite graphs (+-sqrt(ab) and zeros), complete graphs
-    (r-1 and -1 repeated), and balanced r-partite graphs ((r-1)p, zeros, -p
-    repeated); returns None for anything else.
-    """
-    sizes = parts.sizes
-    n, r = parts.n, parts.r
-    m = multipartite_edge_count(parts)
-    if r == 2:
-        a, b = sizes
-        lam = float(isqrt(a * b)) if isqrt(a * b) ** 2 == a * b else sqrt(a * b)
-        values = (lam,) + (0.0,) * (n - 2) + (-lam,)
-        return Spectrum(values, m)
-    if all(s == sizes[0] for s in sizes):
-        p = sizes[0]
-        values = (float((r - 1) * p),) + (0.0,) * (n - r) + (float(-p),) * (r - 1)
-        return Spectrum(values, m)
-    return None

@@ -431,7 +431,7 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence,
     return out
 
 
-def hill_climb(cfg: SearchConfig, mapper=map) -> HillClimbResult:
+def hill_climb(cfg: SearchConfig) -> HillClimbResult:
     """First-improvement local search over graphs with sideways moves.
 
     Moves are edge additions, edge deletions, and neighbourhood replacements,
@@ -441,9 +441,7 @@ def hill_climb(cfg: SearchConfig, mapper=map) -> HillClimbResult:
     states across the whole run go to the lexicographically smallest packed
     edge bitset.
 
-    Restarts run on independent spawned seed streams; ``mapper`` may be a
-    thread pool's ``map``, and the combined result is independent of how the
-    restarts are scheduled.
+    Restarts run on independent spawned seed streams.
     """
     weights = np.array([cfg.w_add, cfg.w_delete, cfg.w_zykov], dtype=float)
     weights = weights / weights.sum()
@@ -452,7 +450,8 @@ def hill_climb(cfg: SearchConfig, mapper=map) -> HillClimbResult:
     best: _RestartOutcome | None = None
     iterations = 0
     accepted = 0
-    for out in mapper(lambda ch: _run_restart(cfg, ch, weights), children):
+    for child in children:
+        out = _run_restart(cfg, child, weights)
         iterations += out.iterations
         accepted += out.accepted
         if out.best_graph is None:

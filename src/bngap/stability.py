@@ -194,8 +194,7 @@ def _stability_row(n: int, base: Graph, base_edges: list, k: int, sample: int,
 
 
 def stability_experiment(n: int, deletion_grid: list[int], samples: int,
-                         seed: int, local_restarts: int = 8,
-                         mapper=map) -> list[dict]:
+                         seed: int, local_restarts: int = 8) -> list[dict]:
     """Sample edge-deleted balanced tripartite graphs and measure recovery.
 
     For each k in the grid, delete k distinct random edges from the balanced
@@ -203,25 +202,22 @@ def stability_experiment(n: int, deletion_grid: list[int], samples: int,
     sits at 4/3 exactly when nothing is deleted and 3 | n) together with the
     edit distance back to the family.  Rows follow STABILITY_CSV_COLUMNS.
 
-    Each (k, sample) cell runs on its own spawned seed stream, so the output
-    is identical whether ``mapper`` is the builtin or a thread pool's map.
+    Each (k, sample) cell runs on its own spawned seed stream.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     base = turan_graph(n, 3)
     base_edges = base.edges()
     for k in deletion_grid:
-        if k > len(base_edges):
+        if not 0 <= k <= len(base_edges):
             raise ValueError(f"cannot delete {k} of {len(base_edges)} edges")
     children = np.random.SeedSequence(seed).spawn(len(deletion_grid) * samples)
-    units = [
-        (k, sample, children[ki * samples + sample])
+    return [
+        _stability_row(n, base, base_edges, k, sample,
+                       children[ki * samples + sample], local_restarts)
         for ki, k in enumerate(deletion_grid)
         for sample in range(samples)
     ]
-    return list(mapper(
-        lambda unit: _stability_row(n, base, base_edges, unit[0], unit[1],
-                                    unit[2], local_restarts),
-        units,
-    ))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: output formats, manifests, exit codes."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -82,11 +83,18 @@ class TestSweep:
         assert manifest["flags"]["n_max"] == 10
         assert "started" in manifest and "finished" in manifest
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        run_cli("sweep", "--n-max", "9", "--out", str(a))
-        run_cli("sweep", "--n-max", "9", "--threads", "4", "--out", str(b))
-        assert a.read_text() == b.read_text()
+    def test_summary_csv_quotes_argmin_source(self, tmp_path):
+        out_file = tmp_path / "sweep.jsonl"
+        code, _, _ = run_cli("sweep", "--n-max", "10", "--out", str(out_file))
+        assert code == 0
+        records = [json.loads(line) for line in out_file.read_text().splitlines()]
+        argmin = min((r for r in records if not r["excluded"]),
+                     key=lambda r: r["gap"])
+        summary = tmp_path / "sweep.jsonl.summary.csv"
+        with open(summary, newline="", encoding="utf-8") as fh:
+            head, row = csv.reader(fh)
+        assert len(head) == len(row) == 8
+        assert head[-1] == "argmin_source" and row[-1] == argmin["source"]
 
 
 class TestExhaustive:
@@ -155,7 +163,7 @@ class TestStability:
         args = ("stability", "--n-max", "9", "--grid", "0,2", "--samples", "5",
                 "--seed", "3")
         run_cli(*args, "--out", str(a))
-        run_cli(*args, "--threads", "3", "--out", str(b))
+        run_cli(*args, "--out", str(b))
         assert a.read_text() == b.read_text()
 
 
@@ -184,6 +192,20 @@ class TestUsage:
     def test_missing_input(self):
         code, _, err = run_cli("report")
         assert code == 2 and "need --graph6 or --edges" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("exhaustive", "--n-max", "7"),
+        ("search", "--n-max", "5", "--density", "2"),
+        ("search", "--n-max", "1"),
+        ("stability", "--n-max", "2"),
+        ("stability", "--n-max", "6", "--grid", "999"),
+        ("stability", "--n-max", "6", "--grid", "-1"),
+        ("stability", "--n-max", "6", "--samples", "-1"),
+    ])
+    def test_out_of_range_value_is_usage_error(self, argv):
+        code, _, err = run_cli(*argv)
+        assert code == 2 and "error:" in err
+        assert "Traceback" not in err
 
     def test_version(self):
         code, out, _ = run_cli("--version")

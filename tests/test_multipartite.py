@@ -7,8 +7,6 @@ import pytest
 
 from bngap.graphs import PartSizes, complete_multipartite
 from bngap.multipartite import (
-    closed_forms,
-    lambda2_multipartite,
     multipartite_edge_count,
     multipartite_spectrum,
     quotient_eigenvector,
@@ -16,11 +14,19 @@ from bngap.multipartite import (
     secular_value,
     zero_eigenbasis,
 )
-from bngap.spectra import adjacency_matrix, eigenvalues
+from bngap.spectra import Spectrum, adjacency_matrix, eigenvalues
 
 from test_graphs import all_partitions
 
 GOLDEN = (1 + math.sqrt(5))  # positive secular root of parts (2,2,1)
+
+# Uneven partitions far beyond the enumerated range, n from 352 to 494.
+LARGE_PARTS = (
+    tuple(range(1, 30)) + (5,) * 10,
+    (200, 100, 50, 1, 1),
+    (97, 89, 83, 79, 73, 71),
+    (300, 150, 20, 7, 7, 7, 2, 1),
+)
 
 
 def part_sizes_upto(n_max):
@@ -95,6 +101,20 @@ class TestSpectrumAssembly:
             dense = np.asarray(eigenvalues(complete_multipartite(ps)).values)
             scale = max(1.0, float(abs(dense).max()))
             assert float(np.max(np.abs(flat - dense))) <= 1e-9 * scale, ps
+        for sizes in LARGE_PARTS:
+            ps = PartSizes(sizes)
+            spec = multipartite_spectrum(ps)
+            flat = np.asarray(spec.flatten())
+            dense = np.asarray(eigenvalues(complete_multipartite(ps)).values)
+            radius = float(abs(dense).max())
+            assert float(np.max(np.abs(flat - dense))) <= 1e-12 * radius, sizes
+            # Strict interlacing: pole_0 < root_0 < pole_1 < ... < root_{s-1},
+            # ascending, with the largest root positive.
+            poles = [-p for p, _ in ps.distinct()]
+            chain = [x for pair in zip(poles, sorted(spec.secular_roots))
+                     for x in pair]
+            assert all(a < b for a, b in zip(chain, chain[1:])), sizes
+            assert spec.lambda1 > 0, sizes
 
     def test_trace_identities_exact_path(self):
         for ps in part_sizes_upto(12):
@@ -104,12 +124,12 @@ class TestSpectrumAssembly:
             assert abs((flat ** 2).sum() - 2 * m) <= 1e-9 * max(1.0, 2.0 * m)
 
     def test_lambda2(self):
-        assert lambda2_multipartite(PartSizes((2, 3))) == 0.0
-        assert lambda2_multipartite(PartSizes((1, 1, 1))) == -1.0
-        assert lambda2_multipartite(PartSizes((5, 5))) == 0.0
+        assert multipartite_spectrum(PartSizes((2, 3))).lambda2 == 0.0
+        assert multipartite_spectrum(PartSizes((1, 1, 1))).lambda2 == -1.0
+        assert multipartite_spectrum(PartSizes((5, 5))).lambda2 == 0.0
         for ps in part_sizes_upto(11):
-            flat = multipartite_spectrum(ps).flatten()
-            assert flat[1] == pytest.approx(lambda2_multipartite(ps), abs=1e-10)
+            spec = multipartite_spectrum(ps)
+            assert spec.flatten()[1] == pytest.approx(spec.lambda2, abs=1e-10)
 
 
 class TestZeroEigenbasis:
@@ -173,6 +193,30 @@ class TestQuotientEigenvector:
                 assert float(np.dot(ps.sizes, coeffs)) == pytest.approx(1.0)
 
 
+def closed_forms(parts: PartSizes) -> Spectrum | None:
+    """Exact spectrum for the closed-form families, without root finding.
+
+    Covers complete bipartite graphs (+-sqrt(ab) and zeros), complete graphs
+    (r-1 and -1 repeated), and balanced r-partite graphs ((r-1)p, zeros, -p
+    repeated); returns None for anything else.  An oracle independent of the
+    secular path.
+    """
+    sizes = parts.sizes
+    n, r = parts.n, parts.r
+    m = multipartite_edge_count(parts)
+    if r == 2:
+        a, b = sizes
+        ab = a * b
+        lam = float(math.isqrt(ab)) if math.isqrt(ab) ** 2 == ab else math.sqrt(ab)
+        values = (lam,) + (0.0,) * (n - 2) + (-lam,)
+        return Spectrum(values, m)
+    if all(s == sizes[0] for s in sizes):
+        p = sizes[0]
+        values = (float((r - 1) * p),) + (0.0,) * (n - r) + (float(-p),) * (r - 1)
+        return Spectrum(values, m)
+    return None
+
+
 class TestClosedForms:
     def test_examples(self):
         assert closed_forms(PartSizes((4, 4))).values == pytest.approx(
@@ -188,5 +232,7 @@ class TestClosedForms:
             cf = closed_forms(ps)
             if cf is None:
                 continue
-            flat = multipartite_spectrum(ps).flatten()
-            assert np.max(np.abs(np.asarray(cf.values) - flat)) <= 1e-12
+            spec = multipartite_spectrum(ps)
+            assert np.max(np.abs(np.asarray(cf.values) - spec.flatten())) <= 1e-12
+            # secular_roots builds these families' matrices exactly.
+            assert spec.lambda1 == cf.values[0], ps

@@ -201,16 +201,6 @@ class TestHillClimb:
         assert a.iterations == b.iterations and a.accepted == b.accepted
         assert a.best_report.to_dict() == b.best_report.to_dict()
 
-    def test_mapper_does_not_change_result(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        cfg = SearchConfig(seed=42, n=6, max_iters=100, restarts=4)
-        serial = hill_climb(cfg)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = hill_climb(cfg, mapper=pool.map)
-        assert serial.best_graph == threaded.best_graph
-        assert serial.best_objective == threaded.best_objective
-
     def test_lambda1_objective(self):
         res = hill_climb(SearchConfig(seed=2, n=6, max_iters=200, restarts=2,
                                       objective="lambda1", k4_constrained=False))

@@ -177,20 +177,18 @@ class TestExperiment:
             if row["k"] == 0:
                 assert row["edits"] == 0
 
-    def test_deterministic_and_mapper_invariant(self):
-        from concurrent.futures import ThreadPoolExecutor
-
+    def test_deterministic_reruns(self):
         a = stability_experiment(9, [0, 1, 3], samples=8, seed=33)
         b = stability_experiment(9, [0, 1, 3], samples=8, seed=33)
         assert a == b
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            c = stability_experiment(9, [0, 1, 3], samples=8, seed=33,
-                                     mapper=pool.map)
-        assert a == c
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             stability_experiment(6, [100], samples=1, seed=0)
+        with pytest.raises(ValueError, match="cannot delete -1"):
+            stability_experiment(6, [-1], samples=1, seed=0)
+        with pytest.raises(ValueError, match="samples"):
+            stability_experiment(6, [0], samples=-1, seed=0)
 
 
 class TestDenseCase:
