@@ -114,11 +114,15 @@ def _status(message: str) -> None:
     print(f"bngap: {message}", file=sys.stderr)
 
 
-def _vertex_count(text: str) -> int:
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 vertices, got {n}")
-    return n
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than ``lo``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"need at least {lo}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _parse_parts(text: str) -> PartSizes:
@@ -131,9 +135,12 @@ def _parse_parts(text: str) -> PartSizes:
 
 def _parse_grid(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        grid = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise _InputError(f"bad --grid value {text!r}: {exc}") from exc
+    if not grid:
+        raise _InputError(f"bad --grid value {text!r}: no deletion counts")
+    return grid
 
 
 def _load_graphs(run: _Run) -> list[tuple[str, Graph]]:
@@ -401,20 +408,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", help="edge-list file, '-' for stdin")
 
     p = add("sweep", _cmd_sweep, "exact reports for all part-size partitions")
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--r-max", type=int, default=6)
+    p.add_argument("--n-max", type=_int_at_least(2), required=True)
+    p.add_argument("--r-max", type=_int_at_least(2), default=6)
 
     p = add("exhaustive", _cmd_exhaustive,
             "check every labeled graph (n<=6) or a graph6 stream")
-    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-max", type=_int_at_least(1))
     p.add_argument("--graph6", help="graph6 file, '-' for stdin")
 
     p = add("search", _cmd_search, "hill-climb for gap violations")
-    p.add_argument("--n-max", type=_vertex_count, required=True,
+    p.add_argument("--n-max", type=_int_at_least(2), required=True,
                    help="vertex count, at least 2")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--steps", type=int, default=1000, help="iterations per restart")
+    p.add_argument("--restarts", type=_int_at_least(1), default=10)
+    p.add_argument("--steps", type=_int_at_least(0), default=1000,
+                   help="iterations per restart")
     p.add_argument("--method", choices=["k4free", "free"], default="k4free")
     p.add_argument("--objective", choices=["bn-gap", "lambda1"], default="bn-gap")
     p.add_argument("--density", type=float, default=0.5, help="initial density")
@@ -422,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("zykov", _cmd_zykov, "random neighbourhood-replacement trajectory")
     p.add_argument("--graph6", help="graph6 file, '-' for stdin")
     p.add_argument("--edges", help="edge-list file, '-' for stdin")
-    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--steps", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("stability", _cmd_stability,
@@ -430,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True, help="vertex count")
     p.add_argument("--grid", default="0,1,2,3,4,5",
                    help="comma-separated deletion counts")
-    p.add_argument("--samples", type=int, default=20)
+    p.add_argument("--samples", type=_int_at_least(1), default=20)
     p.add_argument("--seed", type=int, default=0)
 
     p = add("dense-check", _cmd_dense_check,

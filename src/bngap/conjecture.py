@@ -71,8 +71,7 @@ class BnReport:
 
 
 def _assemble(n: int, m: int, omega: int, lam1: float, lam2: float,
-              lam_n: float, excluded: bool, source: str,
-              tol: float, eq_tol: float) -> BnReport:
+              lam_n: float, excluded: bool, source: str) -> BnReport:
     bound = 2.0 * (1.0 - 1.0 / omega) * m
     lhs = lam1 * lam1 + lam2 * lam2
     gap = bound - lhs
@@ -80,15 +79,14 @@ def _assemble(n: int, m: int, omega: int, lam1: float, lam2: float,
         n=n, m=m, omega=omega,
         lambda1=lam1, lambda2=lam2, lambda_n=lam_n,
         bound=bound, lhs=lhs, gap=gap,
-        holds=gap >= -tol,
-        equality=abs(gap) <= eq_tol * max(1.0, bound),
+        holds=gap >= -GAP_TOL,
+        equality=abs(gap) <= EQ_TOL * max(1.0, bound),
         excluded=excluded,
         source=source,
     )
 
 
-def bn_report(g: Graph, source: str = "graph",
-              tol: float = GAP_TOL, eq_tol: float = EQ_TOL) -> BnReport:
+def bn_report(g: Graph, source: str = "graph") -> BnReport:
     """Full gap report for an arbitrary graph (numeric spectrum, exact omega)."""
     if g.n < 2 or g.m < 1:
         raise OutOfDomainError(
@@ -98,13 +96,11 @@ def bn_report(g: Graph, source: str = "graph",
     omega = clique_number(g)
     return _assemble(
         g.n, g.m, omega, spec.lambda1, spec.lambda2, spec.lambda_n,
-        excluded=g.is_complete(), source=source, tol=tol, eq_tol=eq_tol,
+        excluded=g.is_complete(), source=source,
     )
 
 
-def bn_report_multipartite(parts: PartSizes,
-                           tol: float = GAP_TOL,
-                           eq_tol: float = EQ_TOL) -> BnReport:
+def bn_report_multipartite(parts: PartSizes) -> BnReport:
     """Gap report for a complete multipartite graph via its exact spectrum."""
     spec = multipartite_spectrum(parts)
     flat = spec.flatten()
@@ -112,7 +108,7 @@ def bn_report_multipartite(parts: PartSizes,
     source = "multipartite[" + ",".join(str(s) for s in parts.sizes) + "]"
     report = _assemble(
         parts.n, m, parts.r, spec.lambda1, spec.lambda2, flat[-1],
-        excluded=parts.n == parts.r, source=source, tol=tol, eq_tol=eq_tol,
+        excluded=parts.n == parts.r, source=source,
     )
     if parts.r == 2 and report.equality and parts.sizes[0] != parts.sizes[1]:
         # Bipartite equality does not require balanced parts: lambda1^2 = ab
@@ -131,13 +127,13 @@ class TuranCheck:
     passes: bool
 
 
-def spectral_turan_check(g: Graph, tol: float = GAP_TOL) -> TuranCheck:
+def spectral_turan_check(g: Graph) -> TuranCheck:
     """Check lambda1 <= sqrt(2 (1 - 1/omega) m) and report the slack."""
     if g.n < 2 or g.m < 1:
         raise OutOfDomainError("spectral bound needs omega >= 2")
     lam1 = eigenvalues(g).lambda1
     bound = sqrt(2.0 * (1.0 - 1.0 / clique_number(g)) * g.m)
-    return TuranCheck(lam1, bound, bound - lam1, lam1 <= bound + tol)
+    return TuranCheck(lam1, bound, bound - lam1, lam1 <= bound + GAP_TOL)
 
 
 def hoffman_bound(g: Graph) -> float:
@@ -161,7 +157,7 @@ class HoffmanRatioCheck:
     passes: bool | None
 
 
-def hoffman_ratio_check(g: Graph, tol: float = GAP_TOL) -> HoffmanRatioCheck:
+def hoffman_ratio_check(g: Graph) -> HoffmanRatioCheck:
     """For K4-free graphs with 3*alpha >= n: check |lambda_n| >= lambda1 / 2."""
     if g.m < 1:
         return HoffmanRatioCheck(False, "needs at least one edge", None, None)
@@ -171,7 +167,7 @@ def hoffman_ratio_check(g: Graph, tol: float = GAP_TOL) -> HoffmanRatioCheck:
         return HoffmanRatioCheck(False, "independence number below n/3", None, None)
     spec = eigenvalues(g)
     ratio = abs(spec.lambda_n) / spec.lambda1
-    return HoffmanRatioCheck(True, "", ratio, ratio >= 0.5 - tol)
+    return HoffmanRatioCheck(True, "", ratio, ratio >= 0.5 - GAP_TOL)
 
 
 @dataclass(frozen=True)
@@ -187,7 +183,7 @@ class ObstructionReport:
     lambda1_sq_below_eight_thirds: bool
 
 
-def obstruction_report(g: Graph, tol: float = GAP_TOL) -> ObstructionReport:
+def obstruction_report(g: Graph) -> ObstructionReport:
     """Why the Hoffman-energy route cannot close the K4-free case.
 
     Combining |lambda_n| >= lambda1/2 with the square-trace identity yields
@@ -217,7 +213,7 @@ def obstruction_report(g: Graph, tol: float = GAP_TOL) -> ObstructionReport:
     b = 2.0 * g.m - lam1 * lam1 / 4.0
     return ObstructionReport(
         True, "", g.m, lam1, lhs, b,
-        lhs_within_bound=lhs <= b + tol,
-        bound_exceeds_four_thirds=b > 4.0 * g.m / 3.0 - tol,
+        lhs_within_bound=lhs <= b + GAP_TOL,
+        bound_exceeds_four_thirds=b > 4.0 * g.m / 3.0 - GAP_TOL,
         lambda1_sq_below_eight_thirds=lam1 * lam1 < 8.0 * g.m / 3.0,
     )

@@ -5,6 +5,16 @@ row u is set iff uv is an edge.  Graphs are immutable value objects: every
 mutation-shaped operation returns a new Graph, so instances are safe to share
 across parallel workers.
 
+Rows are validated where they enter from outside: ``Graph(n, adj)``,
+``from_edge_list``, ``parse_graph6`` and ``parse_edge_list_text`` check the
+vertex count, the row range, the zero diagonal and symmetry.  Operations that
+derive a graph from a valid one (``complement``, ``with_edge``,
+``without_edge``, ``zykov``) or build rows symmetric by construction
+(``complete_multipartite``, ``turan_graph``) trust their rows and skip that
+check; a property test holds them to the full validator.  Their vertex
+arguments stay checked because each one both indexes a row and is a shift
+count: a vertex >= n raises IndexError, a negative one ValueError.
+
 Alongside the representation live the combinatorial parameters used by the
 gap reports (clique number, independence number, triangle count), the Zykov
 neighbourhood-replacement operation, and graph6 / edge-list serialization.
@@ -30,14 +40,26 @@ def _bits(x: int) -> Iterator[int]:
         x ^= b
 
 
+def check_vertex_count(n: int) -> None:
+    """Reject a vertex count outside 1..MAX_N."""
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"vertex count {n} outside 1..{MAX_N}")
+
+
 @dataclass(frozen=True)
 class Graph:
+    """A simple undirected graph on vertices 0..n-1.
+
+    ``Graph(n, adj)`` validates its rows.  ``Graph._unchecked(n, adj)`` does
+    not; it is for rows derived from a valid graph or symmetric by
+    construction.
+    """
+
     n: int
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_N:
-            raise ValueError(f"vertex count {self.n} outside 1..{MAX_N}")
+        check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match n")
         mask = (1 << self.n) - 1
@@ -51,6 +73,14 @@ class Graph:
                 cols[v] |= 1 << u
         if tuple(cols) != self.adj:
             raise ValueError("adjacency is not symmetric")
+
+    @classmethod
+    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A Graph over trusted rows, skipping ``__post_init__``."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
+        return g
 
     @property
     def m(self) -> int:
@@ -79,7 +109,7 @@ class Graph:
     def complement(self) -> "Graph":
         mask = (1 << self.n) - 1
         rows = tuple(~row & mask & ~(1 << u) for u, row in enumerate(self.adj))
-        return Graph(self.n, rows)
+        return Graph._unchecked(self.n, rows)
 
     def with_edge(self, u: int, v: int) -> "Graph":
         if u == v:
@@ -87,13 +117,13 @@ class Graph:
         rows = list(self.adj)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
+        return Graph._unchecked(self.n, tuple(rows))
 
     def without_edge(self, u: int, v: int) -> "Graph":
         rows = list(self.adj)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
+        return Graph._unchecked(self.n, tuple(rows))
 
     def edge_bitset(self) -> int:
         """The upper triangle packed into one integer, graph6 bit order.
@@ -154,8 +184,7 @@ class PartSizes:
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Graph with exactly the given edges; duplicates are idempotent."""
-    if not 1 <= n <= MAX_N:
-        raise ValueError(f"vertex count {n} outside 1..{MAX_N}")
+    check_vertex_count(n)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -177,7 +206,7 @@ def complete_multipartite(parts: PartSizes) -> Graph:
         part_mask = ((1 << size) - 1) << start
         row = full & ~part_mask
         rows.extend([row] * size)
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 def turan_graph(n: int, r: int) -> Graph:
@@ -185,7 +214,8 @@ def turan_graph(n: int, r: int) -> Graph:
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if r == 1:
-        return Graph(n, (0,) * n)
+        check_vertex_count(n)
+        return Graph._unchecked(n, (0,) * n)
     q, rem = divmod(n, r)
     sizes = [q + 1] * rem + [q] * (r - rem)
     return complete_multipartite(PartSizes(tuple(sizes)))
@@ -288,7 +318,7 @@ def zykov(g: Graph, u: int, v: int) -> Graph:
             rows.append(g.adj[w] | ubit)
         else:
             rows.append(g.adj[w] & ~ubit)
-    return Graph(g.n, tuple(rows))
+    return Graph._unchecked(g.n, tuple(rows))
 
 
 # graph6: printable 6-bit encoding of the upper triangle, bytes offset by 63.

@@ -4,6 +4,10 @@ Everything that consumes randomness takes a 64-bit seed and runs on a PCG64
 generator; per-restart and per-sample streams are split off the master seed
 with ``numpy.random.SeedSequence.spawn``, so identical inputs reproduce
 identical outputs no matter how the work is scheduled.
+
+The generators (``labeled_graphs``, ``random_graph``, ``random_k4_free``)
+set both bits of every pair they keep, so their rows are symmetric by
+construction and skip ``Graph`` validation (see ``bngap.graphs``).
 """
 
 from __future__ import annotations
@@ -14,7 +18,15 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from .conjecture import BnReport, GAP_TOL, OutOfDomainError, bn_report, bn_report_multipartite
-from .graphs import Graph, Graph6Error, PartSizes, clique_number, parse_graph6, zykov
+from .graphs import (
+    Graph,
+    Graph6Error,
+    PartSizes,
+    check_vertex_count,
+    clique_number,
+    parse_graph6,
+    zykov,
+)
 from .spectra import adjacency_matrix
 
 MAX_ENUM_N = 6
@@ -94,7 +106,7 @@ def labeled_graphs(n: int) -> Iterator[tuple[str, Graph]]:
             if code >> k & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-        yield f"labeled:n={n}:code={code}", Graph(n, tuple(rows))
+        yield f"labeled:n={n}:code={code}", Graph._unchecked(n, tuple(rows))
 
 
 @dataclass
@@ -104,8 +116,7 @@ class ExhaustiveResult:
     malformed: list[tuple[int, str]]
 
 
-def exhaustive_check(source: Union[int, Iterable[str]],
-                     tol: float = GAP_TOL) -> ExhaustiveResult:
+def exhaustive_check(source: Union[int, Iterable[str]]) -> ExhaustiveResult:
     """Run gap reports over a graph family and collect violations.
 
     ``source`` is either a vertex count (built-in labeled enumeration,
@@ -119,7 +130,7 @@ def exhaustive_check(source: Union[int, Iterable[str]],
 
     def consume(tag: str, g: Graph) -> None:
         try:
-            report = bn_report(g, source=tag, tol=tol)
+            report = bn_report(g, source=tag)
         except OutOfDomainError:
             summary.out_of_domain += 1
             return
@@ -161,12 +172,13 @@ def _creates_k4(g: Graph, u: int, v: int) -> bool:
 
 def random_graph(n: int, density: float, rng: np.random.Generator) -> Graph:
     """Erdos-Renyi style graph: each pair kept independently with p=density."""
+    check_vertex_count(n)
     rows = [0] * n
     for u, v in _pair_list(n):
         if rng.random() < density:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 def random_k4_free(n: int, target_density: float, seed: int,
@@ -189,6 +201,7 @@ def random_k4_free(n: int, target_density: float, seed: int,
 def _random_k4_free_rng(n: int, target_density: float, rng: np.random.Generator,
                         method: str = "tripartite_subgraph",
                         balanced: bool = False) -> Graph:
+    check_vertex_count(n)
     if not 0.0 <= target_density <= 1.0:
         raise ValueError("density must lie in [0, 1]")
     npairs = n * (n - 1) // 2
@@ -207,12 +220,12 @@ def _random_k4_free_rng(n: int, target_density: float, rng: np.random.Generator,
             if rng.random() < keep_p:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-        return Graph(n, tuple(rows))
+        return Graph._unchecked(n, tuple(rows))
 
     if method == "greedy_insertion":
         pairs = _pair_list(n)
         order = rng.permutation(len(pairs))
-        g = Graph(n, (0,) * n)
+        g = Graph._unchecked(n, (0,) * n)
         m = 0
         for idx in order:
             if m >= target_m:
@@ -270,8 +283,7 @@ def _lambda1_and_perron(g: Graph) -> tuple[float, np.ndarray]:
     return float(vals[-1]), np.abs(vecs[:, -1])
 
 
-def zykov_trajectory(g: Graph, steps: int, seed: int,
-                     tol: float = GAP_TOL) -> TrajectoryResult:
+def zykov_trajectory(g: Graph, steps: int, seed: int) -> TrajectoryResult:
     """Apply random neighbourhood replacements and track (lambda1, omega, m).
 
     Pairs are drawn uniformly from the non-adjacent pairs; within a pair the
@@ -298,7 +310,7 @@ def zykov_trajectory(g: Graph, steps: int, seed: int,
         current = zykov(current, u, v)
         new_lam1, perron = _lambda1_and_perron(current)
         new_omega = clique_number(current)
-        if new_lam1 < lam1 - tol:
+        if new_lam1 < lam1 - GAP_TOL:
             result.findings.append(
                 f"step {step}: lambda1 decreased {lam1:.12g} -> {new_lam1:.12g}"
             )
@@ -319,17 +331,15 @@ class SearchConfig:
     n: int
     max_iters: int = 2000
     restarts: int = 1
-    w_add: float = 1.0
-    w_delete: float = 1.0
-    w_zykov: float = 1.0
     k4_constrained: bool = True
     objective: str = "bn_gap_negated"  # or "lambda1"
     init_density: float = 0.5
 
     def __post_init__(self) -> None:
-        weights = (self.w_add, self.w_delete, self.w_zykov)
-        if any(w < 0 for w in weights) or not any(weights):
-            raise ValueError("move weights must be non-negative, not all zero")
+        if self.restarts < 1:
+            raise ValueError(f"need at least one restart, got {self.restarts}")
+        if self.max_iters < 0:
+            raise ValueError(f"iterations must be non-negative, got {self.max_iters}")
         if self.objective not in ("bn_gap_negated", "lambda1"):
             raise ValueError(f"unknown objective {self.objective!r}")
 
@@ -368,8 +378,14 @@ class _RestartOutcome:
     accepted: int
 
 
-def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence,
-                 weights: np.ndarray) -> _RestartOutcome:
+# The hill-climb moves (add an edge, delete an edge, replace a neighbourhood)
+# are equally likely.  They are drawn with ``choice(3, p=_MOVE_P)``, not
+# ``integers(3)``: the two consume the stream differently, and seeded output
+# depends on the draw.
+_MOVE_P = np.full(3, 1 / 3)
+
+
+def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOutcome:
     rng = np.random.default_rng(np.random.PCG64(child))
     if cfg.k4_constrained:
         current = _random_k4_free_rng(cfg.n, cfg.init_density, rng,
@@ -393,7 +409,7 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence,
     sideways = 0
     for _ in range(cfg.max_iters):
         out.iterations += 1
-        move = int(rng.choice(3, p=weights))
+        move = int(rng.choice(3, p=_MOVE_P))
         candidate = None
         if move == 0:
             non_edges = _nonadjacent_pairs(current)
@@ -435,23 +451,20 @@ def hill_climb(cfg: SearchConfig) -> HillClimbResult:
     """First-improvement local search over graphs with sideways moves.
 
     Moves are edge additions, edge deletions, and neighbourhood replacements,
-    drawn with the configured weights; when ``k4_constrained`` every state is
-    kept K4-free.  Sideways (equal-objective) moves are accepted up to n^2
-    consecutive times before the restart ends.  Ties between equally good
-    states across the whole run go to the lexicographically smallest packed
-    edge bitset.
+    drawn uniformly; when ``k4_constrained`` every state is kept K4-free.
+    Sideways (equal-objective) moves are accepted up to n^2 consecutive times
+    before the restart ends.  Ties between equally good states across the
+    whole run go to the lexicographically smallest packed edge bitset.
 
     Restarts run on independent spawned seed streams.
     """
-    weights = np.array([cfg.w_add, cfg.w_delete, cfg.w_zykov], dtype=float)
-    weights = weights / weights.sum()
-    children = np.random.SeedSequence(cfg.seed).spawn(max(1, cfg.restarts))
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
 
     best: _RestartOutcome | None = None
     iterations = 0
     accepted = 0
     for child in children:
-        out = _run_restart(cfg, child, weights)
+        out = _run_restart(cfg, child)
         iterations += out.iterations
         accepted += out.accepted
         if out.best_graph is None:
@@ -463,7 +476,7 @@ def hill_climb(cfg: SearchConfig) -> HillClimbResult:
 
     if best is None or best.best_graph is None:
         # Every start was out of domain (can happen only at density 0).
-        return HillClimbResult(cfg, Graph(cfg.n, (0,) * cfg.n), None,
+        return HillClimbResult(cfg, Graph._unchecked(cfg.n, (0,) * cfg.n), None,
                                float("-inf"), False, iterations, accepted,
                                len(children))
     report = best.best_report

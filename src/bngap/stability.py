@@ -23,6 +23,7 @@ from .graphs import Graph, is_k4_free, triangle_count, turan_graph
 from .spectra import eigenvalues
 
 EXACT_MAX_N = 12
+LOCAL_RESTARTS = 8  # edit_distance_local starts per stability row above EXACT_MAX_N
 
 STABILITY_CSV_COLUMNS = (
     "n", "k", "sample", "m", "lambda1_sq_over_m", "edits", "edits_normalized",
@@ -170,7 +171,7 @@ def edit_distance_local(g: Graph, restarts: int, seed: int) -> EditResult:
 
 
 def _stability_row(n: int, base: Graph, base_edges: list, k: int, sample: int,
-                   child: np.random.SeedSequence, local_restarts: int) -> dict:
+                   child: np.random.SeedSequence) -> dict:
     rng = np.random.default_rng(np.random.PCG64(child))
     g = base
     for idx in rng.choice(len(base_edges), size=k, replace=False):
@@ -179,7 +180,7 @@ def _stability_row(n: int, base: Graph, base_edges: list, k: int, sample: int,
     if n <= EXACT_MAX_N:
         res = edit_distance_exact(g)
     else:
-        res = edit_distance_local(g, local_restarts,
+        res = edit_distance_local(g, LOCAL_RESTARTS,
                                   seed=int(rng.integers(2 ** 63)))
     return {
         "n": n,
@@ -194,7 +195,7 @@ def _stability_row(n: int, base: Graph, base_edges: list, k: int, sample: int,
 
 
 def stability_experiment(n: int, deletion_grid: list[int], samples: int,
-                         seed: int, local_restarts: int = 8) -> list[dict]:
+                         seed: int) -> list[dict]:
     """Sample edge-deleted balanced tripartite graphs and measure recovery.
 
     For each k in the grid, delete k distinct random edges from the balanced
@@ -213,8 +214,7 @@ def stability_experiment(n: int, deletion_grid: list[int], samples: int,
             raise ValueError(f"cannot delete {k} of {len(base_edges)} edges")
     children = np.random.SeedSequence(seed).spawn(len(deletion_grid) * samples)
     return [
-        _stability_row(n, base, base_edges, k, sample,
-                       children[ki * samples + sample], local_restarts)
+        _stability_row(n, base, base_edges, k, sample, children[ki * samples + sample])
         for ki, k in enumerate(deletion_grid)
         for sample in range(samples)
     ]

@@ -201,9 +201,18 @@ class TestUsage:
         ("stability", "--n-max", "6", "--grid", "999"),
         ("stability", "--n-max", "6", "--grid", "-1"),
         ("stability", "--n-max", "6", "--samples", "-1"),
+        ("exhaustive", "--n-max", "-3"),
+        ("sweep", "--n-max", "5", "--r-max", "1"),
+        ("sweep", "--n-max", "1"),
+        ("stability", "--n-max", "6", "--grid", ","),
+        ("stability", "--n-max", "6", "--samples", "0"),
+        ("search", "--n-max", "5", "--restarts", "0"),
+        ("search", "--n-max", "5", "--restarts", "-2"),
+        ("search", "--n-max", "5", "--steps", "-1"),
+        ("zykov", "--edges", "-", "--steps", "-1"),
     ])
     def test_out_of_range_value_is_usage_error(self, argv):
-        code, _, err = run_cli(*argv)
+        code, _, err = run_cli(*argv, stdin=C5_EDGES)
         assert code == 2 and "error:" in err
         assert "Traceback" not in err
 

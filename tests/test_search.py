@@ -208,7 +208,7 @@ class TestHillClimb:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SearchConfig(seed=0, n=5, w_add=0, w_delete=0, w_zykov=0)
+            SearchConfig(seed=0, n=5, restarts=0)
         with pytest.raises(ValueError):
             SearchConfig(seed=0, n=5, objective="noop")
 
