@@ -30,6 +30,7 @@ from .graphs import (
 from .jsonutil import csv_cell, dumps, sha256_hex
 from .multipartite import multipartite_edge_count, multipartite_spectrum
 from .search import (
+    MAX_ENUM_N,
     SearchConfig,
     SweepSummary,
     exhaustive_check,
@@ -244,15 +245,13 @@ def _cmd_sweep(run: _Run) -> int:
 
 def _cmd_exhaustive(run: _Run) -> int:
     args = run.args
-    if args.graph6:
+    if args.graph6 is not None:
         lines = run.read_text(args.graph6).splitlines()
         results = [exhaustive_check(lines)]
         scope = "graph6 stream"
-    elif args.n_max:
+    else:
         results = [exhaustive_check(n) for n in range(1, args.n_max + 1)]
         scope = f"all labeled graphs, n<={args.n_max}"
-    else:
-        raise _InputError("need --n-max or --graph6")
     total = SweepSummary()
     violations = 0
     for res in results:
@@ -412,9 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=_int_at_least(2), default=6)
 
     p = add("exhaustive", _cmd_exhaustive,
-            "check every labeled graph (n<=6) or a graph6 stream")
-    p.add_argument("--n-max", type=_int_at_least(1))
-    p.add_argument("--graph6", help="graph6 file, '-' for stdin")
+            f"check every labeled graph (n<={MAX_ENUM_N}) or a graph6 stream")
+    family = p.add_mutually_exclusive_group(required=True)
+    family.add_argument("--n-max", type=_int_at_least(1))
+    family.add_argument("--graph6", help="graph6 file, '-' for stdin")
 
     p = add("search", _cmd_search, "hill-climb for gap violations")
     p.add_argument("--n-max", type=_int_at_least(2), required=True,

@@ -40,6 +40,14 @@ def _bits(x: int) -> Iterator[int]:
         x ^= b
 
 
+def graph6_pairs(n: int) -> Iterator[tuple[int, int]]:
+    """Vertex pairs (u, v), u < v, in graph6 bit order: (0,1), (0,2), (1,2),
+    (0,3), ...  Bit k of an edge code is the k-th pair."""
+    for v in range(1, n):
+        for u in range(v):
+            yield u, v
+
+
 def check_vertex_count(n: int) -> None:
     """Reject a vertex count outside 1..MAX_N."""
     if not 1 <= n <= MAX_N:
@@ -128,15 +136,13 @@ class Graph:
     def edge_bitset(self) -> int:
         """The upper triangle packed into one integer, graph6 bit order.
 
-        Used as a deterministic total order on same-n graphs.
+        Bit k is the k-th pair of ``graph6_pairs``, so row v below the
+        diagonal fills the v bits from v(v-1)/2 on.  Used as a
+        deterministic total order on same-n graphs.
         """
         code = 0
-        k = 0
         for v in range(1, self.n):
-            for u in range(v):
-                if self.adj[u] >> v & 1:
-                    code |= 1 << k
-                k += 1
+            code |= (self.adj[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
         return code
 
 

@@ -4,6 +4,10 @@ Floats are written with 17 significant digits so every IEEE double survives
 a serialize/parse cycle byte-for-byte; the standard library encoder would
 use the shortest repr, which is fine for reading back but not stable across
 formatting layers.
+
+JSON has no NaN or infinity, so ``dumps`` writes non-finite floats as
+``null`` and its output stays strict JSON.  CSV cells keep the text
+``NaN``, ``Infinity`` and ``-Infinity``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ def format_float(x: float) -> str:
 
 
 def dumps(obj: Any) -> str:
-    """Compact one-line JSON with 17-significant-digit floats."""
+    """Compact one-line JSON with 17-significant-digit floats; NaN and
+    infinities become null."""
     if obj is None:
         return "null"
     if obj is True:
@@ -32,7 +37,7 @@ def dumps(obj: Any) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format_float(obj)
+        return format_float(obj) if math.isfinite(obj) else "null"
     if isinstance(obj, str):
         out = ['"']
         for ch in obj:

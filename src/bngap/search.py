@@ -8,28 +8,51 @@ identical outputs no matter how the work is scheduled.
 The generators (``labeled_graphs``, ``random_graph``, ``random_k4_free``)
 set both bits of every pair they keep, so their rows are symmetric by
 construction and skip ``Graph`` validation (see ``bngap.graphs``).
+
+``exhaustive_check`` runs in chunks of same-n graphs.  A chunk is stacked
+into one ``(B, n, n)`` array and solved with one batched ``eigvalsh``; the
+gap arithmetic then runs column-wise with the expressions of
+``bngap.conjecture``, so each graph gets the same floats as from
+``bn_report``.  Only violating graphs are rebuilt and reported through
+``bn_report``.  A chunk holds at most ``_CHUNK_ENTRIES`` matrix entries
+(2^15 doubles, 256 KiB; 910 graphs at n = 6, one graph at n >= 129), which
+bounds the engine's working memory whatever the family size.  Labeled
+chunks are slices of edge codes, with the clique number read off a table
+of vertex subsets; graph6 chunks are runs of consecutive records with the
+same n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
-from .conjecture import BnReport, GAP_TOL, OutOfDomainError, bn_report, bn_report_multipartite
+from .conjecture import (
+    EQ_TOL,
+    GAP_TOL,
+    BnReport,
+    bn_report,
+    bn_report_multipartite,
+)
 from .graphs import (
     Graph,
     Graph6Error,
     PartSizes,
     check_vertex_count,
     clique_number,
+    graph6_pairs,
     parse_graph6,
     zykov,
 )
 from .spectra import adjacency_matrix
 
 MAX_ENUM_N = 6
+
+# Matrix entries per exhaustive chunk: one (B, n, n) float64 array holds at
+# most this many, B = max(1, _CHUNK_ENTRIES // n^2).
+_CHUNK_ENTRIES = 2 ** 15
 
 
 def partitions_into_parts(n: int, r_max: int) -> Iterator[tuple[int, ...]]:
@@ -94,19 +117,25 @@ class SweepSummary:
         }
 
 
-def labeled_graphs(n: int) -> Iterator[tuple[str, Graph]]:
-    """All 2^C(n,2) labeled graphs on n vertices (no isomorphism reduction)."""
+def _check_enum_n(n: int) -> None:
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"built-in enumeration capped at n <= {MAX_ENUM_N}")
-    npairs = n * (n - 1) // 2
-    pairs = [(u, v) for v in range(1, n) for u in range(v)]
-    for code in range(1 << npairs):
-        rows = [0] * n
-        for k, (u, v) in enumerate(pairs):
-            if code >> k & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        yield f"labeled:n={n}:code={code}", Graph._unchecked(n, tuple(rows))
+
+
+def _labeled_graph(n: int, code: int) -> Graph:
+    rows = [0] * n
+    for k, (u, v) in enumerate(graph6_pairs(n)):
+        if code >> k & 1:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph._unchecked(n, tuple(rows))
+
+
+def labeled_graphs(n: int) -> Iterator[tuple[str, Graph]]:
+    """All 2^C(n,2) labeled graphs on n vertices (no isomorphism reduction)."""
+    _check_enum_n(n)
+    for code in range(1 << n * (n - 1) // 2):
+        yield f"labeled:n={n}:code={code}", _labeled_graph(n, code)
 
 
 @dataclass
@@ -116,42 +145,131 @@ class ExhaustiveResult:
     malformed: list[tuple[int, str]]
 
 
+def _chunk_size(n: int) -> int:
+    return max(1, _CHUNK_ENTRIES // (n * n))
+
+
+def _check_chunk(res: ExhaustiveResult, adj: np.ndarray, m: np.ndarray,
+                 omega: np.ndarray, source: Callable[[int], str],
+                 graph: Callable[[int], Graph]) -> None:
+    """Fold a chunk of same-n graphs into ``res``.
+
+    ``adj`` stacks the B adjacency matrices, ``m`` and ``omega`` are their
+    edge counts and clique numbers; ``source(i)`` and ``graph(i)`` name and
+    rebuild graph i.  The counts and the first-occurrence minimum follow
+    ``SweepSummary.add``; violating graphs are reported by ``bn_report``.
+    """
+    summary = res.summary
+    n = adj.shape[1]
+    live = m >= 1
+    nlive = int(np.count_nonzero(live))
+    summary.out_of_domain += len(m) - nlive
+    if not nlive:
+        return
+    vals = np.linalg.eigvalsh(adj)
+    lam1, lam2 = vals[:, -1], vals[:, -2]
+    # The expressions and their order are those of conjecture._assemble.
+    bound = 2.0 * (1.0 - 1.0 / omega) * m
+    lhs = lam1 * lam1 + lam2 * lam2
+    gap = bound - lhs
+    holds = gap >= -GAP_TOL
+    equality = np.abs(gap) <= EQ_TOL * np.maximum(1.0, bound)
+    excluded = live & (m == n * (n - 1) // 2)
+    applicable = live & ~excluded
+    bad = np.flatnonzero(applicable & ~holds)
+    summary.total += nlive
+    summary.excluded += int(np.count_nonzero(excluded))
+    summary.holds += int(np.count_nonzero(applicable & holds))
+    summary.violations += len(bad)
+    summary.equality += int(np.count_nonzero(applicable & equality))
+    if applicable.any():
+        i = int(np.argmin(np.where(applicable, gap, np.inf)))
+        if gap[i] < summary.min_gap:
+            summary.min_gap = float(gap[i])
+            summary.argmin_source = source(i)
+    res.violations.extend(bn_report(graph(i), source=source(i)) for i in bad)
+
+
+def _clique_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair masks and sizes of the vertex subsets with at least 2 vertices,
+    largest first, closed by one vertex with the empty mask.  The clique
+    number of an edge code is the size of the first subset whose pair mask
+    the code contains."""
+    bit = {pair: 1 << k for k, pair in enumerate(graph6_pairs(n))}
+    table = [(0, 1)]
+    for s in range(1 << n):
+        members = [v for v in range(n) if s >> v & 1]
+        if len(members) >= 2:
+            mask = sum(bit[u, v] for k, v in enumerate(members)
+                       for u in members[:k])
+            table.append((mask, len(members)))
+    table.sort(key=lambda row: -row[1])
+    masks, sizes = zip(*table)
+    return np.array(masks, dtype=np.int64), np.array(sizes, dtype=np.int64)
+
+
+def _labeled_chunk(n: int, codes: np.ndarray, table: tuple[np.ndarray, np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adjacency stack, edge counts and clique numbers of the edge codes."""
+    pairs = np.array(list(graph6_pairs(n)), dtype=np.intp).reshape(-1, 2)
+    bits = (codes[:, None] >> np.arange(len(pairs))) & 1
+    adj = np.zeros((len(codes), n, n))
+    adj[:, pairs[:, 0], pairs[:, 1]] = bits
+    adj[:, pairs[:, 1], pairs[:, 0]] = bits
+    masks, sizes = table
+    omega = sizes[((codes[:, None] & masks) == masks).argmax(axis=1)]
+    return adj, bits.sum(axis=1), omega
+
+
 def exhaustive_check(source: Union[int, Iterable[str]]) -> ExhaustiveResult:
     """Run gap reports over a graph family and collect violations.
 
     ``source`` is either a vertex count (built-in labeled enumeration,
-    n <= 6) or an iterable of graph6 lines.  Malformed graph6 records are
-    collected with their line numbers and the stream continues; graphs the
-    bound does not apply to (no edges) are counted and skipped.
+    n <= MAX_ENUM_N) or an iterable of graph6 lines.  Malformed graph6
+    records are collected with their line numbers and the stream continues;
+    graphs the bound does not apply to (no edges) are counted and skipped.
+    The family is checked in chunks (see the module docstring).
     """
-    summary = SweepSummary()
-    violations: list[BnReport] = []
-    malformed: list[tuple[int, str]] = []
-
-    def consume(tag: str, g: Graph) -> None:
-        try:
-            report = bn_report(g, source=tag)
-        except OutOfDomainError:
-            summary.out_of_domain += 1
-            return
-        summary.add(report)
-        if not report.excluded and not report.holds:
-            violations.append(report)
-
+    res = ExhaustiveResult(SweepSummary(), [], [])
     if isinstance(source, int):
-        for tag, g in labeled_graphs(source):
-            consume(tag, g)
-    else:
-        for lineno, line in enumerate(source, start=1):
-            if not line.strip():
-                continue
-            try:
-                g = parse_graph6(line)
-            except Graph6Error as exc:
-                malformed.append((lineno, str(exc)))
-                continue
-            consume(f"graph6:line={lineno}", g)
-    return ExhaustiveResult(summary, violations, malformed)
+        n = source
+        _check_enum_n(n)
+        table = _clique_table(n)
+        step = _chunk_size(n)
+        total = 1 << n * (n - 1) // 2
+        for lo in range(0, total, step):
+            codes = np.arange(lo, min(lo + step, total), dtype=np.int64)
+            adj, m, omega = _labeled_chunk(n, codes, table)
+            _check_chunk(res, adj, m, omega,
+                         lambda i: f"labeled:n={n}:code={lo + i}",
+                         lambda i: _labeled_graph(n, lo + i))
+        return res
+
+    chunk: list[tuple[int, Graph]] = []
+
+    def flush() -> None:
+        graphs = [g for _, g in chunk]
+        _check_chunk(res, np.stack([adjacency_matrix(g) for g in graphs]),
+                     np.array([g.m for g in graphs]),
+                     np.array([clique_number(g) for g in graphs]),
+                     lambda i: f"graph6:line={chunk[i][0]}",
+                     lambda i: graphs[i])
+        chunk.clear()
+
+    for lineno, line in enumerate(source, start=1):
+        if not line.strip():
+            continue
+        try:
+            g = parse_graph6(line)
+        except Graph6Error as exc:
+            res.malformed.append((lineno, str(exc)))
+            continue
+        if chunk and (chunk[0][1].n != g.n or len(chunk) == _chunk_size(g.n)):
+            flush()
+        chunk.append((lineno, g))
+    if chunk:
+        flush()
+    return res
 
 
 def _pair_list(n: int) -> list[tuple[int, int]]:

@@ -120,7 +120,7 @@ def test_criterion_4_complete_graph_exclusion_arithmetic():
 
 def test_criterion_5_exhaustive_small_graphs():
     totals = []
-    for n in range(1, 6):
+    for n in range(1, 7):
         res = exhaustive_check(n)
         assert not res.violations, n
         totals.append(res.summary.total)
@@ -143,7 +143,7 @@ def test_criterion_5_exhaustive_small_graphs():
         extra = f"; external corpus: {res.summary.total} graphs, 0 violations"
     else:
         extra = "; external n=8 corpus not provided (set BNGAP_GRAPH6_CORPUS)"
-    report(f"ACCEPTANCE 5: PASS - built-in n<=5 ({sum(totals)} applicable"
+    report(f"ACCEPTANCE 5: PASS - built-in n<=6 ({sum(totals)} applicable"
            f" labeled graphs, 0 violations){atlas_note}{extra}")
 
 

@@ -123,6 +123,18 @@ class TestSearch:
         assert rec["found_violation"] is False
         assert abs(rec["best_report"]["gap"]) <= 1e-8
 
+    def test_unscored_run_is_strict_json(self):
+        # K2 is excluded, so every state scores -inf.
+        code, out, _ = run_cli("search", "--n-max", "2", "--restarts", "1",
+                               "--steps", "5")
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        rec = json.loads(out, parse_constant=reject)
+        assert rec["best_objective"] is None
+
     def test_seeded_reruns_identical_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ("search", "--n-max", "6", "--seed", "9", "--restarts", "3",
@@ -189,6 +201,10 @@ class TestUsage:
         code, _, _ = run_cli("sweep", "--n-max", "5", "--bogus")
         assert code == 2
 
+    def test_exhaustive_needs_a_family(self):
+        code, _, err = run_cli("exhaustive")
+        assert code == 2 and "--n-max --graph6 is required" in err
+
     def test_missing_input(self):
         code, _, err = run_cli("report")
         assert code == 2 and "need --graph6 or --edges" in err
@@ -210,6 +226,7 @@ class TestUsage:
         ("search", "--n-max", "5", "--restarts", "-2"),
         ("search", "--n-max", "5", "--steps", "-1"),
         ("zykov", "--edges", "-", "--steps", "-1"),
+        ("exhaustive", "--graph6", "-", "--n-max", "3"),
     ])
     def test_out_of_range_value_is_usage_error(self, argv):
         code, _, err = run_cli(*argv, stdin=C5_EDGES)

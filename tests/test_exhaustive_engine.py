@@ -1,0 +1,181 @@
+"""The chunked exhaustive engine against the per-graph reference loop.
+
+``reference`` is the scalar path: one ``Graph``, one ``bn_report`` and one
+``SweepSummary.add`` per record.  The engine must give the same summary,
+the same violation reports in the same order and the same malformed list.
+"""
+
+import numpy as np
+import pytest
+
+import bngap.conjecture
+import bngap.search
+from bngap.conjecture import OutOfDomainError, bn_report
+from bngap.graphs import (
+    Graph6Error,
+    clique_number,
+    graph6_pairs,
+    parse_graph6,
+    to_graph6,
+)
+from bngap.search import (
+    SweepSummary,
+    _clique_table,
+    _labeled_chunk,
+    exhaustive_check,
+    labeled_graphs,
+    random_graph,
+)
+
+from corpus import path_graph
+
+
+def reference(source):
+    """(summary, violations, malformed) from the per-graph loop."""
+    summary = SweepSummary()
+    violations = []
+    malformed = []
+
+    def consume(tag, g):
+        try:
+            report = bn_report(g, source=tag)
+        except OutOfDomainError:
+            summary.out_of_domain += 1
+            return
+        summary.add(report)
+        if not report.excluded and not report.holds:
+            violations.append(report)
+
+    if isinstance(source, int):
+        for tag, g in labeled_graphs(source):
+            consume(tag, g)
+    else:
+        for lineno, line in enumerate(source, start=1):
+            if not line.strip():
+                continue
+            try:
+                g = parse_graph6(line)
+            except Graph6Error as exc:
+                malformed.append((lineno, str(exc)))
+                continue
+            consume(f"graph6:line={lineno}", g)
+    return summary, violations, malformed
+
+
+def assert_matches_reference(source):
+    res = exhaustive_check(source)
+    summary, violations, malformed = reference(source)
+    assert res.summary.as_dict() == summary.as_dict()
+    assert res.violations == violations
+    assert res.malformed == malformed
+    return res
+
+
+def tighten(monkeypatch):
+    """Count a gap below 1 as a violation, so the violation path runs."""
+    monkeypatch.setattr(bngap.search, "GAP_TOL", -1.0)
+    monkeypatch.setattr(bngap.conjecture, "GAP_TOL", -1.0)
+
+
+@pytest.fixture
+def strict_tolerance(monkeypatch):
+    tighten(monkeypatch)
+
+
+def atlas_stream():
+    nx = pytest.importorskip("networkx")
+    lines = [nx.to_graph6_bytes(g, header=False).decode().strip()
+             for g in nx.graph_atlas_g()[1:]]
+    big = to_graph6(random_graph(40, 0.3, np.random.default_rng(7)))
+    return (lines[:20] + ["", "bad line \x01", "   "] + lines[20:300] + [big]
+            + lines[300:800] + ["~??", ""] + lines[800:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_subset_table_clique_number(n):
+    codes = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)
+    _, m, omega = _labeled_chunk(n, codes, _clique_table(n))
+    graphs = [g for _, g in labeled_graphs(n)]
+    assert omega.tolist() == [clique_number(g) for g in graphs]
+    assert m.tolist() == [g.m for g in graphs]
+
+
+def test_pair_order_is_the_edge_bitset_order():
+    assert list(graph6_pairs(4)) == [(0, 1), (0, 2), (1, 2), (0, 3),
+                                     (1, 3), (2, 3)]
+    for tag, g in labeled_graphs(4):
+        assert tag == f"labeled:n=4:code={g.edge_bitset()}"
+    for n in (2, 9, 40):
+        g = random_graph(n, 0.5, np.random.default_rng(n))
+        want = sum(1 << k for k, (u, v) in enumerate(graph6_pairs(n))
+                   if g.has_edge(u, v))
+        assert g.edge_bitset() == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_labeled_matches_reference(n):
+    assert_matches_reference(n)
+
+
+def test_labeled_violations_match_reference(strict_tolerance):
+    res = assert_matches_reference(5)
+    assert len(res.violations) > 100
+
+
+def test_graph6_stream_matches_reference():
+    res = assert_matches_reference(atlas_stream())
+    assert [lineno for lineno, _ in res.malformed] == [22, 805]
+    assert res.summary.total > 1000
+
+
+def test_graph6_violations_match_reference(strict_tolerance):
+    res = assert_matches_reference(atlas_stream())
+    assert len(res.violations) > 100
+
+
+def test_argmin_keeps_the_first_record():
+    lowest = to_graph6(bngap.search._labeled_graph(6, 4949))
+    p6, p5 = to_graph6(path_graph(6)), to_graph6(path_graph(5))
+    gap = {line: bn_report(parse_graph6(line)).gap for line in (lowest, p6, p5)}
+    assert gap[lowest] < min(gap[p6], gap[p5])
+    chunk = bngap.search._chunk_size(6)
+    lines = [lowest, lowest] + [p6] * (2 * chunk + 3) + [lowest] + [p5] * 3 + [lowest]
+    res = assert_matches_reference(lines)
+    assert res.summary.argmin_source == "graph6:line=1"
+    assert res.summary.min_gap == gap[lowest]
+
+
+def test_graph6_chunks_are_bounded_runs_of_one_n(monkeypatch):
+    shapes = []
+    check_chunk = bngap.search._check_chunk
+
+    def recorded(res, adj, *rest):
+        shapes.append(adj.shape)
+        check_chunk(res, adj, *rest)
+
+    monkeypatch.setattr(bngap.search, "_check_chunk", recorded)
+    monkeypatch.setattr(bngap.search, "_CHUNK_ENTRIES", 36 * 7)
+    p6, p5 = to_graph6(path_graph(6)), to_graph6(path_graph(5))
+    exhaustive_check([p6] * 9 + [p5] * 2 + ["", p5] + [p6])
+    assert shapes == [(7, 6, 6), (2, 6, 6), (3, 5, 5), (1, 6, 6)]
+
+
+@pytest.mark.parametrize("entries", [36, 36 * 7])
+def test_chunk_size_does_not_change_the_result(monkeypatch, entries):
+    want = exhaustive_check(6).summary.as_dict()
+    monkeypatch.setattr(bngap.search, "_CHUNK_ENTRIES", entries)
+    assert exhaustive_check(6).summary.as_dict() == want
+
+
+def test_bn_report_only_for_violations(monkeypatch):
+    calls = []
+
+    def counted(g, source="graph"):
+        calls.append(source)
+        return bn_report(g, source=source)
+
+    monkeypatch.setattr(bngap.search, "bn_report", counted)
+    assert not exhaustive_check(5).violations and calls == []
+    tighten(monkeypatch)
+    res = exhaustive_check(4)
+    assert res.violations and calls == [r.source for r in res.violations]

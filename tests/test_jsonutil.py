@@ -25,3 +25,11 @@ def test_dumps_parses_back():
 
 def test_int_not_floatified():
     assert dumps({"n": 6, "m": 12}) == '{"n": 6, "m": 12}'
+
+
+def test_non_finite_floats_are_null():
+    assert dumps(float("-inf")) == "null"
+    assert dumps(float("inf")) == "null"
+    assert dumps(float("nan")) == "null"
+    assert dumps({"gap": float("nan")}) == '{"gap": null}'
+    assert format_float(float("-inf")) == "-Infinity"
