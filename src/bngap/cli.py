@@ -2,32 +2,34 @@
 
 Exit codes: 0 means the run completed and found no violation of the gap
 inequality; 1 means at least one non-excluded graph violated it (the
-headline signal); 2 means a usage or input error.
+headline signal); 2 means a usage or input error, including an input or
+``--out`` path that cannot be opened.
 
-``--out FILE`` redirects the main output from stdout to FILE and writes a
-sibling ``FILE.manifest.json`` recording the subcommand, flags, seeds, tool
-version, input digests, and timestamps.  Timestamps live only in the
-manifest, so re-running an invocation reproduces the output bytes exactly.
+Each run goes through one ``_Run``: it reads input line by line, writes each
+output line as it is made, counts violations and picks the exit code.
+``--out FILE`` writes the main output to ``FILE.tmp``, renames it to FILE
+once the run completes, and then writes a sibling ``FILE.manifest.json``
+recording the subcommand, flags, seeds, tool version, input digests, and
+timestamps.  A run that fails or is interrupted leaves no FILE.tmp behind.
+Timestamps live only in the manifest, so re-running an invocation
+reproduces the output bytes exactly.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
+import hashlib
+import os
 import sys
 from datetime import datetime, timezone
+from typing import Iterator
 
 from . import __version__
-from .conjecture import OutOfDomainError, bn_report
-from .graphs import (
-    Graph,
-    Graph6Error,
-    PartSizes,
-    parse_edge_list_text,
-    parse_graph6,
-)
-from .jsonutil import csv_cell, dumps, sha256_hex
+from .conjecture import BnReport, OutOfDomainError, bn_report
+from .graphs import Graph, Graph6Error, PartSizes, parse_edge_list_text, parse_graph6
+from .jsonutil import csv_cell, dumps
 from .multipartite import multipartite_edge_count, multipartite_spectrum
 from .search import (
     MAX_ENUM_N,
@@ -49,36 +51,45 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-
-class _InputError(Exception):
-    """Input problem reported on stderr with exit code 2."""
+_COUNTS = ("total", "holds", "equality", "excluded", "violations", "out_of_domain")
+_SUMMARY_COLUMNS = _COUNTS + ("min_gap", "argmin_source")
 
 
 class _Run:
-    """Collects output lines, input digests, and the final manifest."""
+    """One CLI run: the output sink, the inputs read, the violation count,
+    and the manifest."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.lines: list[str] = []
+        self.out = getattr(args, "out", None)
         self.inputs: list[dict] = []
+        self.violations = 0
         self.started = datetime.now(timezone.utc).isoformat()
+        if self.out and os.path.isdir(self.out):
+            raise IsADirectoryError(f"--out {self.out!r} is a directory")
+        self.sink = (open(self.out + ".tmp", "w", encoding="utf-8") if self.out
+                     else sys.stdout)
 
     def emit(self, line: str) -> None:
-        self.lines.append(line)
+        self.sink.write(line + "\n")
 
-    def read_text(self, path: str) -> str:
-        if path == "-":
-            data = sys.stdin.buffer.read()
-            name = "<stdin>"
-        else:
-            try:
-                with open(path, "rb") as fh:
-                    data = fh.read()
-            except OSError as exc:
-                raise _InputError(str(exc)) from exc
-            name = path
-        self.inputs.append({"path": name, "sha256": sha256_hex(data)})
-        return data.decode("utf-8")
+    def lines(self, path: str) -> Iterator[str]:
+        """The decoded lines of ``path`` ('-' is stdin), line endings kept.
+        The input's sha256 joins the manifest once it has been read to the
+        end."""
+        digest = hashlib.sha256()
+        with (contextlib.nullcontext(sys.stdin.buffer) if path == "-"
+              else open(path, "rb")) as fh:
+            for raw in fh:
+                digest.update(raw)
+                yield raw.decode("utf-8")
+        self.inputs.append({"path": "<stdin>" if path == "-" else path,
+                            "sha256": digest.hexdigest()})
+
+    def check(self, report: BnReport, tag: str) -> None:
+        if report.violation:
+            self.violations += 1
+            _status(f"VIOLATION: {tag} gap={report.gap!r}")
 
     def manifest(self) -> dict:
         flags = {
@@ -96,19 +107,21 @@ class _Run:
             "finished": datetime.now(timezone.utc).isoformat(),
         }
 
-    def finish(self, extra_files: dict[str, str] | None = None) -> None:
-        body = "".join(line + "\n" for line in self.lines)
-        out = getattr(self.args, "out", None)
-        if out:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(body)
-            for suffix, content in (extra_files or {}).items():
-                with open(out + suffix, "w", encoding="utf-8") as fh:
-                    fh.write(content)
-            with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
+    def finish(self, summary: SweepSummary | None = None) -> int:
+        """Publish FILE, FILE.summary.csv and, last, the manifest; the exit code."""
+        if self.out:
+            self.sink.close()
+            os.replace(self.out + ".tmp", self.out)
+            if summary is not None:
+                d = summary.as_dict()
+                with open(self.out + ".summary.csv", "w", encoding="utf-8") as fh:
+                    writer = csv.writer(fh, lineterminator="\n")
+                    writer.writerow(_SUMMARY_COLUMNS)
+                    writer.writerow("" if d[k] is None else csv_cell(d[k])
+                                    for k in _SUMMARY_COLUMNS)
+            with open(self.out + ".manifest.json", "w", encoding="utf-8") as fh:
                 fh.write(dumps(self.manifest()) + "\n")
-        else:
-            sys.stdout.write(body)
+        return EXIT_VIOLATION if self.violations else EXIT_OK
 
 
 def _status(message: str) -> None:
@@ -128,50 +141,43 @@ def _int_at_least(lo: int):
 
 def _parse_parts(text: str) -> PartSizes:
     try:
-        sizes = tuple(int(tok) for tok in text.split(",") if tok.strip())
-        return PartSizes(sizes)
+        return PartSizes(tuple(int(tok) for tok in text.split(",") if tok.strip()))
     except ValueError as exc:
-        raise _InputError(f"bad --parts value {text!r}: {exc}") from exc
+        raise ValueError(f"bad --parts value {text!r}: {exc}") from exc
 
 
 def _parse_grid(text: str) -> list[int]:
     try:
         grid = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise _InputError(f"bad --grid value {text!r}: {exc}") from exc
+        raise ValueError(f"bad --grid value {text!r}: {exc}") from exc
     if not grid:
-        raise _InputError(f"bad --grid value {text!r}: no deletion counts")
+        raise ValueError(f"bad --grid value {text!r}: no deletion counts")
     return grid
 
 
 def _load_graphs(run: _Run) -> list[tuple[str, Graph]]:
-    """Graphs from --graph6 (one record per line) or --edges (one graph)."""
+    """Graphs from --graph6 (one record per line) or --edges (one graph),
+    all parsed before the run emits anything."""
     args = run.args
-    if getattr(args, "graph6", None):
-        text = run.read_text(args.graph6)
-        graphs = []
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
-            try:
-                graphs.append((f"graph6:line={lineno}", parse_graph6(line)))
-            except Graph6Error as exc:
-                raise _InputError(f"line {lineno}: {exc}") from exc
-        if not graphs:
-            raise _InputError("no graph6 records in input")
-        return graphs
-    if getattr(args, "edges", None):
-        text = run.read_text(args.edges)
+    if args.edges is not None:
+        return [("edges", parse_edge_list_text("".join(run.lines(args.edges))))]
+    graphs = []
+    for lineno, line in enumerate(run.lines(args.graph6), start=1):
+        if not line.strip():
+            continue
         try:
-            return [("edges", parse_edge_list_text(text))]
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
-    raise _InputError("need --graph6 or --edges (use '-' for stdin)")
+            graphs.append((f"graph6:line={lineno}", parse_graph6(line)))
+        except Graph6Error as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
+    if not graphs:
+        raise ValueError("no graph6 records in input")
+    return graphs
 
 
 def _cmd_spectrum(run: _Run) -> int:
     args = run.args
-    if args.parts:
+    if args.parts is not None:
         parts = _parse_parts(args.parts)
         spec = multipartite_spectrum(parts)
         run.emit(dumps({
@@ -190,15 +196,12 @@ def _cmd_spectrum(run: _Run) -> int:
                 "source": tag, "n": g.n, "m": g.m,
                 "values": list(spec.values),
             }))
-    run.finish()
-    return EXIT_OK
+    return run.finish()
 
 
 def _cmd_report(run: _Run) -> int:
-    violations = 0
-    total = 0
-    for tag, g in _load_graphs(run):
-        total += 1
+    graphs = _load_graphs(run)
+    for tag, g in graphs:
         try:
             report = bn_report(g, source=tag)
         except OutOfDomainError as exc:
@@ -206,23 +209,9 @@ def _cmd_report(run: _Run) -> int:
                             "source": tag, "detail": str(exc)}))
             continue
         run.emit(dumps(report.to_dict()))
-        if not report.excluded and not report.holds:
-            violations += 1
-            _status(f"VIOLATION: {tag} gap={report.gap!r}")
-    run.finish()
-    _status(f"report: {violations} violations / {total} graphs")
-    return EXIT_VIOLATION if violations else EXIT_OK
-
-
-def _summary_csv(summary: SweepSummary) -> str:
-    head = ("total", "holds", "equality", "excluded", "violations",
-            "out_of_domain", "min_gap", "argmin_source")
-    d = summary.as_dict()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(head)
-    writer.writerow(csv_cell(d[k]) if d[k] is not None else "" for k in head)
-    return buf.getvalue()
+        run.check(report, tag)
+    _status(f"report: {run.violations} violations / {len(graphs)} graphs")
+    return run.finish()
 
 
 def _cmd_sweep(run: _Run) -> int:
@@ -231,52 +220,43 @@ def _cmd_sweep(run: _Run) -> int:
     for report in sweep_multipartite(args.n_max, args.r_max):
         summary.add(report)
         run.emit(dumps(report.to_dict()))
-        if not report.excluded and not report.holds:
-            _status(f"VIOLATION: {report.source} gap={report.gap!r}")
-    run.finish(extra_files={".summary.csv": _summary_csv(summary)})
-    d = summary.as_dict()
+        run.check(report, report.source)
     _status(
-        f"sweep n<={args.n_max} r<={args.r_max}: {d['violations']} violations"
-        f" / {d['total']} reports (equality={d['equality']},"
-        f" excluded={d['excluded']})"
+        f"sweep n<={args.n_max} r<={args.r_max}: {summary.violations} violations"
+        f" / {summary.total} reports (equality={summary.equality},"
+        f" excluded={summary.excluded})"
     )
-    return EXIT_VIOLATION if summary.violations else EXIT_OK
+    return run.finish(summary)
 
 
 def _cmd_exhaustive(run: _Run) -> int:
     args = run.args
     if args.graph6 is not None:
-        lines = run.read_text(args.graph6).splitlines()
-        results = [exhaustive_check(lines)]
+        families = [run.lines(args.graph6)]
         scope = "graph6 stream"
     else:
-        results = [exhaustive_check(n) for n in range(1, args.n_max + 1)]
+        families = range(1, args.n_max + 1)
         scope = f"all labeled graphs, n<={args.n_max}"
     total = SweepSummary()
-    violations = 0
-    for res in results:
+    malformed = 0
+    for family in families:
+        res = exhaustive_check(family)
         for lineno, message in res.malformed:
             _status(f"malformed graph6 at line {lineno}: {message}")
+        malformed += len(res.malformed)
         for report in res.violations:
-            violations += 1
             run.emit(dumps(report.to_dict()))
-            _status(f"VIOLATION: {report.source} gap={report.gap!r}")
+            run.check(report, report.source)
         s = res.summary
-        total.total += s.total
-        total.holds += s.holds
-        total.equality += s.equality
-        total.excluded += s.excluded
-        total.violations += s.violations
-        total.out_of_domain += s.out_of_domain
+        for key in _COUNTS:
+            setattr(total, key, getattr(total, key) + getattr(s, key))
         if s.min_gap < total.min_gap:
             total.min_gap = s.min_gap
             total.argmin_source = s.argmin_source
-    run.emit(dumps({"summary": total.as_dict(),
-                    "malformed": sum(len(r.malformed) for r in results)}))
-    run.finish(extra_files={".summary.csv": _summary_csv(total)})
-    _status(f"exhaustive ({scope}): {violations} violations"
+    run.emit(dumps({"summary": total.as_dict(), "malformed": malformed}))
+    _status(f"exhaustive ({scope}): {run.violations} violations"
             f" / {total.total} applicable graphs")
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return run.finish(total)
 
 
 def _cmd_search(run: _Run) -> int:
@@ -304,21 +284,18 @@ def _cmd_search(run: _Run) -> int:
         "accepted": result.accepted,
         "restarts_run": result.restarts_run,
     }))
-    run.finish()
     if result.best_report:
         _status(f"search: best gap {result.best_report.gap!r}"
                 f" over {result.iterations} iterations")
-    if result.found_violation:
-        _status("search: VIOLATION found")
-        return EXIT_VIOLATION
-    return EXIT_OK
+        run.check(result.best_report, result.best_report.source)
+    return run.finish()
 
 
 def _cmd_zykov(run: _Run) -> int:
     args = run.args
     graphs = _load_graphs(run)
     if len(graphs) != 1:
-        raise _InputError("zykov expects exactly one input graph")
+        raise ValueError("zykov expects exactly one input graph")
     tag, g = graphs[0]
     result = zykov_trajectory(g, args.steps, args.seed)
     run.emit(dumps({"type": "initial", "source": tag,
@@ -330,11 +307,10 @@ def _cmd_zykov(run: _Run) -> int:
                         "omega": step.omega, "m": step.m}))
     run.emit(dumps({"type": "summary", "steps": len(result.steps),
                     "findings": result.findings}))
-    run.finish()
     for finding in result.findings:
         _status(f"zykov finding: {finding}")
     _status(f"zykov: {len(result.steps)} steps, {len(result.findings)} findings")
-    return EXIT_OK
+    return run.finish()
 
 
 def _cmd_stability(run: _Run) -> int:
@@ -344,13 +320,11 @@ def _cmd_stability(run: _Run) -> int:
     run.emit(",".join(STABILITY_CSV_COLUMNS))
     for row in rows:
         run.emit(",".join(csv_cell(row[col]) for col in STABILITY_CSV_COLUMNS))
-    run.finish()
     _status(f"stability: {len(rows)} rows (n={args.n_max}, grid={grid})")
-    return EXIT_OK
+    return run.finish()
 
 
 def _cmd_dense_check(run: _Run) -> int:
-    violations = 0
     for tag, g in _load_graphs(run):
         report = dense_case_check(g, run.args.density, run.args.delta)
         record = {
@@ -373,12 +347,9 @@ def _cmd_dense_check(run: _Run) -> int:
                 "lambda2_cubed_ok": report.lambda2_cubed_ok,
                 "bn": report.bn.to_dict(),
             })
-            if not report.bn.excluded and not report.bn.holds:
-                violations += 1
-                _status(f"VIOLATION: {tag} gap={report.bn.gap!r}")
+            run.check(report.bn, tag)
         run.emit(dumps(record))
-    run.finish()
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return run.finish()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,15 +367,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write output to FILE plus FILE.manifest.json")
         return p
 
+    def graph_input(p: argparse.ArgumentParser):
+        """The required choice of one input: --graph6 or --edges."""
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--graph6", help="graph6 file, '-' for stdin")
+        group.add_argument("--edges",
+                           help="edge-list file ('n m' header), '-' for stdin")
+        return group
+
     p = add("spectrum", _cmd_spectrum,
             "adjacency spectrum (exact for --parts, numeric otherwise)")
-    p.add_argument("--parts", help="comma-separated part sizes, e.g. 2,2,2")
-    p.add_argument("--graph6", help="graph6 file, '-' for stdin")
-    p.add_argument("--edges", help="edge-list file ('n m' header), '-' for stdin")
+    graph_input(p).add_argument("--parts",
+                                help="comma-separated part sizes, e.g. 2,2,2")
 
-    p = add("report", _cmd_report, "gap report per input graph (JSONL)")
-    p.add_argument("--graph6", help="graph6 file, '-' for stdin")
-    p.add_argument("--edges", help="edge-list file, '-' for stdin")
+    graph_input(add("report", _cmd_report, "gap report per input graph (JSONL)"))
 
     p = add("sweep", _cmd_sweep, "exact reports for all part-size partitions")
     p.add_argument("--n-max", type=_int_at_least(2), required=True)
@@ -428,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.5, help="initial density")
 
     p = add("zykov", _cmd_zykov, "random neighbourhood-replacement trajectory")
-    p.add_argument("--graph6", help="graph6 file, '-' for stdin")
-    p.add_argument("--edges", help="edge-list file, '-' for stdin")
+    graph_input(p)
     p.add_argument("--steps", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
 
@@ -443,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("dense-check", _cmd_dense_check,
             "dense K4-free case diagnostics per input graph")
-    p.add_argument("--graph6", help="graph6 file, '-' for stdin")
-    p.add_argument("--edges", help="edge-list file, '-' for stdin")
+    graph_input(p)
     p.add_argument("--density", type=float, default=0.1,
                    help="edge-density constant c in m >= c n^2")
     p.add_argument("--delta", type=float, default=0.05,
@@ -454,17 +428,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    run = _Run(args)
+    args = build_parser().parse_args(argv)
+    run = None
     try:
+        run = _Run(args)
         return args.func(run)
-    except (_InputError, ValueError) as exc:
-        # Library ValueErrors are out-of-range inputs, never violations.
-        _status(f"error: {exc}")
-        return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
+    except (ValueError, OSError) as exc:
+        # Bad values, unreadable inputs and unwritable outputs; never violations.
+        _status(f"error: {exc}")
+        return EXIT_USAGE
+    finally:
+        if run is not None and run.out:
+            run.sink.close()
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(run.out + ".tmp")
 
 
 if __name__ == "__main__":

@@ -52,6 +52,11 @@ class BnReport:
     excluded: bool
     source: str
 
+    @property
+    def violation(self) -> bool:
+        """A non-excluded graph breaking the bound: the one cause of exit 1."""
+        return not self.excluded and not self.holds
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,

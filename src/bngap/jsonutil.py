@@ -12,7 +12,6 @@ JSON has no NaN or infinity, so ``dumps`` writes non-finite floats as
 
 from __future__ import annotations
 
-import hashlib
 import math
 from typing import Any
 
@@ -63,7 +62,3 @@ def csv_cell(value: Any) -> str:
     if isinstance(value, float):
         return format_float(value)
     return str(value)
-
-
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()

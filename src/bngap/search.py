@@ -94,10 +94,10 @@ class SweepSummary:
         if report.excluded:
             self.excluded += 1
             return
-        if report.holds:
-            self.holds += 1
-        else:
+        if report.violation:
             self.violations += 1
+        else:
+            self.holds += 1
         if report.equality:
             self.equality += 1
         if report.gap < self.min_gap:
@@ -376,14 +376,6 @@ class TrajectoryResult:
     final_graph: Graph
     findings: list[str]
 
-    @property
-    def lambda1_monotone(self) -> bool:
-        return not any("lambda1" in f for f in self.findings)
-
-    @property
-    def omega_monotone(self) -> bool:
-        return not any("omega" in f for f in self.findings)
-
 
 def _nonadjacent_pairs(g: Graph) -> list[tuple[int, int]]:
     return [(u, v) for u, v in _pair_list(g.n) if not g.has_edge(u, v)]
@@ -598,6 +590,6 @@ def hill_climb(cfg: SearchConfig) -> HillClimbResult:
                                float("-inf"), False, iterations, accepted,
                                len(children))
     report = best.best_report
-    found = report is not None and not report.excluded and not report.holds
+    found = report is not None and report.violation
     return HillClimbResult(cfg, best.best_graph, report, best.best_obj, found,
                            iterations, accepted, len(children))

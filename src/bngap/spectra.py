@@ -17,7 +17,6 @@ class Spectrum:
 
     values: tuple[float, ...]
     source_m: int
-    tol: float = TRACE_TOL
 
     def __post_init__(self) -> None:
         if not self.values:
@@ -50,7 +49,7 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return bits[:, : g.n].astype(np.float64)
 
 
-def eigenvalues(g: Graph, tol: float = TRACE_TOL) -> Spectrum:
+def eigenvalues(g: Graph) -> Spectrum:
     """Full adjacency spectrum, sorted non-increasing.
 
     Backed by a dense symmetric eigensolver (tridiagonalization plus
@@ -58,7 +57,7 @@ def eigenvalues(g: Graph, tol: float = TRACE_TOL) -> Spectrum:
     1e-9 relative contract for n <= 2048.
     """
     vals = np.linalg.eigvalsh(adjacency_matrix(g))
-    return Spectrum(tuple(float(x) for x in vals[::-1]), g.m, tol)
+    return Spectrum(tuple(float(x) for x in vals[::-1]), g.m)
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,8 @@ def trace_check(s: Spectrum) -> TraceReport:
     arr = np.asarray(s.values)
     r1 = abs(float(arr.sum()))
     r2 = abs(float((arr * arr).sum()) - 2.0 * s.source_m)
-    ok = r1 <= s.tol * s.n and r2 <= s.tol * max(1.0, 2.0 * s.source_m)
-    return TraceReport(r1, r2, ok, s.tol)
+    ok = r1 <= TRACE_TOL * s.n and r2 <= TRACE_TOL * max(1.0, 2.0 * s.source_m)
+    return TraceReport(r1, r2, ok, TRACE_TOL)
 
 
 @dataclass(frozen=True)

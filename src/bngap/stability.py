@@ -14,6 +14,7 @@ larger graphs and can only overestimate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -245,8 +246,12 @@ def dense_case_check(g: Graph, c: float, delta: float = 0.05) -> DenseCaseReport
 
     The case split compares lambda1^2 against (4/3 - delta) m; the triangle
     and second-eigenvalue quantities from the sparse case are reported as
-    observational diagnostics only, never asserted.
+    observational diagnostics only, never asserted.  ``c`` and ``delta``
+    must be finite and non-negative.
     """
+    if not (0 <= c < math.inf and 0 <= delta < math.inf):
+        raise ValueError(f"c and delta must be finite and non-negative,"
+                         f" got c={c}, delta={delta}")
     def not_applicable(reason: str) -> DenseCaseReport:
         return DenseCaseReport(False, reason, g.n, g.m, c, delta, 0.0, 0.0, 0,
                                0, 0.0, False, 0.0, 0.0, False, None)

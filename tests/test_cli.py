@@ -1,16 +1,21 @@
 """End-to-end command-line runs: output formats, manifests, exit codes."""
 
 import csv
+import hashlib
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
 
-from bngap.graphs import PartSizes, complete_multipartite, to_graph6
+from bngap import cli
+from bngap.graphs import PartSizes, complete_multipartite, from_edge_list, to_graph6
+from bngap.search import sweep_multipartite
 
 K5_LINE = to_graph6(complete_multipartite(PartSizes((1,) * 5)))
 C5_EDGES = "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
+C5_LINE = to_graph6(from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]))
 
 
 def run_cli(*argv, stdin=""):
@@ -207,7 +212,7 @@ class TestUsage:
 
     def test_missing_input(self):
         code, _, err = run_cli("report")
-        assert code == 2 and "need --graph6 or --edges" in err
+        assert code == 2 and "one of the arguments --graph6 --edges is required" in err
 
     @pytest.mark.parametrize("argv", [
         ("exhaustive", "--n-max", "7"),
@@ -227,12 +232,79 @@ class TestUsage:
         ("search", "--n-max", "5", "--steps", "-1"),
         ("zykov", "--edges", "-", "--steps", "-1"),
         ("exhaustive", "--graph6", "-", "--n-max", "3"),
+        ("spectrum", "--parts", "2,2", "--edges", "-"),
+        ("report", "--graph6", "{tmp}/k5.g6", "--edges", "-"),
+        ("sweep", "--n-max", "3", "--out", "{tmp}/missing/x"),
+        ("sweep", "--n-max", "3", "--out", "{tmp}/dir"),
+        ("dense-check", "--edges", "-", "--delta", "nan"),
+        ("dense-check", "--edges", "-", "--density", "-1"),
     ])
-    def test_out_of_range_value_is_usage_error(self, argv):
+    def test_out_of_range_value_is_usage_error(self, argv, tmp_path):
+        (tmp_path / "k5.g6").write_text(K5_LINE + "\n")
+        (tmp_path / "dir").mkdir()
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         code, _, err = run_cli(*argv, stdin=C5_EDGES)
         assert code == 2 and "error:" in err
         assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_version(self):
         code, out, _ = run_cli("--version")
         assert code == 0 and out.strip() == "0.1.0"
+
+
+class TestStreamingRun:
+    def test_manifest_records_input_digest(self, tmp_path):
+        data = (K5_LINE + "\n" + C5_LINE + "\n").encode()
+        src = tmp_path / "in.g6"
+        src.write_bytes(data)
+        for path, stdin in ((str(src), ""), ("-", data.decode())):
+            out = tmp_path / "report.jsonl"
+            code, _, _ = run_cli("report", "--graph6", path, "--out", str(out),
+                                 stdin=stdin)
+            assert code == 0
+            manifest = json.loads((tmp_path / "report.jsonl.manifest.json").read_text())
+            assert manifest["inputs"] == [{
+                "path": "<stdin>" if path == "-" else path,
+                "sha256": hashlib.sha256(data).hexdigest(),
+            }]
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_failed_run_leaves_no_files(self, tmp_path, monkeypatch, exc):
+        out = tmp_path / "sweep.jsonl"
+
+        def failing_sweep(n_max, r_max):
+            yield from itertools.islice(sweep_multipartite(n_max, r_max), 5)
+            assert (tmp_path / "sweep.jsonl.tmp").exists()
+            raise exc("interrupted mid-run")
+
+        monkeypatch.setattr(cli, "sweep_multipartite", failing_sweep)
+        argv = ["sweep", "--n-max", "8", "--out", str(out)]
+        if exc is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                cli.main(argv)
+        else:
+            assert cli.main(argv) == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stdout_matches_out_file(self, tmp_path):
+        out = tmp_path / "sweep.jsonl"
+        code, stdout, _ = run_cli("sweep", "--n-max", "12")
+        assert code == 0
+        code, _, _ = run_cli("sweep", "--n-max", "12", "--out", str(out))
+        assert code == 0
+        assert stdout.encode() == out.read_bytes()
+
+    def test_crlf_stream_matches_lf(self, tmp_path):
+        records = [C5_LINE, K5_LINE, "not-a-record {}", "",
+                   to_graph6(complete_multipartite(PartSizes((3, 2, 1)))), C5_LINE]
+        runs = []
+        for name, eol in (("lf.g6", "\n"), ("crlf.g6", "\r\n")):
+            path = tmp_path / name
+            path.write_bytes("".join(r + eol for r in records).encode())
+            runs.append(run_cli("exhaustive", "--graph6", str(path)))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert code == 0 and "malformed graph6 at line 3" in err
+        rec = json.loads(out)
+        assert rec["malformed"] == 1 and rec["summary"]["total"] == 4
