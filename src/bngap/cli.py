@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("search", _cmd_search, "hill-climb for gap violations")
     p.add_argument("--n-max", type=_int_at_least(2), required=True,
                    help="vertex count, at least 2")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--restarts", type=_int_at_least(1), default=10)
     p.add_argument("--steps", type=_int_at_least(0), default=1000,
                    help="iterations per restart")
@@ -406,15 +406,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("zykov", _cmd_zykov, "random neighbourhood-replacement trajectory")
     graph_input(p)
     p.add_argument("--steps", type=_int_at_least(0), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = add("stability", _cmd_stability,
             "edge-deletion experiment around the balanced tripartite graph")
-    p.add_argument("--n-max", type=int, required=True, help="vertex count")
+    p.add_argument("--n-max", type=_int_at_least(3), required=True,
+                   help="vertex count, at least 3")
     p.add_argument("--grid", default="0,1,2,3,4,5",
                    help="comma-separated deletion counts")
     p.add_argument("--samples", type=_int_at_least(1), default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p = add("dense-check", _cmd_dense_check,
             "dense K4-free case diagnostics per input graph")

@@ -183,6 +183,24 @@ class TestStability:
         run_cli(*args, "--out", str(b))
         assert a.read_text() == b.read_text()
 
+    def test_smallest_vertex_count_runs(self):
+        code, out, _ = run_cli("stability", "--n-max", "3", "--grid", "0,1",
+                               "--samples", "2")
+        assert code == 0 and len(out.strip().splitlines()) == 5
+
+    # n > EXACT_MAX_N, so every row takes the local-search edit distance.
+    # At k = 40 of 75 edges the local optima fall below k.
+    @pytest.mark.parametrize("argv, digest", [
+        (("--n-max", "60", "--grid", "0,10,50", "--samples", "20", "--seed", "0"),
+         "b26ebb79684c6eff96e303e66c4620158f5273a2833a989b3290ef42a5fb98d5"),
+        (("--n-max", "15", "--grid", "0,4,40", "--samples", "5", "--seed", "3"),
+         "33d8c236eeece522ce78a3c0cc1a224ad9de11603dfeeaa55e50ded4648403a6"),
+    ])
+    def test_local_search_golden_bytes(self, argv, digest):
+        code, out, _ = run_cli("stability", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestDenseCheck:
     def test_c5(self):
@@ -214,6 +232,16 @@ class TestUsage:
         code, _, err = run_cli("report")
         assert code == 2 and "one of the arguments --graph6 --edges is required" in err
 
+    # Cases whose diagnostic must name the flag at fault.
+    NAMED_FLAG = {
+        ("stability", "--n-max", "2"): "argument --n-max: need at least 3",
+        ("search", "--n-max", "5", "--restarts", "1", "--steps", "3",
+         "--seed", "-1"): "argument --seed: need at least 0",
+        ("stability", "--n-max", "13", "--grid", "0", "--samples", "1",
+         "--seed", "-1"): "argument --seed: need at least 0",
+        ("zykov", "--edges", "-", "--seed", "-1"): "argument --seed: need at least 0",
+    }
+
     @pytest.mark.parametrize("argv", [
         ("exhaustive", "--n-max", "7"),
         ("search", "--n-max", "5", "--density", "2"),
@@ -238,13 +266,17 @@ class TestUsage:
         ("sweep", "--n-max", "3", "--out", "{tmp}/dir"),
         ("dense-check", "--edges", "-", "--delta", "nan"),
         ("dense-check", "--edges", "-", "--density", "-1"),
+        ("search", "--n-max", "5", "--restarts", "1", "--steps", "3", "--seed", "-1"),
+        ("stability", "--n-max", "13", "--grid", "0", "--samples", "1", "--seed", "-1"),
+        ("zykov", "--edges", "-", "--seed", "-1"),
     ])
     def test_out_of_range_value_is_usage_error(self, argv, tmp_path):
         (tmp_path / "k5.g6").write_text(K5_LINE + "\n")
         (tmp_path / "dir").mkdir()
+        named = self.NAMED_FLAG.get(argv, "error:")
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         code, _, err = run_cli(*argv, stdin=C5_EDGES)
-        assert code == 2 and "error:" in err
+        assert code == 2 and "error:" in err and named in err
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("*.tmp"))
 

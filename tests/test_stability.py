@@ -15,7 +15,10 @@ from bngap.graphs import (
 from bngap.search import random_graph
 from bngap.spectra import eigenvalues, weyl_check
 from bngap.stability import (
+    LOCAL_RESTARTS,
     STABILITY_CSV_COLUMNS,
+    _greedy_assignment,
+    _local_descent,
     dense_case_check,
     edit_distance_exact,
     edit_distance_local,
@@ -37,6 +40,75 @@ def brute_force_edit_distance(g):
         if best is None or cost < best:
             best = cost
     return best
+
+
+def reference_assignment_cost(g, assignment):
+    """Edit cost of an assignment from bitset popcounts, vertex by vertex."""
+    masks = [0, 0, 0]
+    for v, part in enumerate(assignment):
+        masks[part] |= 1 << v
+    cost = 0
+    assigned = 0
+    for v, part in enumerate(assignment):
+        inside = g.adj[v] & masks[part] & assigned
+        other = assigned & ~masks[part]
+        cost += inside.bit_count()
+        cost += other.bit_count() - (g.adj[v] & other).bit_count()
+        assigned |= 1 << v
+    return cost
+
+
+def reference_local_descent(g, assignment):
+    """The reference for ``_local_descent``: the same first-improvement order
+    (lowest v, first part, rescan from v = 0), with every check recomputing
+    the cost of v in a part from whole-row bitset popcounts.
+    """
+    masks = [0, 0, 0]
+    for v, part in enumerate(assignment):
+        masks[part] |= 1 << v
+    all_mask = (1 << g.n) - 1
+
+    def vertex_cost(v, part):
+        row = g.adj[v]
+        own = masks[part] & ~(1 << v)
+        other = all_mask & ~masks[part] & ~(1 << v)
+        return (row & own).bit_count() \
+            + other.bit_count() - (row & other).bit_count()
+
+    improved = True
+    while improved:
+        improved = False
+        for v in range(g.n):
+            cur = assignment[v]
+            base = vertex_cost(v, cur)
+            for part in range(3):
+                if part == cur:
+                    continue
+                if vertex_cost(v, part) < base:
+                    masks[cur] &= ~(1 << v)
+                    masks[part] |= 1 << v
+                    assignment[v] = part
+                    improved = True
+                    break
+            if improved:
+                break
+    return reference_assignment_cost(g, tuple(assignment))
+
+
+class RecordedAssignment(list):
+    """An assignment list that logs every write; past ``limit`` writes it
+    raises, so a descent that stops making progress fails instead of hanging."""
+
+    def __init__(self, start, limit=None):
+        super().__init__(start)
+        self.writes = []
+        self.limit = limit
+
+    def __setitem__(self, v, part):
+        self.writes.append((v, part))
+        if self.limit is not None and len(self.writes) > self.limit:
+            raise AssertionError(f"more than {self.limit} moves")
+        super().__setitem__(v, part)
 
 
 class TestExact:
@@ -128,6 +200,69 @@ class TestLocal:
     def test_restart_validation(self):
         with pytest.raises(ValueError):
             edit_distance_local(cycle_graph(4), restarts=0, seed=1)
+
+
+def _deleted_turan(n, k, rng):
+    base = turan_graph(n, 3)
+    edges = base.edges()
+    g = base
+    for idx in rng.choice(len(edges), size=k, replace=False):
+        g = g.without_edge(*edges[int(idx)])
+    return g
+
+
+class TestGainTableDescent:
+    """The gain-table descent makes the reference's moves, in its order."""
+
+    def check(self, g, start):
+        ref = RecordedAssignment(start)
+        ref_cost = reference_local_descent(g, ref)
+        new = RecordedAssignment(start, limit=len(ref.writes))
+        neighbors = [list(g.neighbors(v)) for v in range(g.n)]
+        cost = _local_descent(g, neighbors, new)
+        assert new.writes == ref.writes
+        assert list(new) == list(ref)
+        assert cost == ref_cost
+
+    def starts(self, g, rng, randoms=2):
+        yield list(_greedy_assignment(g))
+        for _ in range(randoms):
+            yield [int(x) for x in rng.integers(0, 3, size=g.n)]
+
+    def test_random_graphs(self):
+        rng = np.random.default_rng(np.random.PCG64(71))
+        for n in range(1, 41):
+            for _ in range(3):
+                g = random_graph(n, float(rng.random()), rng)
+                for start in self.starts(g, rng):
+                    self.check(g, start)
+
+    def test_structured_graphs(self):
+        rng = np.random.default_rng(np.random.PCG64(72))
+        graphs = [Graph(n, (0,) * n) for n in (1, 2, 5, 20)]
+        graphs += [complete_multipartite(PartSizes((1,) * n)) for n in (2, 3, 7, 25)]
+        graphs += [complete_multipartite(PartSizes(ab))
+                   for ab in ((1, 1), (3, 5), (10, 12))]
+        graphs += [_deleted_turan(n, k, rng)
+                   for n in (13, 30, 45) for k in (0, 5, n)]
+        for g in graphs:
+            for start in self.starts(g, rng, randoms=3):
+                self.check(g, start)
+
+    def test_edit_distance_local_matches_reference_restarts(self):
+        rng = np.random.default_rng(np.random.PCG64(73))
+        for seed in range(20):
+            g = _deleted_turan(int(rng.integers(13, 40)), int(rng.integers(0, 40)),
+                               rng)
+            starts = np.random.default_rng(np.random.PCG64(seed))
+            best = None
+            for trial in range(LOCAL_RESTARTS):
+                assignment = (list(_greedy_assignment(g)) if trial == 0 else
+                              [int(x) for x in starts.integers(0, 3, size=g.n)])
+                key = (reference_local_descent(g, assignment), tuple(assignment))
+                best = key if best is None else min(best, key)
+            res = edit_distance_local(g, LOCAL_RESTARTS, seed)
+            assert (res.edits, res.assignment) == best
 
 
 class TestWeylCrossCheck:
