@@ -51,9 +51,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-_COUNTS = ("total", "holds", "equality", "excluded", "violations", "out_of_domain")
-_SUMMARY_COLUMNS = _COUNTS + ("min_gap", "argmin_source")
-
 
 class _Run:
     """One CLI run: the output sink, the inputs read, the violation count,
@@ -116,9 +113,9 @@ class _Run:
                 d = summary.as_dict()
                 with open(self.out + ".summary.csv", "w", encoding="utf-8") as fh:
                     writer = csv.writer(fh, lineterminator="\n")
-                    writer.writerow(_SUMMARY_COLUMNS)
-                    writer.writerow("" if d[k] is None else csv_cell(d[k])
-                                    for k in _SUMMARY_COLUMNS)
+                    writer.writerow(d.keys())
+                    writer.writerow("" if v is None else csv_cell(v)
+                                    for v in d.values())
             with open(self.out + ".manifest.json", "w", encoding="utf-8") as fh:
                 fh.write(dumps(self.manifest()) + "\n")
         return EXIT_VIOLATION if self.violations else EXIT_OK
@@ -128,12 +125,15 @@ def _status(message: str) -> None:
     print(f"bngap: {message}", file=sys.stderr)
 
 
-def _int_at_least(lo: int):
-    """An argparse type: an integer no smaller than ``lo``."""
+def _int_at_least(lo: int, hi: int | None = None):
+    """An argparse type: an integer no smaller than ``lo`` (and no larger
+    than ``hi``, if given)."""
     def parse(text: str) -> int:
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"need at least {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"need at most {hi}, got {value}")
         return value
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
     return parse
@@ -247,12 +247,7 @@ def _cmd_exhaustive(run: _Run) -> int:
         for report in res.violations:
             run.emit(dumps(report.to_dict()))
             run.check(report, report.source)
-        s = res.summary
-        for key in _COUNTS:
-            setattr(total, key, getattr(total, key) + getattr(s, key))
-        if s.min_gap < total.min_gap:
-            total.min_gap = s.min_gap
-            total.argmin_source = s.argmin_source
+        total.merge(res.summary)
     run.emit(dumps({"summary": total.as_dict(), "malformed": malformed}))
     _status(f"exhaustive ({scope}): {run.violations} violations"
             f" / {total.total} applicable graphs")
@@ -389,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("exhaustive", _cmd_exhaustive,
             f"check every labeled graph (n<={MAX_ENUM_N}) or a graph6 stream")
     family = p.add_mutually_exclusive_group(required=True)
-    family.add_argument("--n-max", type=_int_at_least(1))
+    family.add_argument("--n-max", type=_int_at_least(1, MAX_ENUM_N))
     family.add_argument("--graph6", help="graph6 file, '-' for stdin")
 
     p = add("search", _cmd_search, "hill-climb for gap violations")

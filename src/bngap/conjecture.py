@@ -75,18 +75,26 @@ class BnReport:
         }
 
 
-def _assemble(n: int, m: int, omega: int, lam1: float, lam2: float,
-              lam_n: float, excluded: bool, source: str) -> BnReport:
+def gap_terms(n, m, omega, lam1, lam2):
+    """``bound, lhs, gap, holds, equality, excluded`` for one graph or, as
+    numpy columns, a chunk: only Python operators are used.  ``equality`` is
+    ``|gap| <= EQ_TOL * max(1, bound)``; ``excluded`` marks complete graphs.
+    """
     bound = 2.0 * (1.0 - 1.0 / omega) * m
     lhs = lam1 * lam1 + lam2 * lam2
     gap = bound - lhs
+    equality = (abs(gap) <= EQ_TOL) | (abs(gap) <= EQ_TOL * bound)
+    return bound, lhs, gap, gap >= -GAP_TOL, equality, m == n * (n - 1) // 2
+
+
+def _assemble(n: int, m: int, omega: int, lam1: float, lam2: float,
+              lam_n: float, source: str) -> BnReport:
+    bound, lhs, gap, holds, equality, excluded = gap_terms(n, m, omega, lam1, lam2)
     return BnReport(
         n=n, m=m, omega=omega,
         lambda1=lam1, lambda2=lam2, lambda_n=lam_n,
         bound=bound, lhs=lhs, gap=gap,
-        holds=gap >= -GAP_TOL,
-        equality=abs(gap) <= EQ_TOL * max(1.0, bound),
-        excluded=excluded,
+        holds=holds, equality=equality, excluded=excluded,
         source=source,
     )
 
@@ -99,10 +107,8 @@ def bn_report(g: Graph, source: str = "graph") -> BnReport:
         )
     spec = eigenvalues(g)
     omega = clique_number(g)
-    return _assemble(
-        g.n, g.m, omega, spec.lambda1, spec.lambda2, spec.lambda_n,
-        excluded=g.is_complete(), source=source,
-    )
+    return _assemble(g.n, g.m, omega, spec.lambda1, spec.lambda2,
+                     spec.lambda_n, source)
 
 
 def bn_report_multipartite(parts: PartSizes) -> BnReport:
@@ -111,10 +117,8 @@ def bn_report_multipartite(parts: PartSizes) -> BnReport:
     flat = spec.flatten()
     m = multipartite_edge_count(parts)
     source = "multipartite[" + ",".join(str(s) for s in parts.sizes) + "]"
-    report = _assemble(
-        parts.n, m, parts.r, spec.lambda1, spec.lambda2, flat[-1],
-        excluded=parts.n == parts.r, source=source,
-    )
+    report = _assemble(parts.n, m, parts.r, spec.lambda1, spec.lambda2,
+                       flat[-1], source)
     if parts.r == 2 and report.equality and parts.sizes[0] != parts.sizes[1]:
         # Bipartite equality does not require balanced parts: lambda1^2 = ab
         # = m matches the bound for every complete bipartite graph.

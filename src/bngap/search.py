@@ -10,31 +10,32 @@ set both bits of every pair they keep, so their rows are symmetric by
 construction and skip ``Graph`` validation (see ``bngap.graphs``).
 
 ``exhaustive_check`` runs in chunks of same-n graphs.  A chunk is stacked
-into one ``(B, n, n)`` array and solved with one batched ``eigvalsh``; the
-gap arithmetic then runs column-wise with the expressions of
-``bngap.conjecture``, so each graph gets the same floats as from
-``bn_report``.  Only violating graphs are rebuilt and reported through
-``bn_report``.  A chunk holds at most ``_CHUNK_ENTRIES`` matrix entries
-(2^15 doubles, 256 KiB; 910 graphs at n = 6, one graph at n >= 129), which
-bounds the engine's working memory whatever the family size.  Labeled
-chunks are slices of edge codes, with the clique number read off a table
-of vertex subsets; graph6 chunks are runs of consecutive records with the
-same n.
+into one ``(B, n, n)`` array and solved with one batched ``eigvalsh``;
+``conjecture.gap_terms`` then runs on whole columns, so each graph gets the
+same floats and flags as from ``bn_report``, and ``SweepSummary.merge``
+folds the chunk into the running summary.  Only violating graphs are
+rebuilt and reported through ``bn_report``.  A chunk holds at most
+``_CHUNK_ENTRIES`` matrix entries (2^15 doubles, 256 KiB; 910 graphs at
+n = 6, one graph at n >= 129), which bounds the engine's working memory
+whatever the family size.  Labeled chunks are slices of edge codes, with
+the clique number read off a table of vertex subsets; graph6 chunks are
+runs of consecutive records with the same n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
 from .conjecture import (
-    EQ_TOL,
     GAP_TOL,
     BnReport,
     bn_report,
     bn_report_multipartite,
+    gap_terms,
 )
 from .graphs import (
     Graph,
@@ -59,16 +60,17 @@ def partitions_into_parts(n: int, r_max: int) -> Iterator[tuple[int, ...]]:
     """Integer partitions of n with 2..r_max parts, descending tuples in
     lexicographic order."""
 
-    def descending(total: int, cap: int) -> Iterator[tuple[int, ...]]:
+    def descending(total: int, cap: int, slots: int) -> Iterator[tuple[int, ...]]:
+        # A first part of at least ceil(total / slots) leaves room for the rest.
         if total == 0:
             yield ()
             return
-        for first in range(min(cap, total), 0, -1):
-            for rest in descending(total - first, first):
+        for first in range(-(-total // slots), min(cap, total) + 1):
+            for rest in descending(total - first, first, slots - 1):
                 yield (first,) + rest
 
-    found = [p for p in descending(n, n) if 2 <= len(p) <= r_max]
-    yield from sorted(found)
+    if n >= 2 and r_max >= 2:
+        yield from descending(n, n - 1, r_max)
 
 
 def sweep_multipartite(n_max: int, r_max: int) -> Iterator[BnReport]:
@@ -88,6 +90,17 @@ class SweepSummary:
     out_of_domain: int = 0
     min_gap: float = float("inf")
     argmin_source: str = ""
+
+    def merge(self, other: SweepSummary) -> None:
+        """Add ``other``'s counts; of equal minima the first is kept."""
+        self.total += other.total
+        self.holds += other.holds
+        self.equality += other.equality
+        self.excluded += other.excluded
+        self.violations += other.violations
+        self.out_of_domain += other.out_of_domain
+        if other.min_gap < self.min_gap:
+            self.min_gap, self.argmin_source = other.min_gap, other.argmin_source
 
     def add(self, report: BnReport) -> None:
         self.total += 1
@@ -156,37 +169,31 @@ def _check_chunk(res: ExhaustiveResult, adj: np.ndarray, m: np.ndarray,
 
     ``adj`` stacks the B adjacency matrices, ``m`` and ``omega`` are their
     edge counts and clique numbers; ``source(i)`` and ``graph(i)`` name and
-    rebuild graph i.  The counts and the first-occurrence minimum follow
-    ``SweepSummary.add``; violating graphs are reported by ``bn_report``.
+    rebuild graph i.  ``gap_terms`` tests the chunk, ``SweepSummary.merge``
+    folds it in, and ``bn_report`` reports its violating graphs.
     """
-    summary = res.summary
-    n = adj.shape[1]
     live = m >= 1
-    nlive = int(np.count_nonzero(live))
-    summary.out_of_domain += len(m) - nlive
-    if not nlive:
+    if not live.any():
+        res.summary.merge(SweepSummary(out_of_domain=len(m)))
         return
     vals = np.linalg.eigvalsh(adj)
-    lam1, lam2 = vals[:, -1], vals[:, -2]
-    # The expressions and their order are those of conjecture._assemble.
-    bound = 2.0 * (1.0 - 1.0 / omega) * m
-    lhs = lam1 * lam1 + lam2 * lam2
-    gap = bound - lhs
-    holds = gap >= -GAP_TOL
-    equality = np.abs(gap) <= EQ_TOL * np.maximum(1.0, bound)
-    excluded = live & (m == n * (n - 1) // 2)
+    # Some graph has an edge, so n >= 2 and every complete graph is live.
+    _, _, gap, holds, equality, excluded = gap_terms(
+        adj.shape[1], m, omega, vals[:, -1], vals[:, -2])
     applicable = live & ~excluded
     bad = np.flatnonzero(applicable & ~holds)
-    summary.total += nlive
-    summary.excluded += int(np.count_nonzero(excluded))
-    summary.holds += int(np.count_nonzero(applicable & holds))
-    summary.violations += len(bad)
-    summary.equality += int(np.count_nonzero(applicable & equality))
+    chunk = SweepSummary(
+        total=int(np.count_nonzero(live)),
+        holds=int(np.count_nonzero(applicable & holds)),
+        equality=int(np.count_nonzero(applicable & equality)),
+        excluded=int(np.count_nonzero(excluded)),
+        violations=len(bad),
+        out_of_domain=int(np.count_nonzero(~live)),
+    )
     if applicable.any():
         i = int(np.argmin(np.where(applicable, gap, np.inf)))
-        if gap[i] < summary.min_gap:
-            summary.min_gap = float(gap[i])
-            summary.argmin_source = source(i)
+        chunk.min_gap, chunk.argmin_source = float(gap[i]), source(i)
+    res.summary.merge(chunk)
     res.violations.extend(bn_report(graph(i), source=source(i)) for i in bad)
 
 
@@ -272,10 +279,6 @@ def exhaustive_check(source: Union[int, Iterable[str]]) -> ExhaustiveResult:
     return res
 
 
-def _pair_list(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
 def _creates_k4(g: Graph, u: int, v: int) -> bool:
     """Would adding edge uv close a K4?  True iff the common neighbourhood
     of u and v spans an edge."""
@@ -292,7 +295,7 @@ def random_graph(n: int, density: float, rng: np.random.Generator) -> Graph:
     """Erdos-Renyi style graph: each pair kept independently with p=density."""
     check_vertex_count(n)
     rows = [0] * n
-    for u, v in _pair_list(n):
+    for u, v in combinations(range(n), 2):
         if rng.random() < density:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
@@ -332,7 +335,8 @@ def _random_k4_free_rng(n: int, target_density: float, rng: np.random.Generator,
         else:
             labels = rng.integers(0, 3, size=n)
         rows = [0] * n
-        cross = [(u, v) for u, v in _pair_list(n) if labels[u] != labels[v]]
+        cross = [(u, v) for u, v in combinations(range(n), 2)
+                 if labels[u] != labels[v]]
         keep_p = min(1.0, target_m / len(cross)) if cross else 0.0
         for u, v in cross:
             if rng.random() < keep_p:
@@ -341,7 +345,7 @@ def _random_k4_free_rng(n: int, target_density: float, rng: np.random.Generator,
         return Graph._unchecked(n, tuple(rows))
 
     if method == "greedy_insertion":
-        pairs = _pair_list(n)
+        pairs = list(combinations(range(n), 2))
         order = rng.permutation(len(pairs))
         g = Graph._unchecked(n, (0,) * n)
         m = 0
@@ -377,10 +381,6 @@ class TrajectoryResult:
     findings: list[str]
 
 
-def _nonadjacent_pairs(g: Graph) -> list[tuple[int, int]]:
-    return [(u, v) for u, v in _pair_list(g.n) if not g.has_edge(u, v)]
-
-
 def _lambda1_and_perron(g: Graph) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a non-negative eigenvector for it.
 
@@ -411,7 +411,7 @@ def zykov_trajectory(g: Graph, steps: int, seed: int) -> TrajectoryResult:
     result = TrajectoryResult(lam1, omega, g.m, [], g, [])
     current = g
     for step in range(1, steps + 1):
-        pairs = _nonadjacent_pairs(current)
+        pairs = current.complement().edges()
         if not pairs:
             break
         u, v = pairs[int(rng.integers(len(pairs)))]
@@ -452,6 +452,8 @@ class SearchConfig:
             raise ValueError(f"iterations must be non-negative, got {self.max_iters}")
         if self.objective not in ("bn_gap_negated", "lambda1"):
             raise ValueError(f"unknown objective {self.objective!r}")
+        if not 0.0 <= self.init_density <= 1.0:
+            raise ValueError(f"density must lie in [0, 1], got {self.init_density}")
 
 
 @dataclass
@@ -478,10 +480,15 @@ def _objective(cfg: SearchConfig, g: Graph) -> tuple[float, BnReport | None]:
     return -report.gap, report
 
 
+def _rank(obj: float, g: Graph) -> tuple[float, int]:
+    """Search states by higher objective, then smaller packed edge bitset.
+    Only a strictly higher rank replaces the best, as in ``max``."""
+    return obj, -g.edge_bitset()
+
+
 @dataclass
 class _RestartOutcome:
-    best_obj: float
-    best_key: int
+    best_rank: tuple[float, int] | None
     best_graph: Graph | None
     best_report: BnReport | None
     iterations: int
@@ -502,17 +509,14 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOu
                                       "tripartite_subgraph")
     else:
         current = random_graph(cfg.n, cfg.init_density, rng)
-    out = _RestartOutcome(float("-inf"), 0, None, None, 0, 0)
+    out = _RestartOutcome(None, None, None, 0, 0)
 
     def offer(obj: float, g: Graph, report: BnReport | None) -> None:
         if report is None:
             return
-        key = g.edge_bitset()
-        if (obj > out.best_obj
-                or (obj == out.best_obj
-                    and (out.best_graph is None or key < out.best_key))):
-            out.best_obj, out.best_key = obj, key
-            out.best_graph, out.best_report = g, report
+        rank = _rank(obj, g)
+        if out.best_rank is None or rank > out.best_rank:
+            out.best_rank, out.best_graph, out.best_report = rank, g, report
 
     cur_obj, cur_report = _objective(cfg, current)
     offer(cur_obj, current, cur_report)
@@ -522,7 +526,7 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOu
         move = int(rng.choice(3, p=_MOVE_P))
         candidate = None
         if move == 0:
-            non_edges = _nonadjacent_pairs(current)
+            non_edges = current.complement().edges()
             if non_edges:
                 u, v = non_edges[int(rng.integers(len(non_edges)))]
                 if not (cfg.k4_constrained and _creates_k4(current, u, v)):
@@ -533,7 +537,7 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOu
                 u, v = edges[int(rng.integers(len(edges)))]
                 candidate = current.without_edge(u, v)
         else:
-            pairs = _nonadjacent_pairs(current)
+            pairs = current.complement().edges()
             if pairs:
                 u, v = pairs[int(rng.integers(len(pairs)))]
                 if rng.integers(2):
@@ -569,27 +573,16 @@ def hill_climb(cfg: SearchConfig) -> HillClimbResult:
     Restarts run on independent spawned seed streams.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-
-    best: _RestartOutcome | None = None
-    iterations = 0
-    accepted = 0
-    for child in children:
-        out = _run_restart(cfg, child)
-        iterations += out.iterations
-        accepted += out.accepted
-        if out.best_graph is None:
-            continue
-        if (best is None or out.best_obj > best.best_obj
-                or (out.best_obj == best.best_obj
-                    and out.best_key < best.best_key)):
-            best = out
-
-    if best is None or best.best_graph is None:
+    outcomes = [_run_restart(cfg, child) for child in children]
+    iterations = sum(out.iterations for out in outcomes)
+    accepted = sum(out.accepted for out in outcomes)
+    scored = [out for out in outcomes if out.best_rank is not None]
+    if not scored:
         # Every start was out of domain (can happen only at density 0).
         return HillClimbResult(cfg, Graph._unchecked(cfg.n, (0,) * cfg.n), None,
                                float("-inf"), False, iterations, accepted,
                                len(children))
+    best = max(scored, key=lambda out: out.best_rank)
     report = best.best_report
-    found = report is not None and report.violation
-    return HillClimbResult(cfg, best.best_graph, report, best.best_obj, found,
-                           iterations, accepted, len(children))
+    return HillClimbResult(cfg, best.best_graph, report, best.best_rank[0],
+                           report.violation, iterations, accepted, len(children))

@@ -202,6 +202,29 @@ class TestStability:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# Seeded searches (k4free at n = 9 and 30, free at n = 12), the labeled
+# exhaustive check and a multipartite sweep: their stdout bytes are fixed.
+@pytest.mark.parametrize("argv, digest", [
+    (("search", "--n-max", "30", "--restarts", "6", "--steps", "1000",
+      "--seed", "0"),
+     "70b8ed8e32d5550701921478ee8369d7770d1c0384d24d9d7bcfa2f460829828"),
+    (("search", "--n-max", "9", "--restarts", "4", "--steps", "500",
+      "--seed", "3"),
+     "c172a7b9a18c81677d6eaf820ad161f19a52918a31298581a69dcb8f054a18e3"),
+    (("search", "--n-max", "12", "--restarts", "2", "--steps", "300",
+      "--seed", "5", "--method", "free"),
+     "a897143dbda4b0cd60a1b00013675149fc135048575836a9547fbd8b8e09407d"),
+    (("exhaustive", "--n-max", "6"),
+     "5466934b83a8b0071d8b5e1775b3cbd13d3466e041ec230a879cfaa63e94b581"),
+    (("sweep", "--n-max", "30", "--r-max", "6"),
+     "6605907e38fe2a9256022327b9dc4c9d7c0c6a04c6b38a0f404312236d213cfe"),
+])
+def test_golden_bytes(argv, digest):
+    code, out, _ = run_cli(*argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestDenseCheck:
     def test_c5(self):
         code, out, _ = run_cli("dense-check", "--edges", "-",
@@ -234,6 +257,7 @@ class TestUsage:
 
     # Cases whose diagnostic must name the flag at fault.
     NAMED_FLAG = {
+        ("exhaustive", "--n-max", "7"): "argument --n-max: need at most 6",
         ("stability", "--n-max", "2"): "argument --n-max: need at least 3",
         ("search", "--n-max", "5", "--restarts", "1", "--steps", "3",
          "--seed", "-1"): "argument --seed: need at least 0",
@@ -269,6 +293,9 @@ class TestUsage:
         ("search", "--n-max", "5", "--restarts", "1", "--steps", "3", "--seed", "-1"),
         ("stability", "--n-max", "13", "--grid", "0", "--samples", "1", "--seed", "-1"),
         ("zykov", "--edges", "-", "--seed", "-1"),
+        ("search", "--n-max", "5", "--method", "free", "--density", "2"),
+        ("search", "--n-max", "5", "--method", "free", "--density", "nan"),
+        ("search", "--n-max", "5", "--method", "free", "--density", "-0.5"),
     ])
     def test_out_of_range_value_is_usage_error(self, argv, tmp_path):
         (tmp_path / "k5.g6").write_text(K5_LINE + "\n")

@@ -3,12 +3,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bngap.conjecture import (
+    EQ_TOL,
+    GAP_TOL,
     OutOfDomainError,
     bn_report,
     bn_report_multipartite,
+    gap_terms,
     hoffman_bound,
     hoffman_ratio_check,
     obstruction_report,
@@ -72,6 +76,44 @@ class TestBnReport:
             r = bn_report(complete(n), f"K{n}")
             assert r.excluded
             assert r.lhs - r.bound == pytest.approx(1.0, abs=1e-8)
+
+
+def gap_cases():
+    """(n, m, omega, lam1, lam2) rows.  At omega = 2 the bound is m, here
+    below 1, exactly 1 and above 1; the gaps sit on both sides of the
+    equality threshold, and one gap is NaN.  Two rows test exclusion."""
+    rows = []
+    for m in (0.25, 1.0, 7.0):
+        tol = EQ_TOL * max(1.0, m)
+        for offset in (-3, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 3):
+            rows.append((5, m, 2, math.sqrt(m - offset * tol), 0.0))
+        rows.append((5, m, 2, math.nan, 0.0))
+    return rows + [(4, 6, 4, 3.0, -1.0), (4, 5, 3, 2.5, 0.0)]
+
+
+class TestGapTerms:
+    def test_scalars_give_bools_of_the_max_form(self):
+        seen = set()
+        for n, m, omega, lam1, lam2 in gap_cases():
+            bound, lhs, gap, holds, equality, excluded = gap_terms(
+                n, m, omega, lam1, lam2)
+            assert {type(holds), type(equality), type(excluded)} == {bool}
+            assert equality == (abs(gap) <= EQ_TOL * max(1.0, bound))
+            assert holds == (gap >= -GAP_TOL)
+            assert excluded == (m == n * (n - 1) // 2)
+            seen.add((bound, equality))
+        # Each bound class has gaps inside and outside the threshold.
+        assert {(b, e) for b in (0.25, 1.0, 7.0) for e in (True, False)} <= seen
+
+    def test_columns_match_scalars(self):
+        rows = gap_cases()
+        columns = gap_terms(*(np.array(col) for col in zip(*rows)))
+        bound, gap, equality = columns[0], columns[2], columns[4]
+        assert (equality == (np.abs(gap) <= EQ_TOL * np.maximum(1.0, bound))).all()
+        for k, row in enumerate(rows):
+            for column, value in zip(columns, gap_terms(*row)):
+                assert column[k] == value or (math.isnan(value)
+                                              and math.isnan(column[k]))
 
 
 class TestBnReportMultipartite:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bngap.search
 from bngap.conjecture import bn_report
 from bngap.graphs import (
     PartSizes,
@@ -13,6 +14,8 @@ from bngap.graphs import (
 )
 from bngap.search import (
     SearchConfig,
+    _rank,
+    _RestartOutcome,
     SweepSummary,
     exhaustive_check,
     hill_climb,
@@ -25,12 +28,23 @@ from bngap.search import (
 from bngap.spectra import eigenvalues
 
 from corpus import cycle_graph, path_graph
+from test_graphs import all_partitions
 
 
 class TestSweep:
     def test_partition_enumeration(self):
         assert list(partitions_into_parts(3, 6)) == [(1, 1, 1), (2, 1)]
         assert list(partitions_into_parts(4, 2)) == [(2, 2), (3, 1)]
+
+    def test_partitions_match_filtered_enumeration(self):
+        for n in range(18):
+            every = list(all_partitions(n))
+            for r_max in range(9):
+                want = sorted(p for p in every if 2 <= len(p) <= r_max)
+                assert list(partitions_into_parts(n, r_max)) == want
+
+    def test_partition_count_n60(self):
+        assert sum(1 for _ in partitions_into_parts(60, 6)) == 19857
 
     def test_n_max_3(self):
         reports = list(sweep_multipartite(3, 6))
@@ -201,6 +215,28 @@ class TestHillClimb:
         assert a.iterations == b.iterations and a.accepted == b.accepted
         assert a.best_report.to_dict() == b.best_report.to_dict()
 
+    def test_one_rank_orders_states_and_restarts(self, monkeypatch):
+        p4, c4 = path_graph(4), cycle_graph(4)
+        assert p4.edge_bitset() < c4.edge_bitset()
+        assert _rank(1.0, p4) > _rank(1.0, c4) > _rank(0.5, p4)
+
+        def outcome(obj, g, source):
+            return _RestartOutcome(_rank(obj, g), g, bn_report(g, source), 1, 1)
+
+        outcomes = iter([
+            _RestartOutcome(None, None, None, 1, 0),
+            outcome(1.0, c4, "c4"),
+            outcome(1.0, p4, "first p4"),
+            outcome(1.0, p4, "second p4"),
+            outcome(0.5, p4, "lower"),
+        ])
+        monkeypatch.setattr(bngap.search, "_run_restart",
+                            lambda cfg, child: next(outcomes))
+        res = hill_climb(SearchConfig(seed=0, n=4, restarts=5))
+        assert res.best_report.source == "first p4" and res.best_graph == p4
+        assert res.best_objective == 1.0
+        assert (res.iterations, res.accepted, res.restarts_run) == (5, 4, 5)
+
     def test_lambda1_objective(self):
         res = hill_climb(SearchConfig(seed=2, n=6, max_iters=200, restarts=2,
                                       objective="lambda1", k4_constrained=False))
@@ -211,6 +247,13 @@ class TestHillClimb:
             SearchConfig(seed=0, n=5, restarts=0)
         with pytest.raises(ValueError):
             SearchConfig(seed=0, n=5, objective="noop")
+        for density in (2.0, float("nan"), -0.5):
+            for k4_constrained in (True, False):
+                with pytest.raises(ValueError, match="density"):
+                    SearchConfig(seed=0, n=5, init_density=density,
+                                 k4_constrained=k4_constrained)
+        for density in (0.0, 1.0):
+            SearchConfig(seed=0, n=5, init_density=density, k4_constrained=False)
 
     def test_never_reports_complete_as_violation(self):
         # tiny n so the climber has every chance to reach K_n
