@@ -10,14 +10,22 @@ Rows are validated where they enter from outside: ``Graph(n, adj)``,
 vertex count, the row range, the zero diagonal and symmetry.  Operations that
 derive a graph from a valid one (``complement``, ``with_edge``,
 ``without_edge``, ``zykov``) or build rows symmetric by construction
-(``complete_multipartite``, ``turan_graph``) trust their rows and skip that
-check; a property test holds them to the full validator.  Their vertex
-arguments stay checked because each one both indexes a row and is a shift
-count: a vertex >= n raises IndexError, a negative one ValueError.
+(``complete_multipartite``, ``turan_graph``, ``Graph.from_edge_bitset``)
+trust their rows and skip that check; a property test holds them to the full
+validator.  Their vertex arguments stay checked because each one both indexes
+a row and is a shift count: a vertex >= n raises IndexError, a negative one
+ValueError.
+
+The edge code of a graph is its upper triangle as one integer: bit k is the
+k-th pair of ``graph6_pairs``.  ``Graph.edge_bitset`` encodes it and
+``Graph.from_edge_bitset`` decodes it; this module is the only place that
+knows the pair order.  graph6 is the edge code written as 6-bit text after a
+vertex-count header.
 
 Alongside the representation live the combinatorial parameters used by the
-gap reports (clique number, independence number, triangle count), the Zykov
-neighbourhood-replacement operation, and graph6 / edge-list serialization.
+gap reports (clique number, independence number, triangle count, the K4
+tests), the Zykov neighbourhood-replacement operation, and graph6 /
+edge-list serialization.
 """
 
 from __future__ import annotations
@@ -144,6 +152,19 @@ class Graph:
         for v in range(1, self.n):
             code |= (self.adj[v] & ((1 << v) - 1)) << (v * (v - 1) // 2)
         return code
+
+    @classmethod
+    def from_edge_bitset(cls, n: int, code: int) -> "Graph":
+        """The graph whose ``edge_bitset`` is ``code`` (0 <= code <
+        2^C(n,2), a Python int).  Both bits of each pair are set, so the
+        rows are trusted."""
+        rows = [0] * n
+        for v in range(1, n):
+            below = code >> (v * (v - 1) // 2) & ((1 << v) - 1)
+            rows[v] = below
+            for u in _bits(below):
+                rows[u] |= 1 << v
+        return cls._unchecked(n, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -277,19 +298,22 @@ def independence_number(g: Graph) -> int:
     return clique_number(g.complement())
 
 
+def closes_k4(g: Graph, u: int, v: int) -> bool:
+    """True iff the common neighbourhood of u and v spans an edge, so that
+    u, v and that edge make a K4 once uv is an edge."""
+    x = g.adj[u] & g.adj[v]
+    while x:
+        w = (x & -x).bit_length() - 1
+        x &= x - 1
+        if g.adj[w] & x:
+            return True
+    return False
+
+
 def is_k4_free(g: Graph) -> bool:
-    """True iff the graph has no complete subgraph on 4 vertices."""
-    adj = g.adj
-    for u in range(g.n):
-        above_u = adj[u] & -(1 << (u + 1))
-        for v in _bits(above_u):
-            # Any adjacent pair among the common neighbours beyond v closes
-            # a K4 whose two lowest vertices are u and v.
-            common = adj[u] & adj[v] & -(1 << (v + 1))
-            for w in _bits(common):
-                if adj[w] & common & -(1 << (w + 1)):
-                    return False
-    return True
+    """True iff the graph has no complete subgraph on 4 vertices: no edge
+    closes a K4."""
+    return not any(closes_k4(g, u, v) for u, v in g.edges())
 
 
 def triangle_count(g: Graph) -> int:
@@ -327,8 +351,8 @@ def zykov(g: Graph, u: int, v: int) -> Graph:
     return Graph._unchecked(g.n, tuple(rows))
 
 
-# graph6: printable 6-bit encoding of the upper triangle, bytes offset by 63.
-# The pair stream runs column-major: (0,1), (0,2), (1,2), (0,3), ...
+# graph6: the edge code as a stream of bits, pair 0 first, six to a byte
+# with the earliest bit highest, each byte offset by 63.
 
 def _g6_byte_values(text: str, what: str) -> list[int]:
     vals = []
@@ -368,18 +392,11 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error(f"truncated body: need {need} bytes, got {len(body)}")
     if len(body) > need:
         raise Graph6Error("trailing bytes after adjacency body")
-    rows = [0] * n
-    k = 0
-    for v in range(1, n):
-        for u in range(v):
-            if body[k // 6] >> (5 - k % 6) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            k += 1
-    pad = need * 6 - npairs
-    if pad and body and body[-1] & ((1 << pad) - 1):
+    # Bit k of the code is stream bit k; each byte holds six, high bit first.
+    code = int("".join(f"{b:06b}" for b in body)[::-1] or "0", 2)
+    if code >> npairs:
         raise Graph6Error("nonzero padding bits")
-    return Graph(n, tuple(rows))
+    return Graph(n, Graph.from_edge_bitset(n, code).adj)
 
 
 def to_graph6(g: Graph) -> str:
@@ -389,19 +406,10 @@ def to_graph6(g: Graph) -> str:
         head = chr(126) + "".join(
             chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)
         )
-    chunks = []
-    acc = 0
-    nbits = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            acc = acc << 1 | (g.adj[u] >> v & 1)
-            nbits += 1
-            if nbits == 6:
-                chunks.append(chr(acc + 63))
-                acc = nbits = 0
-    if nbits:
-        chunks.append(chr((acc << (6 - nbits)) + 63))
-    return head + "".join(chunks)
+    npairs = g.n * (g.n - 1) // 2
+    stream = f"{g.edge_bitset():0{npairs}b}"[::-1]
+    return head + "".join(chr(63 + int(stream[k:k + 6].ljust(6, "0"), 2))
+                          for k in range(0, npairs, 6))
 
 
 def parse_edge_list_text(text: str) -> Graph:

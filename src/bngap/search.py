@@ -6,8 +6,11 @@ with ``numpy.random.SeedSequence.spawn``, so identical inputs reproduce
 identical outputs no matter how the work is scheduled.
 
 The generators (``labeled_graphs``, ``random_graph``, ``random_k4_free``)
-set both bits of every pair they keep, so their rows are symmetric by
-construction and skip ``Graph`` validation (see ``bngap.graphs``).
+build symmetric rows and skip ``Graph`` validation (see ``bngap.graphs``):
+``labeled_graphs`` decodes each edge code with ``Graph.from_edge_bitset``,
+the others set both bits of every pair they keep.  Edge codes, the clique
+table's masks included, come from ``bngap.graphs``; ``graph6_pairs`` is
+read here only as the index arrays of the labeled chunks' scatter.
 
 ``exhaustive_check`` runs in chunks of same-n graphs.  A chunk is stacked
 into one ``(B, n, n)`` array and solved with one batched ``eigvalsh``;
@@ -43,6 +46,7 @@ from .graphs import (
     PartSizes,
     check_vertex_count,
     clique_number,
+    closes_k4,
     graph6_pairs,
     parse_graph6,
     zykov,
@@ -135,20 +139,11 @@ def _check_enum_n(n: int) -> None:
         raise ValueError(f"built-in enumeration capped at n <= {MAX_ENUM_N}")
 
 
-def _labeled_graph(n: int, code: int) -> Graph:
-    rows = [0] * n
-    for k, (u, v) in enumerate(graph6_pairs(n)):
-        if code >> k & 1:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return Graph._unchecked(n, tuple(rows))
-
-
 def labeled_graphs(n: int) -> Iterator[tuple[str, Graph]]:
     """All 2^C(n,2) labeled graphs on n vertices (no isomorphism reduction)."""
     _check_enum_n(n)
     for code in range(1 << n * (n - 1) // 2):
-        yield f"labeled:n={n}:code={code}", _labeled_graph(n, code)
+        yield f"labeled:n={n}:code={code}", Graph.from_edge_bitset(n, code)
 
 
 @dataclass
@@ -198,18 +193,16 @@ def _check_chunk(res: ExhaustiveResult, adj: np.ndarray, m: np.ndarray,
 
 
 def _clique_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair masks and sizes of the vertex subsets with at least 2 vertices,
-    largest first, closed by one vertex with the empty mask.  The clique
-    number of an edge code is the size of the first subset whose pair mask
-    the code contains."""
-    bit = {pair: 1 << k for k, pair in enumerate(graph6_pairs(n))}
+    """Edge codes of the complete graphs on the vertex subsets with at
+    least 2 vertices, and the subset sizes, largest first, closed by one
+    vertex with the empty code.  The clique number of an edge code is the
+    size of the first subset whose code it contains."""
     table = [(0, 1)]
     for s in range(1 << n):
-        members = [v for v in range(n) if s >> v & 1]
-        if len(members) >= 2:
-            mask = sum(bit[u, v] for k, v in enumerate(members)
-                       for u in members[:k])
-            table.append((mask, len(members)))
+        size = s.bit_count()
+        if size >= 2:
+            rows = tuple(s & ~(1 << v) if s >> v & 1 else 0 for v in range(n))
+            table.append((Graph._unchecked(n, rows).edge_bitset(), size))
     table.sort(key=lambda row: -row[1])
     masks, sizes = zip(*table)
     return np.array(masks, dtype=np.int64), np.array(sizes, dtype=np.int64)
@@ -249,7 +242,7 @@ def exhaustive_check(source: Union[int, Iterable[str]]) -> ExhaustiveResult:
             adj, m, omega = _labeled_chunk(n, codes, table)
             _check_chunk(res, adj, m, omega,
                          lambda i: f"labeled:n={n}:code={lo + i}",
-                         lambda i: _labeled_graph(n, lo + i))
+                         lambda i: Graph.from_edge_bitset(n, int(lo + i)))
         return res
 
     chunk: list[tuple[int, Graph]] = []
@@ -279,21 +272,16 @@ def exhaustive_check(source: Union[int, Iterable[str]]) -> ExhaustiveResult:
     return res
 
 
-def _creates_k4(g: Graph, u: int, v: int) -> bool:
-    """Would adding edge uv close a K4?  True iff the common neighbourhood
-    of u and v spans an edge."""
-    x = g.adj[u] & g.adj[v]
-    while x:
-        w = (x & -x).bit_length() - 1
-        x &= x - 1
-        if g.adj[w] & x:
-            return True
-    return False
+def _check_density(density: float) -> None:
+    """Reject a density outside [0, 1], NaN included."""
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must lie in [0, 1], got {density}")
 
 
 def random_graph(n: int, density: float, rng: np.random.Generator) -> Graph:
     """Erdos-Renyi style graph: each pair kept independently with p=density."""
     check_vertex_count(n)
+    _check_density(density)
     rows = [0] * n
     for u, v in combinations(range(n), 2):
         if rng.random() < density:
@@ -323,8 +311,7 @@ def _random_k4_free_rng(n: int, target_density: float, rng: np.random.Generator,
                         method: str = "tripartite_subgraph",
                         balanced: bool = False) -> Graph:
     check_vertex_count(n)
-    if not 0.0 <= target_density <= 1.0:
-        raise ValueError("density must lie in [0, 1]")
+    _check_density(target_density)
     npairs = n * (n - 1) // 2
     target_m = int(round(target_density * npairs))
 
@@ -353,7 +340,7 @@ def _random_k4_free_rng(n: int, target_density: float, rng: np.random.Generator,
             if m >= target_m:
                 break
             u, v = pairs[idx]
-            if not _creates_k4(g, u, v):
+            if not closes_k4(g, u, v):
                 g = g.with_edge(u, v)
                 m += 1
         return g
@@ -452,8 +439,7 @@ class SearchConfig:
             raise ValueError(f"iterations must be non-negative, got {self.max_iters}")
         if self.objective not in ("bn_gap_negated", "lambda1"):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if not 0.0 <= self.init_density <= 1.0:
-            raise ValueError(f"density must lie in [0, 1], got {self.init_density}")
+        _check_density(self.init_density)
 
 
 @dataclass
@@ -524,27 +510,21 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOu
     for _ in range(cfg.max_iters):
         out.iterations += 1
         move = int(rng.choice(3, p=_MOVE_P))
-        candidate = None
-        if move == 0:
-            non_edges = current.complement().edges()
-            if non_edges:
-                u, v = non_edges[int(rng.integers(len(non_edges)))]
-                if not (cfg.k4_constrained and _creates_k4(current, u, v)):
-                    candidate = current.with_edge(u, v)
-        elif move == 1:
-            edges = current.edges()
-            if edges:
-                u, v = edges[int(rng.integers(len(edges)))]
-                candidate = current.without_edge(u, v)
-        else:
-            pairs = current.complement().edges()
-            if pairs:
-                u, v = pairs[int(rng.integers(len(pairs)))]
-                if rng.integers(2):
-                    u, v = v, u
-                candidate = zykov(current, u, v)
-        if candidate is None:
+        # Move 1 deletes an edge; moves 0 and 2 act on a non-adjacent pair.
+        pairs = current.edges() if move == 1 else current.complement().edges()
+        if not pairs:
             continue
+        u, v = pairs[int(rng.integers(len(pairs)))]
+        if move == 0:
+            if cfg.k4_constrained and closes_k4(current, u, v):
+                continue
+            candidate = current.with_edge(u, v)
+        elif move == 1:
+            candidate = current.without_edge(u, v)
+        else:
+            if rng.integers(2):
+                u, v = v, u
+            candidate = zykov(current, u, v)
         cand_obj, cand_report = _objective(cfg, candidate)
         if cand_obj > cur_obj:
             current, cur_obj, cur_report = candidate, cand_obj, cand_report

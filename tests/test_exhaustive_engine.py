@@ -12,6 +12,7 @@ import bngap.conjecture
 import bngap.search
 from bngap.conjecture import OutOfDomainError, bn_report
 from bngap.graphs import (
+    Graph,
     Graph6Error,
     clique_number,
     graph6_pairs,
@@ -134,7 +135,7 @@ def test_graph6_violations_match_reference(strict_tolerance):
 
 
 def test_argmin_keeps_the_first_record():
-    lowest = to_graph6(bngap.search._labeled_graph(6, 4949))
+    lowest = to_graph6(Graph.from_edge_bitset(6, 4949))
     p6, p5 = to_graph6(path_graph(6)), to_graph6(path_graph(5))
     gap = {line: bn_report(parse_graph6(line)).gap for line in (lowest, p6, p5)}
     assert gap[lowest] < min(gap[p6], gap[p5])

@@ -112,6 +112,21 @@ class TestDerivedGraphsAreValid:
         assert count == 2 ** (n * (n - 1) // 2)
 
     @no_deadline
+    @given(st.integers(1, MAX_TEST_N), st.data())
+    def test_from_edge_bitset(self, n, data):
+        code = data.draw(st.integers(0, (1 << n * (n - 1) // 2) - 1))
+        g = Graph.from_edge_bitset(n, code)
+        assert_valid(g)
+        assert g.edge_bitset() == code
+
+    def test_edge_bitset_round_trip(self):
+        rng = np.random.default_rng(9)
+        for n in range(1, MAX_TEST_N + 1):
+            for density in (0.0, float(rng.random()), 1.0):
+                g = random_graph(n, density, rng)
+                assert Graph.from_edge_bitset(n, g.edge_bitset()) == g
+
+    @no_deadline
     @given(st.integers(1, MAX_TEST_N), st.floats(0.0, 1.0),
            st.integers(0, 2 ** 63 - 1))
     def test_random_graph(self, n, density, seed):

@@ -230,6 +230,22 @@ class TestGraph6:
             with pytest.raises(Graph6Error):
                 parse_graph6(bad)
 
+    @pytest.mark.parametrize("line, message", [
+        ("A`", "nonzero padding bits"),
+        ("Ao", "nonzero padding bits"),  # the bit right after the last pair
+        ("?", "vertex count must be at least 1"),
+        ("~~??????", "8-byte vertex counts exceed the supported range"),
+        ("~?", "truncated vertex-count header"),
+        ("D?", "truncated body: need 2 bytes, got 1"),
+        ("D?{x", "trailing bytes after adjacency body"),
+        ("D" + chr(30), "record: byte 30 outside graph6 range 63..126"),
+        (">>graph6<<A_", "header directives are not supported"),
+    ])
+    def test_malformed_messages(self, line, message):
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6(line)
+        assert str(err.value) == message
+
     def test_round_trip_corpus(self):
         for name, g in CORPUS:
             assert parse_graph6(to_graph6(g)) == g, name

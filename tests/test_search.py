@@ -21,6 +21,7 @@ from bngap.search import (
     hill_climb,
     labeled_graphs,
     partitions_into_parts,
+    random_graph,
     random_k4_free,
     sweep_multipartite,
     zykov_trajectory,
@@ -137,6 +138,10 @@ class TestRandomK4Free:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             random_k4_free(5, 1.5, seed=0)
+        for density in (2.0, float("nan"), -0.5):
+            with pytest.raises(ValueError) as err:
+                random_k4_free(5, density, seed=0)
+            assert str(err.value) == f"density must lie in [0, 1], got {density}"
         with pytest.raises(ValueError):
             random_k4_free(5, 0.5, seed=0, method="nope")
 
@@ -263,6 +268,13 @@ class TestHillClimb:
             if res.best_report is not None:
                 assert not (res.found_violation and res.best_report.excluded)
                 assert not res.best_report.excluded or not res.found_violation
+
+
+def test_random_graph_rejects_density_outside_unit_interval():
+    for density in (2.0, float("nan"), -0.5):
+        with pytest.raises(ValueError) as err:
+            random_graph(5, density, np.random.default_rng(0))
+        assert str(err.value) == f"density must lie in [0, 1], got {density}"
 
 
 def test_random_graph_reports_match_direct_computation():
