@@ -99,15 +99,22 @@ def _assemble(n: int, m: int, omega: int, lam1: float, lam2: float,
     )
 
 
-def bn_report(g: Graph, source: str = "graph") -> BnReport:
-    """Full gap report for an arbitrary graph (numeric spectrum, exact omega)."""
-    if g.n < 2 or g.m < 1:
+def bn_report(g: Graph, source: str = "graph",
+              omega: int | None = None) -> BnReport:
+    """Full gap report for an arbitrary graph (numeric spectrum, exact omega).
+
+    ``omega`` is the clique number when the caller already knows it, as the
+    K4-free search does; by default it is ``clique_number(g)``.
+    """
+    m = g.m
+    if g.n < 2 or m < 1:
         raise OutOfDomainError(
-            f"graph with n={g.n}, m={g.m} has clique number below 2"
+            f"graph with n={g.n}, m={m} has clique number below 2"
         )
     spec = eigenvalues(g)
-    omega = clique_number(g)
-    return _assemble(g.n, g.m, omega, spec.lambda1, spec.lambda2,
+    if omega is None:
+        omega = clique_number(g)
+    return _assemble(g.n, m, omega, spec.lambda1, spec.lambda2,
                      spec.lambda_n, source)
 
 

@@ -22,9 +22,13 @@ k-th pair of ``graph6_pairs``.  ``Graph.edge_bitset`` encodes it and
 knows the pair order.  graph6 is the edge code written as 6-bit text after a
 vertex-count header.
 
+``Graph.nth_edge(k)`` is ``edges()[k]`` read straight off the rows, so a
+uniform draw of an edge (or, on the complement, of a non-edge) costs O(n)
+bit operations and no list.
+
 Alongside the representation live the combinatorial parameters used by the
-gap reports (clique number, independence number, triangle count, the K4
-tests), the Zykov neighbourhood-replacement operation, and graph6 /
+gap reports (clique number, independence number, triangle count and test,
+the K4 tests), the Zykov neighbourhood-replacement operation, and graph6 /
 edge-list serialization.
 """
 
@@ -100,7 +104,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
+        return sum(map(int.bit_count, self.adj)) // 2
 
     def degree(self, u: int) -> int:
         return self.adj[u].bit_count()
@@ -118,6 +122,25 @@ class Graph:
             above = self.adj[u] >> (u + 1) << (u + 1)
             out.extend((u, v) for v in _bits(above))
         return out
+
+    def nth_edge(self, k: int) -> tuple[int, int]:
+        """``edges()[k]`` without building the list.
+
+        Each row's above-diagonal count is subtracted from k until k falls
+        inside a row; the k low bits of that row are then cleared and the
+        lowest remaining one is the edge.  Raises IndexError unless
+        0 <= k < m.
+        """
+        if k >= 0:
+            for u, row in enumerate(self.adj):
+                above = row >> (u + 1)
+                count = above.bit_count()
+                if k < count:
+                    for _ in range(k):
+                        above &= above - 1
+                    return u, u + (above & -above).bit_length()
+                k -= count
+        raise IndexError("edge index out of range")
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
@@ -325,6 +348,20 @@ def triangle_count(g: Graph) -> int:
         for v in _bits(above_u):
             total += (adj[u] & adj[v] & -(1 << (v + 1))).bit_count()
     return total
+
+
+def has_triangle(g: Graph) -> bool:
+    """True iff some edge uv, u < v, has a common neighbour; stops at the
+    first one found."""
+    adj = g.adj
+    for u, row in enumerate(adj):
+        above = row >> (u + 1) << (u + 1)
+        while above:
+            v = (above & -above).bit_length() - 1
+            above &= above - 1
+            if row & adj[v]:
+                return True
+    return False
 
 
 def zykov(g: Graph, u: int, v: int) -> Graph:

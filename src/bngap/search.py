@@ -23,6 +23,15 @@ n = 6, one graph at n >= 129), which bounds the engine's working memory
 whatever the family size.  Labeled chunks are slices of edge codes, with
 the clique number read off a table of vertex subsets; graph6 chunks are
 runs of consecutive records with the same n.
+
+The hill climb and the Zykov walk draw a pair uniformly with one
+``rng.integers(count)`` and read it off the rows with ``Graph.nth_edge``
+(of the graph for a deletion, of its complement otherwise), so a draw costs
+O(n) bit operations and builds no pair list.  Every K4-constrained search
+state is K4-free, so its clique number comes from ``has_triangle`` and each
+hill-climb iteration costs one eigensolve plus bit operations; the Zykov walk
+keeps its exact ``clique_number`` per step, the value its monotonicity check
+reads.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ from .graphs import (
     clique_number,
     closes_k4,
     graph6_pairs,
+    has_triangle,
     parse_graph6,
     zykov,
 )
@@ -398,10 +408,11 @@ def zykov_trajectory(g: Graph, steps: int, seed: int) -> TrajectoryResult:
     result = TrajectoryResult(lam1, omega, g.m, [], g, [])
     current = g
     for step in range(1, steps + 1):
-        pairs = current.complement().edges()
-        if not pairs:
+        non_edges = current.complement()
+        count = non_edges.m
+        if count == 0:
             break
-        u, v = pairs[int(rng.integers(len(pairs)))]
+        u, v = non_edges.nth_edge(int(rng.integers(count)))
         if perron[u] > perron[v]:
             u, v = v, u  # keep the neighbourhood of the heavier endpoint
         current = zykov(current, u, v)
@@ -457,7 +468,9 @@ class HillClimbResult:
 def _objective(cfg: SearchConfig, g: Graph) -> tuple[float, BnReport | None]:
     if g.m < 1:
         return float("-inf"), None
-    report = bn_report(g, source=f"search:seed={cfg.seed}")
+    # A K4-constrained state is K4-free (see ``_run_restart``): omega is 3 or 2.
+    omega = (3 if has_triangle(g) else 2) if cfg.k4_constrained else None
+    report = bn_report(g, source=f"search:seed={cfg.seed}", omega=omega)
     if cfg.objective == "lambda1":
         return report.lambda1, report
     if report.excluded:
@@ -490,6 +503,9 @@ _MOVE_P = np.full(3, 1 / 3)
 
 def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOutcome:
     rng = np.random.default_rng(np.random.PCG64(child))
+    # Under k4_constrained the start is tripartite, an addition that closes
+    # a K4 is skipped, and neither a deletion nor a Zykov replacement can
+    # raise the clique number: every state is K4-free.
     if cfg.k4_constrained:
         current = _random_k4_free_rng(cfg.n, cfg.init_density, rng,
                                       "tripartite_subgraph")
@@ -511,10 +527,11 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOu
         out.iterations += 1
         move = int(rng.choice(3, p=_MOVE_P))
         # Move 1 deletes an edge; moves 0 and 2 act on a non-adjacent pair.
-        pairs = current.edges() if move == 1 else current.complement().edges()
-        if not pairs:
+        pool = current if move == 1 else current.complement()
+        count = pool.m
+        if count == 0:
             continue
-        u, v = pairs[int(rng.integers(len(pairs)))]
+        u, v = pool.nth_edge(int(rng.integers(count)))
         if move == 0:
             if cfg.k4_constrained and closes_k4(current, u, v):
                 continue

@@ -161,6 +161,20 @@ class TestZykov:
         lam = [records[0]["lambda1"]] + [r["lambda1"] for r in records[1:-1]]
         assert all(b >= a - 1e-9 for a, b in zip(lam, lam[1:]))
 
+    # Seeded walks on C5 and on a fixed 20-vertex graph (78 edges, omega 5):
+    # the pair drawn at each step, and so every byte, is fixed.
+    @pytest.mark.parametrize("argv, stdin, digest", [
+        (("--edges", "-", "--steps", "50", "--seed", "1"), C5_EDGES,
+         "34cacff6de829039aea608f30bb9a4d59cb47a9f2631012eea911bfd07967a05"),
+        (("--graph6", "-", "--steps", "100", "--seed", "4"),
+         "S_yN[YhdCCIXSXTSCBPatyN_[E?iPFYKg\n",
+         "061730bce601ff6ca5f29f9abf93d5c16e924dc45c23bfff40f627c81741abba"),
+    ])
+    def test_golden_bytes(self, argv, stdin, digest):
+        code, out, _ = run_cli("zykov", *argv, stdin=stdin)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestStability:
     def test_csv_shape(self):

@@ -12,6 +12,7 @@ from bngap.graphs import (
     clique_number,
     complete_multipartite,
     from_edge_list,
+    has_triangle,
     independence_number,
     is_k4_free,
     parse_edge_list_text,
@@ -164,6 +165,46 @@ class TestParameters:
         )
         assert brute == 8
         assert triangle_count(g) == 8
+
+    def test_has_triangle_matches_count(self):
+        k33 = complete_multipartite(PartSizes((3, 3)))
+        assert has_triangle(complete_multipartite(PartSizes((1, 1, 1))))
+        assert not has_triangle(cycle_graph(5))
+        assert not has_triangle(k33)
+        assert has_triangle(k33.with_edge(0, 1))
+        rng = np.random.default_rng(11)
+        cases = [random_graph(int(rng.integers(1, 25)), float(rng.random()), rng)
+                 for _ in range(500)]
+        # T(30,3) thinned until triangles become rare, then gone.
+        t30 = turan_graph(30, 3)
+        for keep in (1.0, 0.5, 0.2, 0.1, 0.05, 0.0):
+            g = t30
+            for u, v in t30.edges():
+                if rng.random() >= keep:
+                    g = g.without_edge(u, v)
+            cases.append(g)
+        # A path whose only triangle closes on the last three vertices.
+        for n in range(3, 13):
+            path = [(i, i + 1) for i in range(n - 1)]
+            cases.append(from_edge_list(n, path + [(n - 3, n - 1)]))
+        for g in cases:
+            assert has_triangle(g) == (triangle_count(g) > 0)
+        assert {has_triangle(g) for g in cases} == {True, False}
+
+
+class TestNthEdge:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_matches_edges_list(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.0, float(rng.random()), 1.0):
+            g = random_graph(n, density, rng)
+            # The complement's order is the order non-edges are drawn in.
+            for h in (g, g.complement()):
+                edges = h.edges()
+                assert [h.nth_edge(k) for k in range(len(edges))] == edges
+                for k in (len(edges), -1):
+                    with pytest.raises(IndexError):
+                        h.nth_edge(k)
 
 
 class TestZykov:

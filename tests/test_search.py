@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import bngap.conjecture
 import bngap.search
 from bngap.conjecture import bn_report
 from bngap.graphs import (
@@ -241,6 +242,44 @@ class TestHillClimb:
         assert res.best_report.source == "first p4" and res.best_graph == p4
         assert res.best_objective == 1.0
         assert (res.iterations, res.accepted, res.restarts_run) == (5, 4, 5)
+
+    @pytest.mark.parametrize("objective", ["bn_gap_negated", "lambda1"])
+    @pytest.mark.parametrize("n", [8, 15, 30])
+    def test_k4_constrained_omega_is_exact(self, monkeypatch, n, objective):
+        # The triangle test stands in for clique_number on every state.
+        omegas = []
+
+        def checked(g, source="graph", omega=None):
+            assert omega == clique_number(g)
+            omegas.append(omega)
+            return bn_report(g, source, omega)
+
+        monkeypatch.setattr(bngap.search, "bn_report", checked)
+        # A sparse start passes through triangle-free states, a denser one
+        # through states with triangles.
+        for density in (0.05, 0.5):
+            hill_climb(SearchConfig(seed=n, n=n, max_iters=300, restarts=2,
+                                    objective=objective, init_density=density))
+        assert set(omegas) == {2, 3}
+
+    def test_free_search_computes_omega(self, monkeypatch):
+        passed, computed = [], []
+        real_clique_number = bngap.conjecture.clique_number
+
+        def counted(g):
+            computed.append(g)
+            return real_clique_number(g)
+
+        def checked(g, source="graph", omega=None):
+            passed.append(omega)
+            return bn_report(g, source, omega)
+
+        monkeypatch.setattr(bngap.conjecture, "clique_number", counted)
+        monkeypatch.setattr(bngap.search, "bn_report", checked)
+        hill_climb(SearchConfig(seed=4, n=12, max_iters=200, restarts=2,
+                                k4_constrained=False))
+        assert passed and set(passed) == {None}
+        assert len(computed) == len(passed)
 
     def test_lambda1_objective(self):
         res = hill_climb(SearchConfig(seed=2, n=6, max_iters=200, restarts=2,
