@@ -21,6 +21,7 @@ from .spectra import Spectrum, eigenvalues, trace_check, weyl_check
 from .multipartite import (
     SecularSpectrum,
     ZeroBasisVector,
+    batched_secular_roots,
     multipartite_spectrum,
     quotient_eigenvector,
     secular_roots,

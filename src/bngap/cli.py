@@ -208,7 +208,7 @@ def _cmd_report(run: _Run) -> int:
             run.emit(dumps({"status": "out-of-domain", "n": g.n, "m": g.m,
                             "source": tag, "detail": str(exc)}))
             continue
-        run.emit(dumps(report.to_dict()))
+        run.emit(report.to_json())
         run.check(report, tag)
     _status(f"report: {run.violations} violations / {len(graphs)} graphs")
     return run.finish()
@@ -219,7 +219,7 @@ def _cmd_sweep(run: _Run) -> int:
     summary = SweepSummary()
     for report in sweep_multipartite(args.n_max, args.r_max):
         summary.add(report)
-        run.emit(dumps(report.to_dict()))
+        run.emit(report.to_json())
         run.check(report, report.source)
     _status(
         f"sweep n<={args.n_max} r<={args.r_max}: {summary.violations} violations"
@@ -245,7 +245,7 @@ def _cmd_exhaustive(run: _Run) -> int:
             _status(f"malformed graph6 at line {lineno}: {message}")
         malformed += len(res.malformed)
         for report in res.violations:
-            run.emit(dumps(report.to_dict()))
+            run.emit(report.to_json())
             run.check(report, report.source)
         total.merge(res.summary)
     run.emit(dumps({"summary": total.as_dict(), "malformed": malformed}))

@@ -25,11 +25,11 @@ from .graphs import (
     independence_number,
     is_k4_free,
 )
-from .multipartite import multipartite_edge_count, multipartite_spectrum
+from .jsonutil import dumps, json_float
+from .multipartite import multipartite_edge_count, secular_roots
 from .spectra import eigenvalues
 
 GAP_TOL = 1e-9
-EQ_TOL = 1e-9
 
 
 class OutOfDomainError(ValueError):
@@ -74,17 +74,36 @@ class BnReport:
             "source": self.source,
         }
 
+    def to_json(self) -> str:
+        """``dumps(self.to_dict())``, written directly in the same key order."""
+        return (
+            f'{{"n": {self.n}, "m": {self.m}, "omega": {self.omega}, '
+            f'"lambda1": {json_float(self.lambda1)}, '
+            f'"lambda2": {json_float(self.lambda2)}, '
+            f'"lambda_n": {json_float(self.lambda_n)}, '
+            f'"bound": {json_float(self.bound)}, "lhs": {json_float(self.lhs)}, '
+            f'"gap": {json_float(self.gap)}, '
+            f'"holds": {"true" if self.holds else "false"}, '
+            f'"equality": {"true" if self.equality else "false"}, '
+            f'"excluded": {"true" if self.excluded else "false"}, '
+            f'"source": {dumps(self.source)}}}'
+        )
+
 
 def gap_terms(n, m, omega, lam1, lam2):
     """``bound, lhs, gap, holds, equality, excluded`` for one graph or, as
-    numpy columns, a chunk: only Python operators are used.  ``equality`` is
-    ``|gap| <= EQ_TOL * max(1, bound)``; ``excluded`` marks complete graphs.
+    numpy columns, a chunk: only Python operators are used.  Both tests use
+    the scale ``GAP_TOL * max(1, bound)``, since the rounding error of
+    ``lhs`` grows with it: ``holds`` is ``gap >= -GAP_TOL * max(1, bound)``
+    and ``equality`` is ``|gap| <= GAP_TOL * max(1, bound)``, so equality
+    implies holds.  ``excluded`` marks complete graphs.
     """
     bound = 2.0 * (1.0 - 1.0 / omega) * m
     lhs = lam1 * lam1 + lam2 * lam2
     gap = bound - lhs
-    equality = (abs(gap) <= EQ_TOL) | (abs(gap) <= EQ_TOL * bound)
-    return bound, lhs, gap, gap >= -GAP_TOL, equality, m == n * (n - 1) // 2
+    holds = (gap >= -GAP_TOL) | (gap >= -GAP_TOL * bound)
+    equality = (abs(gap) <= GAP_TOL) | (abs(gap) <= GAP_TOL * bound)
+    return bound, lhs, gap, holds, equality, m == n * (n - 1) // 2
 
 
 def _assemble(n: int, m: int, omega: int, lam1: float, lam2: float,
@@ -118,15 +137,31 @@ def bn_report(g: Graph, source: str = "graph",
                      spec.lambda_n, source)
 
 
-def bn_report_multipartite(parts: PartSizes) -> BnReport:
-    """Gap report for a complete multipartite graph via its exact spectrum."""
-    spec = multipartite_spectrum(parts)
-    flat = spec.flatten()
-    m = multipartite_edge_count(parts)
-    source = "multipartite[" + ",".join(str(s) for s in parts.sizes) + "]"
-    report = _assemble(parts.n, m, parts.r, spec.lambda1, spec.lambda2,
-                       flat[-1], source)
-    if parts.r == 2 and report.equality and parts.sizes[0] != parts.sizes[1]:
+def bn_report_multipartite(parts: PartSizes,
+                           roots: tuple[float, ...] | None = None) -> BnReport:
+    """Gap report for a complete multipartite graph via its exact spectrum.
+
+    ``roots`` are the secular roots of ``parts`` in descending order when the
+    caller has solved them already, as the sweep does in batches; by default
+    they are ``secular_roots(parts)``.  The other eigenvalues are the poles
+    -p (p a size that occurs t >= 2 times) and, when n > r, zero.  The
+    smallest root lies above the largest pole -p_max and below every other
+    pole, so lambda_n is the least of that root, -p_max when p_max occurs
+    twice or more, and zero.
+    """
+    if roots is None:
+        roots = secular_roots(parts)
+    sizes = parts.sizes
+    n, r = parts.n, parts.r
+    lam_n = roots[-1]
+    if sizes[1] == sizes[0]:
+        lam_n = min(lam_n, float(-sizes[0]))
+    if n > r:
+        lam_n = min(lam_n, 0.0)
+    source = "multipartite[" + ",".join(map(str, sizes)) + "]"
+    report = _assemble(n, multipartite_edge_count(parts), r, roots[0],
+                       0.0 if n > r else -1.0, lam_n, source)
+    if r == 2 and report.equality and sizes[0] != sizes[1]:
         # Bipartite equality does not require balanced parts: lambda1^2 = ab
         # = m matches the bound for every complete bipartite graph.
         report = replace(

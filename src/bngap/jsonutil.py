@@ -8,6 +8,11 @@ formatting layers.
 JSON has no NaN or infinity, so ``dumps`` writes non-finite floats as
 ``null`` and its output stays strict JSON.  CSV cells keep the text
 ``NaN``, ``Infinity`` and ``-Infinity``.
+
+A string with nothing to escape (printable, no quote, no backslash) is
+copied as it is; any other is escaped character by character.
+``json_float`` is the float rule on its own, for writers that lay out a
+fixed record directly, such as ``BnReport.to_json``.
 """
 
 from __future__ import annotations
@@ -16,12 +21,20 @@ import math
 from typing import Any
 
 
+_DIGITS = ".17g"
+
+
 def format_float(x: float) -> str:
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):
         return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    return format(x, _DIGITS)
+
+
+def json_float(x: float) -> str:
+    """A float as a JSON value: 17 significant digits, or null if not finite."""
+    return format(x, _DIGITS) if math.isfinite(x) else "null"
 
 
 def dumps(obj: Any) -> str:
@@ -36,8 +49,11 @@ def dumps(obj: Any) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return format_float(obj) if math.isfinite(obj) else "null"
+        return json_float(obj)
     if isinstance(obj, str):
+        if obj.isprintable() and '"' not in obj and "\\" not in obj:
+            # Nothing to escape: printable text has no control characters.
+            return '"' + obj + '"'
         out = ['"']
         for ch in obj:
             if ch == '"':

@@ -18,11 +18,20 @@ w_k = sqrt(t_k p_k), since det(lam I - diag(-p) - w w^T) equals
 prod_k (lam + p_k) times (1 - sum_k t_k p_k / (lam + p_k)) (Golub, "Some
 modified matrix eigenvalue problems", SIAM Review 15, 1973).  One small
 dense eigensolve therefore gives all of them.
+
+``batched_secular_roots`` solves many partitions at once: it stacks the
+matrices of equal s into one (k, s, s) array and makes one batched
+``eigvalsh`` call per s.  numpy solves each matrix of a stack with the same
+LAPACK call as a single solve, so a root is the same float either way;
+``secular_roots`` is a batch of one.  The sweep solves its partitions in
+fixed-size chunks this way, and reads lambda_n off the smallest root and
+the largest pole without assembling the full spectrum (``flatten``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -47,18 +56,40 @@ def secular_value(parts: PartSizes, lam: float) -> float:
     return total
 
 
+def batched_secular_roots(
+    dists: Sequence[Sequence[tuple[int, int]]],
+) -> list[tuple[float, ...]]:
+    """The secular roots of each distinct-size list ``[(p_k, t_k), ...]``
+    (``PartSizes.distinct()``), each in descending order, in input order.
+
+    The s x s matrices sqrt(t_i p_i t_j p_j) - diag(p) of equal s are stacked
+    and solved with one ``eigvalsh`` call per s.
+    """
+    by_s: dict[int, list[int]] = {}
+    for k, dist in enumerate(dists):
+        by_s.setdefault(len(dist), []).append(k)
+    roots: list[tuple[float, ...]] = [()] * len(dists)
+    for s, members in by_s.items():
+        p = np.array([[size for size, _ in dists[k]] for k in members], dtype=float)
+        tp = np.array([[size * t for size, t in dists[k]] for k in members],
+                      dtype=float)
+        # w w^T as sqrt(t_i p_i t_j p_j): one rounding per entry and an exact
+        # diagonal, which makes the balanced and bipartite closed forms exact.
+        matrices = np.sqrt(tp[:, :, None] * tp[:, None, :])
+        diagonal = np.arange(s)
+        matrices[:, diagonal, diagonal] -= p
+        for k, row in zip(members, np.linalg.eigvalsh(matrices)[:, ::-1].tolist()):
+            roots[k] = tuple(row)
+    return roots
+
+
 def secular_roots(parts: PartSizes) -> tuple[float, ...]:
     """All s roots of the secular equation, in descending order.
 
     The first is the unique positive root; the rest interlace the distinct
     poles, one strictly between each consecutive pair.
     """
-    dist = parts.distinct()
-    tp = np.array([p * t for p, t in dist], dtype=float)
-    # w w^T as sqrt(t_i p_i t_j p_j): one rounding per entry and an exact
-    # diagonal, which makes the balanced and bipartite closed forms exact.
-    matrix = np.sqrt(np.outer(tp, tp)) - np.diag([float(p) for p, _ in dist])
-    return tuple(np.linalg.eigvalsh(matrix)[::-1].tolist())
+    return batched_secular_roots([parts.distinct()])[0]
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
@@ -61,9 +61,13 @@ from .graphs import (
     parse_graph6,
     zykov,
 )
+from .multipartite import batched_secular_roots
 from .spectra import adjacency_matrix
 
 MAX_ENUM_N = 6
+
+# Partitions per batched secular solve in ``sweep_multipartite``.
+SWEEP_CHUNK = 1024
 
 # Matrix entries per exhaustive chunk: one (B, n, n) float64 array holds at
 # most this many, B = max(1, _CHUNK_ENTRIES // n^2).
@@ -88,10 +92,18 @@ def partitions_into_parts(n: int, r_max: int) -> Iterator[tuple[int, ...]]:
 
 
 def sweep_multipartite(n_max: int, r_max: int) -> Iterator[BnReport]:
-    """One exact gap report per partition of each n <= n_max, deterministic order."""
-    for n in range(2, n_max + 1):
-        for parts in partitions_into_parts(n, r_max):
-            yield bn_report_multipartite(PartSizes(parts))
+    """One exact gap report per partition of each n <= n_max, deterministic order.
+
+    Partitions are drawn ``SWEEP_CHUNK`` at a time, across n boundaries, and
+    each chunk's secular roots come from one ``batched_secular_roots`` call,
+    so memory stays flat however many partitions the sweep covers.
+    """
+    partitions = (parts for n in range(2, n_max + 1)
+                  for parts in partitions_into_parts(n, r_max))
+    while chunk := [PartSizes(parts) for parts in islice(partitions, SWEEP_CHUNK)]:
+        roots = batched_secular_roots([parts.distinct() for parts in chunk])
+        for parts, part_roots in zip(chunk, roots):
+            yield bn_report_multipartite(parts, part_roots)
 
 
 @dataclass

@@ -10,7 +10,13 @@ import sys
 import pytest
 
 from bngap import cli
-from bngap.graphs import PartSizes, complete_multipartite, from_edge_list, to_graph6
+from bngap.graphs import (
+    PartSizes,
+    complete_multipartite,
+    from_edge_list,
+    to_graph6,
+    turan_graph,
+)
 from bngap.search import sweep_multipartite
 
 K5_LINE = to_graph6(complete_multipartite(PartSizes((1,) * 5)))
@@ -64,6 +70,15 @@ class TestReport:
     def test_malformed_graph6_is_usage_error(self):
         code, _, err = run_cli("report", "--graph6", "-", stdin="{}{}\n")
         assert code == 2 and "line 1" in err
+
+    def test_rounded_equality_case_exits_0(self):
+        # T(900, 3) meets the bound with equality; its dense lhs ~ 3.6e5
+        # rounds to gap = -1.05e-9, below the absolute 1e-9.
+        line = to_graph6(turan_graph(900, 3))
+        code, out, err = run_cli("report", "--graph6", "-", stdin=line + "\n")
+        rec = json.loads(out)
+        assert code == 0 and "VIOLATION" not in err
+        assert rec["holds"] is True and rec["equality"] is True
 
     def test_float_serialization_17_digits(self):
         code, out, _ = run_cli("report", "--edges", "-", stdin=C5_EDGES)

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bngap.conjecture import (
-    EQ_TOL,
     GAP_TOL,
     OutOfDomainError,
     bn_report,
@@ -27,7 +28,10 @@ from bngap.graphs import (
     turan_graph,
 )
 
+from bngap.search import _clique_table, _labeled_chunk
+
 from corpus import CORPUS, cycle_graph
+from test_graph_properties import graphs, no_deadline
 from test_graphs import all_partitions
 
 GOLDEN = 1 + math.sqrt(5)
@@ -84,7 +88,7 @@ def gap_cases():
     equality threshold, and one gap is NaN.  Two rows test exclusion."""
     rows = []
     for m in (0.25, 1.0, 7.0):
-        tol = EQ_TOL * max(1.0, m)
+        tol = GAP_TOL * max(1.0, m)
         for offset in (-3, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 3):
             rows.append((5, m, 2, math.sqrt(m - offset * tol), 0.0))
         rows.append((5, m, 2, math.nan, 0.0))
@@ -98,8 +102,8 @@ class TestGapTerms:
             bound, lhs, gap, holds, equality, excluded = gap_terms(
                 n, m, omega, lam1, lam2)
             assert {type(holds), type(equality), type(excluded)} == {bool}
-            assert equality == (abs(gap) <= EQ_TOL * max(1.0, bound))
-            assert holds == (gap >= -GAP_TOL)
+            assert equality == (abs(gap) <= GAP_TOL * max(1.0, bound))
+            assert holds == (gap >= -GAP_TOL * max(1.0, bound))
             assert excluded == (m == n * (n - 1) // 2)
             seen.add((bound, equality))
         # Each bound class has gaps inside and outside the threshold.
@@ -109,11 +113,51 @@ class TestGapTerms:
         rows = gap_cases()
         columns = gap_terms(*(np.array(col) for col in zip(*rows)))
         bound, gap, equality = columns[0], columns[2], columns[4]
-        assert (equality == (np.abs(gap) <= EQ_TOL * np.maximum(1.0, bound))).all()
+        assert (equality == (np.abs(gap) <= GAP_TOL * np.maximum(1.0, bound))).all()
         for k, row in enumerate(rows):
             for column, value in zip(columns, gap_terms(*row)):
                 assert column[k] == value or (math.isnan(value)
                                               and math.isnan(column[k]))
+
+    def test_recorded_turan_1500_3_holds(self):
+        # T(1500, 3) as the dense eigensolve returns it: lhs ~ 1e6 carries a
+        # rounding error of a few 1e-9, so the exact equality case has
+        # gap = -3.7e-9, below the absolute tolerance.
+        bound, _, gap, holds, equality, excluded = gap_terms(
+            1500, 750000, 3, 1000.0000000000019, 1.3965e-11)
+        assert gap < -GAP_TOL
+        assert equality and holds and not excluded
+
+    @no_deadline
+    @given(m=st.integers(1, 2_000_000), omega=st.integers(2, 40),
+           rel=st.floats(-1e-8, 1e-8))
+    def test_equality_implies_holds_near_the_bound(self, m, omega, rel):
+        bound = 2.0 * (1.0 - 1.0 / omega) * m
+        lam1, lam2 = math.sqrt(bound * (1.0 + rel)), 0.0
+        _, _, _, holds, equality, _ = gap_terms(2 * m, m, omega, lam1, lam2)
+        assert holds or not equality
+        columns = gap_terms(*(np.array([v]) for v in (2 * m, m, omega, lam1, lam2)))
+        assert (columns[3] | ~columns[4]).all()
+
+    @no_deadline
+    @given(graphs(min_n=2))
+    def test_equality_implies_holds_on_graphs(self, g):
+        if g.m >= 1:
+            r = bn_report(g)
+            assert r.holds or not r.equality
+
+    @no_deadline
+    @given(n=st.integers(2, 6), data=st.data())
+    def test_equality_implies_holds_on_exhaustive_chunks(self, n, data):
+        count = 1 << n * (n - 1) // 2
+        start = data.draw(st.integers(0, count - 1))
+        codes = np.arange(start, min(count, start + 256), dtype=np.int64)
+        adj, m, omega = _labeled_chunk(n, codes, _clique_table(n))
+        live = m >= 1
+        vals = np.linalg.eigvalsh(adj[live])
+        _, _, _, holds, equality, _ = gap_terms(
+            n, m[live], omega[live], vals[:, -1], vals[:, -2])
+        assert (holds | ~equality).all()
 
 
 class TestBnReportMultipartite:

@@ -1,12 +1,15 @@
 """Secular-equation spectra against the dense eigensolver oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from bngap.conjecture import bn_report_multipartite
 from bngap.graphs import PartSizes, complete_multipartite
 from bngap.multipartite import (
+    batched_secular_roots,
     multipartite_edge_count,
     multipartite_spectrum,
     quotient_eigenvector,
@@ -14,6 +17,7 @@ from bngap.multipartite import (
     secular_value,
     zero_eigenbasis,
 )
+from bngap.search import sweep_multipartite
 from bngap.spectra import Spectrum, adjacency_matrix, eigenvalues
 
 from test_graphs import all_partitions
@@ -76,6 +80,62 @@ class TestSecularRoots:
         for ps in part_sizes_upto(12):
             for root in secular_roots(ps):
                 assert secular_value(ps, root) == pytest.approx(1.0, abs=1e-9)
+
+
+def single_solve(parts: PartSizes) -> tuple[float, ...]:
+    """The secular roots from one eigvalsh call on one matrix, descending."""
+    dist = parts.distinct()
+    tp = np.array([p * t for p, t in dist], dtype=float)
+    matrix = np.sqrt(np.outer(tp, tp)) - np.diag([float(p) for p, _ in dist])
+    return tuple(np.linalg.eigvalsh(matrix)[::-1].tolist())
+
+
+def bits(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+def sampled_partitions_of_60(count: int, seed: int = 0) -> list[PartSizes]:
+    """Partitions of 60 with at least 2 parts: parts drawn until the rest
+    is used up, each size uniform in 1..rest."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        rest, sizes = 60, []
+        while rest:
+            sizes.append(int(rng.integers(1, rest + 1)))
+            rest -= sizes[-1]
+        if len(sizes) >= 2:
+            out.append(PartSizes(tuple(sizes)))
+    return out
+
+
+# Every partition with n <= 30 and 2..8 parts, in sweep order.
+SWEEP_30_8 = [PartSizes(parts) for n in range(2, 31)
+              for parts in sorted(all_partitions(n)) if 2 <= len(parts) <= 8]
+
+
+class TestBatchedSecularRoots:
+    def test_equal_to_single_solves_bit_for_bit(self):
+        cases = SWEEP_30_8 + sampled_partitions_of_60(500)
+        assert len({len(ps.distinct()) for ps in cases}) >= 8
+        batched = batched_secular_roots([ps.distinct() for ps in cases])
+        assert len(batched) == len(cases)
+        for ps, roots in zip(cases, batched):
+            assert bits(roots) == bits(single_solve(ps)), ps.sizes
+            assert secular_roots(ps) == roots
+
+    def test_direct_lambda_n_matches_flatten(self):
+        for ps in SWEEP_30_8 + sampled_partitions_of_60(500, seed=1):
+            flat = multipartite_spectrum(ps).flatten()
+            assert bits([bn_report_multipartite(ps).lambda_n]) == bits([flat[-1]])
+
+    def test_sweep_reports_equal_single_path(self):
+        notes = 0
+        for ps, report in zip(SWEEP_30_8, sweep_multipartite(30, 8), strict=True):
+            single = dataclasses.asdict(bn_report_multipartite(ps))
+            assert dataclasses.asdict(report) == single, ps.sizes
+            notes += "note" in report.source
+        assert notes > 0
 
 
 class TestSpectrumAssembly:

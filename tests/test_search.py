@@ -1,10 +1,13 @@
 """Sweeps, exhaustive checks, seeded generators, and the hill climber."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import bngap.conjecture
 import bngap.search
+from bngap import cli
 from bngap.conjecture import bn_report
 from bngap.graphs import (
     PartSizes,
@@ -79,6 +82,36 @@ class TestSweep:
         d = summary.as_dict()
         assert d["violations"] == 0
         assert d["total"] == d["holds"] + d["excluded"]
+
+
+class TestSweepChunks:
+    def sweep_digest(self, capsys) -> str:
+        assert cli.main(["sweep", "--n-max", "20", "--r-max", "6"]) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    def test_chunk_size_keeps_the_bytes(self, monkeypatch, capsys):
+        default = self.sweep_digest(capsys)
+        for size in (1, 7, bngap.search.SWEEP_CHUNK):
+            monkeypatch.setattr(bngap.search, "SWEEP_CHUNK", size)
+            assert self.sweep_digest(capsys) == default, size
+
+    @pytest.mark.parametrize("size", [7, None])
+    def test_first_report_draws_one_chunk(self, monkeypatch, size):
+        if size is not None:
+            monkeypatch.setattr(bngap.search, "SWEEP_CHUNK", size)
+        drawn = 0
+        original = bngap.search.partitions_into_parts
+
+        def counting(n, r_max):
+            nonlocal drawn
+            for parts in original(n, r_max):
+                drawn += 1
+                yield parts
+
+        monkeypatch.setattr(bngap.search, "partitions_into_parts", counting)
+        first = next(sweep_multipartite(200, 200))
+        assert first.source == "multipartite[1,1]"
+        assert 1 <= drawn <= bngap.search.SWEEP_CHUNK
 
 
 class TestExhaustive:
