@@ -254,6 +254,39 @@ def test_golden_bytes(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# K1, C5, the edgeless 3-vertex graph, P4, K5 and K_{3,2,1}: out-of-domain,
+# holding, equality and excluded reports.
+MIXED_G6 = "@\nDhc\nB?\nCh\nD~{\nEFzw\n"
+
+
+# Every record layout the CLI writes besides the ones above: dense-check
+# records applicable and not (K4 inside, no edges, the triangle), reports
+# and spectra of a mixed stream, an exact spectrum, and a search whose
+# every start is edgeless, so it has no best report.
+@pytest.mark.parametrize("argv, stdin, digest", [
+    (("dense-check", "--edges", "-", "--density", "0.2"), C5_EDGES,
+     "592a62d9a98246f20a1467043a030d1e149780b70535f18be827752cebfe28c6"),
+    (("dense-check", "--edges", "-"), "4 6\n0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n",
+     "c9befb51f7296162e46d70ed0fb9e1f82d950281c9ca17506fed9f294a913e15"),
+    (("dense-check", "--graph6", "-", "--density", "0"),
+     "Dhc\nD~{\nB?\nBw\nCh\nEFzw\n",
+     "309da5a7c6e66d736b2860f8ecf53c5010f3f00eaceb3eceb01dd5ab7ce417cd"),
+    (("report", "--graph6", "-"), MIXED_G6,
+     "4bf50f4ac87941d73cf026e6ba5d902344bd03962fa5813f7ee5cf84d1f9d5bc"),
+    (("spectrum", "--parts", "3,2,2,1"), "",
+     "265ac1e2b4c7f850904ed15d0373d53a7f5aaa6d51ff9b1e28af29c6bb588fb4"),
+    (("spectrum", "--graph6", "-"), MIXED_G6,
+     "727285d1ee99d97039bbf97d177572e095c9d360b06277bdb2a1b66e0cf7bab1"),
+    (("search", "--n-max", "5", "--density", "0", "--restarts", "2",
+      "--steps", "0"), "",
+     "1b66bf55bc567dbbf7a297a5f8fac55824e8493b4cd05280a89a3d57eb5380ff"),
+])
+def test_record_golden_bytes(argv, stdin, digest):
+    code, out, _ = run_cli(*argv, stdin=stdin)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestDenseCheck:
     def test_c5(self):
         code, out, _ = run_cli("dense-check", "--edges", "-",
