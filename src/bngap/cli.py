@@ -23,6 +23,7 @@ import csv
 import hashlib
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from typing import Iterator
 
@@ -30,12 +31,17 @@ from . import __version__
 from .conjecture import BnReport, OutOfDomainError, bn_report
 from .graphs import Graph, Graph6Error, PartSizes, parse_edge_list_text, parse_graph6
 from .jsonutil import csv_cell, dumps
-from .multipartite import multipartite_edge_count, multipartite_spectrum
+from .multipartite import (
+    multipartite_edge_count,
+    multipartite_spectrum,
+    multipartite_tag,
+)
 from .search import (
     MAX_ENUM_N,
     SearchConfig,
     SweepSummary,
     exhaustive_check,
+    graph6_tag,
     hill_climb,
     sweep_multipartite,
     zykov_trajectory,
@@ -167,7 +173,7 @@ def _load_graphs(run: _Run) -> list[tuple[str, Graph]]:
         if not line.strip():
             continue
         try:
-            graphs.append((f"graph6:line={lineno}", parse_graph6(line)))
+            graphs.append((graph6_tag(lineno), parse_graph6(line)))
         except Graph6Error as exc:
             raise ValueError(f"line {lineno}: {exc}") from exc
     if not graphs:
@@ -181,7 +187,7 @@ def _cmd_spectrum(run: _Run) -> int:
         parts = _parse_parts(args.parts)
         spec = multipartite_spectrum(parts)
         run.emit(dumps({
-            "source": "multipartite[" + ",".join(map(str, parts.sizes)) + "]",
+            "source": multipartite_tag(parts),
             "n": parts.n,
             "m": multipartite_edge_count(parts),
             "values": list(spec.flatten()),
@@ -267,13 +273,9 @@ def _cmd_search(run: _Run) -> int:
     )
     result = hill_climb(cfg)
     run.emit(dumps({
-        "config": {
-            "seed": cfg.seed, "n": cfg.n, "max_iters": cfg.max_iters,
-            "restarts": cfg.restarts, "k4_constrained": cfg.k4_constrained,
-            "objective": cfg.objective, "init_density": cfg.init_density,
-        },
+        "config": asdict(cfg),
         "best_objective": result.best_objective,
-        "best_report": result.best_report.to_dict() if result.best_report else None,
+        "best_report": asdict(result.best_report) if result.best_report else None,
         "found_violation": result.found_violation,
         "iterations": result.iterations,
         "accepted": result.accepted,
@@ -297,9 +299,7 @@ def _cmd_zykov(run: _Run) -> int:
                     "lambda1": result.initial_lambda1,
                     "omega": result.initial_omega, "m": result.initial_m}))
     for step in result.steps:
-        run.emit(dumps({"type": "step", "step": step.step, "u": step.u,
-                        "v": step.v, "lambda1": step.lambda1,
-                        "omega": step.omega, "m": step.m}))
+        run.emit(dumps({"type": "step", **asdict(step)}))
     run.emit(dumps({"type": "summary", "steps": len(result.steps),
                     "findings": result.findings}))
     for finding in result.findings:
@@ -322,26 +322,9 @@ def _cmd_stability(run: _Run) -> int:
 def _cmd_dense_check(run: _Run) -> int:
     for tag, g in _load_graphs(run):
         report = dense_case_check(g, run.args.density, run.args.delta)
-        record = {
-            "source": tag,
-            "applicable": report.applicable,
-            "reason": report.reason,
-            "n": report.n, "m": report.m, "c": report.c,
-            "delta": report.delta,
-        }
+        record = {"source": tag} | {k: v for k, v in asdict(report).items()
+                                    if v is not None}
         if report.applicable:
-            record.update({
-                "lambda1_sq": report.lambda1_sq,
-                "case_threshold": report.case_threshold,
-                "case": report.case,
-                "triangles": report.triangles,
-                "triangle_bound": report.triangle_bound,
-                "triangle_bound_ok": report.triangle_bound_ok,
-                "lambda2_cubed": report.lambda2_cubed,
-                "lambda2_cubed_bound": report.lambda2_cubed_bound,
-                "lambda2_cubed_ok": report.lambda2_cubed_ok,
-                "bn": report.bn.to_dict(),
-            })
             run.check(report.bn, tag)
         run.emit(dumps(record))
     return run.finish()

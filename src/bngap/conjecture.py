@@ -6,7 +6,9 @@ The headline quantity for a graph with m edges and clique number w is
 
 conjectured non-negative for every graph other than a complete one.  A
 ``BnReport`` collects everything a single graph contributes: the eigenvalue
-pair, the bound, the gap, and the holds / equality / excluded flags.
+pair, the bound, the gap, and the holds / equality / excluded flags.  Its
+fields, in order, are its output record: ``dataclasses.asdict`` where it
+nests in another record, ``BnReport.to_json`` for a report line.
 
 Complete graphs violate the bound by exactly 1 and are excluded by the
 conjecture; their reports are still fully populated so the violation itself
@@ -15,7 +17,7 @@ stays under test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import sqrt
 
 from .graphs import (
@@ -26,7 +28,7 @@ from .graphs import (
     is_k4_free,
 )
 from .jsonutil import dumps, json_float
-from .multipartite import multipartite_edge_count, secular_roots
+from .multipartite import multipartite_edge_count, multipartite_tag, secular_roots
 from .spectra import eigenvalues
 
 GAP_TOL = 1e-9
@@ -57,25 +59,9 @@ class BnReport:
         """A non-excluded graph breaking the bound: the one cause of exit 1."""
         return not self.excluded and not self.holds
 
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "omega": self.omega,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambda_n": self.lambda_n,
-            "bound": self.bound,
-            "lhs": self.lhs,
-            "gap": self.gap,
-            "holds": self.holds,
-            "equality": self.equality,
-            "excluded": self.excluded,
-            "source": self.source,
-        }
-
     def to_json(self) -> str:
-        """``dumps(self.to_dict())``, written directly in the same key order."""
+        """``dumps(dataclasses.asdict(self))``, written directly: the sweep's
+        hot writer, so it lays out the fields without a generic encoder."""
         return (
             f'{{"n": {self.n}, "m": {self.m}, "omega": {self.omega}, '
             f'"lambda1": {json_float(self.lambda1)}, '
@@ -106,18 +92,6 @@ def gap_terms(n, m, omega, lam1, lam2):
     return bound, lhs, gap, holds, equality, m == n * (n - 1) // 2
 
 
-def _assemble(n: int, m: int, omega: int, lam1: float, lam2: float,
-              lam_n: float, source: str) -> BnReport:
-    bound, lhs, gap, holds, equality, excluded = gap_terms(n, m, omega, lam1, lam2)
-    return BnReport(
-        n=n, m=m, omega=omega,
-        lambda1=lam1, lambda2=lam2, lambda_n=lam_n,
-        bound=bound, lhs=lhs, gap=gap,
-        holds=holds, equality=equality, excluded=excluded,
-        source=source,
-    )
-
-
 def bn_report(g: Graph, source: str = "graph",
               omega: int | None = None) -> BnReport:
     """Full gap report for an arbitrary graph (numeric spectrum, exact omega).
@@ -133,8 +107,9 @@ def bn_report(g: Graph, source: str = "graph",
     spec = eigenvalues(g)
     if omega is None:
         omega = clique_number(g)
-    return _assemble(g.n, m, omega, spec.lambda1, spec.lambda2,
-                     spec.lambda_n, source)
+    lam1, lam2 = spec.lambda1, spec.lambda2
+    return BnReport(g.n, m, omega, lam1, lam2, spec.lambda_n,
+                    *gap_terms(g.n, m, omega, lam1, lam2), source)
 
 
 def bn_report_multipartite(parts: PartSizes,
@@ -158,16 +133,16 @@ def bn_report_multipartite(parts: PartSizes,
         lam_n = min(lam_n, float(-sizes[0]))
     if n > r:
         lam_n = min(lam_n, 0.0)
-    source = "multipartite[" + ",".join(map(str, sizes)) + "]"
-    report = _assemble(n, multipartite_edge_count(parts), r, roots[0],
-                       0.0 if n > r else -1.0, lam_n, source)
-    if r == 2 and report.equality and sizes[0] != sizes[1]:
-        # Bipartite equality does not require balanced parts: lambda1^2 = ab
-        # = m matches the bound for every complete bipartite graph.
-        report = replace(
-            report, source=source + "; note: bipartite equality holds for all a,b",
-        )
-    return report
+    m = multipartite_edge_count(parts)
+    lam1, lam2 = roots[0], 0.0 if n > r else -1.0
+    terms = gap_terms(n, m, r, lam1, lam2)
+    source = multipartite_tag(parts)
+    if r == 2 and terms[4] and sizes[0] != sizes[1]:
+        # Bipartite equality (terms[4]) does not require balanced parts:
+        # lambda1^2 = ab = m matches the bound for every complete bipartite
+        # graph.
+        source += "; note: bipartite equality holds for all a,b"
+    return BnReport(n, m, r, lam1, lam2, lam_n, *terms, source)
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,12 @@ from .graphs import PartSizes
 _POLE_GUARD = 1e-9
 
 
+def multipartite_tag(parts: PartSizes) -> str:
+    """The source tag of the reports and spectra of ``parts``:
+    ``multipartite[3,2,1]``."""
+    return "multipartite[" + ",".join(map(str, parts.sizes)) + "]"
+
+
 def multipartite_edge_count(parts: PartSizes) -> int:
     n = parts.n
     return (n * n - sum(s * s for s in parts.sizes)) // 2

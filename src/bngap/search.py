@@ -36,7 +36,7 @@ reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Union
 
@@ -144,16 +144,11 @@ class SweepSummary:
             self.argmin_source = report.source
 
     def as_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "holds": self.holds,
-            "equality": self.equality,
-            "excluded": self.excluded,
-            "violations": self.violations,
-            "out_of_domain": self.out_of_domain,
-            "min_gap": self.min_gap if self.total > self.excluded else None,
-            "argmin_source": self.argmin_source,
-        }
+        """The fields in order, ``min_gap`` None when every report was excluded."""
+        d = asdict(self)
+        if self.total == self.excluded:
+            d["min_gap"] = None
+        return d
 
 
 def _check_enum_n(n: int) -> None:
@@ -161,11 +156,21 @@ def _check_enum_n(n: int) -> None:
         raise ValueError(f"built-in enumeration capped at n <= {MAX_ENUM_N}")
 
 
+def labeled_tag(n: int, code: int) -> str:
+    """The source tag of the labeled graph on n vertices with edge code ``code``."""
+    return f"labeled:n={n}:code={code}"
+
+
+def graph6_tag(lineno: int) -> str:
+    """The source tag of the graph6 record on line ``lineno`` (from 1)."""
+    return f"graph6:line={lineno}"
+
+
 def labeled_graphs(n: int) -> Iterator[tuple[str, Graph]]:
     """All 2^C(n,2) labeled graphs on n vertices (no isomorphism reduction)."""
     _check_enum_n(n)
     for code in range(1 << n * (n - 1) // 2):
-        yield f"labeled:n={n}:code={code}", Graph.from_edge_bitset(n, code)
+        yield labeled_tag(n, code), Graph.from_edge_bitset(n, code)
 
 
 @dataclass
@@ -263,7 +268,7 @@ def exhaustive_check(source: Union[int, Iterable[str]]) -> ExhaustiveResult:
             codes = np.arange(lo, min(lo + step, total), dtype=np.int64)
             adj, m, omega = _labeled_chunk(n, codes, table)
             _check_chunk(res, adj, m, omega,
-                         lambda i: f"labeled:n={n}:code={lo + i}",
+                         lambda i: labeled_tag(n, lo + i),
                          lambda i: Graph.from_edge_bitset(n, int(lo + i)))
         return res
 
@@ -274,7 +279,7 @@ def exhaustive_check(source: Union[int, Iterable[str]]) -> ExhaustiveResult:
         _check_chunk(res, np.stack([adjacency_matrix(g) for g in graphs]),
                      np.array([g.m for g in graphs]),
                      np.array([clique_number(g) for g in graphs]),
-                     lambda i: f"graph6:line={chunk[i][0]}",
+                     lambda i: graph6_tag(chunk[i][0]),
                      lambda i: graphs[i])
         chunk.clear()
 

@@ -57,7 +57,7 @@ def eigenvalues(g: Graph) -> Spectrum:
     1e-9 relative contract for n <= 2048.
     """
     vals = np.linalg.eigvalsh(adjacency_matrix(g))
-    return Spectrum(tuple(float(x) for x in vals[::-1]), g.m)
+    return Spectrum(tuple(vals[::-1].tolist()), g.m)
 
 
 @dataclass(frozen=True)

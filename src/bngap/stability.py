@@ -182,16 +182,10 @@ def _stability_row(n: int, base: Graph, base_edges: list, k: int, sample: int,
     else:
         res = edit_distance_local(g, LOCAL_RESTARTS,
                                   seed=int(rng.integers(2 ** 63)))
-    return {
-        "n": n,
-        "k": k,
-        "sample": sample,
-        "m": g.m,
-        "lambda1_sq_over_m": lam1 * lam1 / g.m if g.m else 0.0,
-        "edits": res.edits,
-        "edits_normalized": res.normalized,
-        "method": res.method,
-    }
+    return dict(zip(STABILITY_CSV_COLUMNS, (
+        n, k, sample, g.m, lam1 * lam1 / g.m if g.m else 0.0, res.edits,
+        res.normalized, res.method,
+    )))
 
 
 def stability_experiment(n: int, deletion_grid: list[int], samples: int,
@@ -222,22 +216,25 @@ def stability_experiment(n: int, deletion_grid: list[int], samples: int,
 
 @dataclass(frozen=True)
 class DenseCaseReport:
+    """The case split of one graph; the diagnostics, from ``lambda1_sq`` on,
+    are None when the argument does not apply."""
+
     applicable: bool
     reason: str
     n: int
     m: int
     c: float
     delta: float
-    lambda1_sq: float
-    case_threshold: float    # (4/3 - delta) m
-    case: int                # 1 if lambda1^2 above the threshold, else 2
-    triangles: int
-    triangle_bound: float    # n d^2 / 12 with d = 2m/n
-    triangle_bound_ok: bool
-    lambda2_cubed: float
-    lambda2_cubed_bound: float  # 2 m^2 / n
-    lambda2_cubed_ok: bool
-    bn: BnReport | None
+    lambda1_sq: float | None = None
+    case_threshold: float | None = None  # (4/3 - delta) m
+    case: int | None = None  # 1 if lambda1^2 above the threshold, else 2
+    triangles: int | None = None
+    triangle_bound: float | None = None  # n d^2 / 12 with d = 2m/n
+    triangle_bound_ok: bool | None = None
+    lambda2_cubed: float | None = None
+    lambda2_cubed_bound: float | None = None  # 2 m^2 / n
+    lambda2_cubed_ok: bool | None = None
+    bn: BnReport | None = None
 
 
 def dense_case_check(g: Graph, c: float, delta: float = 0.05) -> DenseCaseReport:
@@ -252,8 +249,7 @@ def dense_case_check(g: Graph, c: float, delta: float = 0.05) -> DenseCaseReport
         raise ValueError(f"c and delta must be finite and non-negative,"
                          f" got c={c}, delta={delta}")
     def not_applicable(reason: str) -> DenseCaseReport:
-        return DenseCaseReport(False, reason, g.n, g.m, c, delta, 0.0, 0.0, 0,
-                               0, 0.0, False, 0.0, 0.0, False, None)
+        return DenseCaseReport(False, reason, g.n, g.m, c, delta)
 
     if not is_k4_free(g):
         return not_applicable("graph contains a K4")

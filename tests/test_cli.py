@@ -133,6 +133,16 @@ class TestExhaustive:
         rec = json.loads(out.strip().splitlines()[-1])
         assert rec["summary"]["excluded"] == 1 and rec["malformed"] == 1
 
+    def test_summary_csv_leaves_min_gap_empty_without_applicable_graphs(
+            self, tmp_path):
+        out = tmp_path / "k5.jsonl"
+        code, _, _ = run_cli("exhaustive", "--graph6", "-", "--out", str(out),
+                             stdin=K5_LINE + "\n")
+        assert code == 0
+        assert (tmp_path / "k5.jsonl.summary.csv").read_text() == (
+            "total,holds,equality,excluded,violations,out_of_domain,min_gap,"
+            "argmin_source\n1,0,0,1,0,0,,\n")
+
 
 class TestSearch:
     def test_no_violation_run(self):
@@ -261,8 +271,9 @@ MIXED_G6 = "@\nDhc\nB?\nCh\nD~{\nEFzw\n"
 
 # Every record layout the CLI writes besides the ones above: dense-check
 # records applicable and not (K4 inside, no edges, the triangle), reports
-# and spectra of a mixed stream, an exact spectrum, and a search whose
-# every start is edgeless, so it has no best report.
+# and spectra of a mixed stream, an exact spectrum, a search whose every
+# start is edgeless, so it has no best report, and exhaustive summaries with
+# and without an applicable graph.
 @pytest.mark.parametrize("argv, stdin, digest", [
     (("dense-check", "--edges", "-", "--density", "0.2"), C5_EDGES,
      "592a62d9a98246f20a1467043a030d1e149780b70535f18be827752cebfe28c6"),
@@ -280,6 +291,10 @@ MIXED_G6 = "@\nDhc\nB?\nCh\nD~{\nEFzw\n"
     (("search", "--n-max", "5", "--density", "0", "--restarts", "2",
       "--steps", "0"), "",
      "1b66bf55bc567dbbf7a297a5f8fac55824e8493b4cd05280a89a3d57eb5380ff"),
+    (("exhaustive", "--graph6", "-"), MIXED_G6,
+     "9a1597b8905db013ba28f41d6d93bd10c9d38785a2eff9e61ebbc5768e2c388a"),
+    (("exhaustive", "--graph6", "-"), "D~{\n",
+     "077f3eed49f2e40b4ab3baa93ae1aa05cb19598210dc195d97853ef1ecb837ad"),
 ])
 def test_record_golden_bytes(argv, stdin, digest):
     code, out, _ = run_cli(*argv, stdin=stdin)

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -69,11 +70,11 @@ class TestBnReport:
 
     def test_json_field_names(self):
         r = bn_report(cycle_graph(5), "C5")
-        assert list(r.to_dict()) == [
+        assert list(asdict(r)) == [
             "n", "m", "omega", "lambda1", "lambda2", "lambda_n", "bound",
             "lhs", "gap", "holds", "equality", "excluded", "source",
         ]
-        json.dumps(r.to_dict())  # serializable
+        json.dumps(asdict(r))  # serializable
 
     def test_kn_violation_arithmetic(self):
         for n in range(3, 31):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -84,4 +85,4 @@ def test_string_fast_path_matches_escape_loop_on_random_text(s):
     excluded=st.booleans(), source=SOURCES,
 ))
 def test_report_writer_matches_dumps(report):
-    assert report.to_json() == dumps(report.to_dict())
+    assert report.to_json() == dumps(asdict(report))

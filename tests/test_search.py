@@ -1,6 +1,7 @@
 """Sweeps, exhaustive checks, seeded generators, and the hill climber."""
 
 import hashlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ class TestHillClimb:
         assert a.best_graph == b.best_graph
         assert a.best_objective == b.best_objective
         assert a.iterations == b.iterations and a.accepted == b.accepted
-        assert a.best_report.to_dict() == b.best_report.to_dict()
+        assert asdict(a.best_report) == asdict(b.best_report)
 
     def test_one_rank_orders_states_and_restarts(self, monkeypatch):
         p4, c4 = path_graph(4), cycle_graph(4)

@@ -7,7 +7,13 @@ import pytest
 
 from bngap.graphs import Graph, PartSizes, complete_multipartite, triangle_count
 from bngap.search import random_graph
-from bngap.spectra import Spectrum, eigenvalues, trace_check, weyl_check
+from bngap.spectra import (
+    Spectrum,
+    adjacency_matrix,
+    eigenvalues,
+    trace_check,
+    weyl_check,
+)
 
 from corpus import CORPUS, cycle_graph
 
@@ -25,6 +31,14 @@ def test_sorted_non_increasing():
     for name, g in CORPUS:
         vals = eigenvalues(g).values
         assert all(a >= b for a, b in zip(vals, vals[1:])), name
+
+
+def test_values_are_python_floats_of_the_solver():
+    for name, g in CORPUS:
+        vals = eigenvalues(g).values
+        assert all(type(v) is float for v in vals), name
+        solved = np.linalg.eigvalsh(adjacency_matrix(g))[::-1]
+        assert [v.hex() for v in vals] == [float(x).hex() for x in solved], name
 
 
 def test_c5_spectrum_closed_form():
