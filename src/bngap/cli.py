@@ -246,10 +246,9 @@ def _cmd_exhaustive(run: _Run) -> int:
     total = SweepSummary()
     malformed = 0
     for family in families:
-        res = exhaustive_check(family)
-        for lineno, message in res.malformed:
-            _status(f"malformed graph6 at line {lineno}: {message}")
-        malformed += len(res.malformed)
+        res = exhaustive_check(family, lambda lineno, message: _status(
+            f"malformed graph6 at line {lineno}: {message}"))
+        malformed += res.malformed
         for report in res.violations:
             run.emit(report.to_json())
             run.check(report, report.source)

@@ -177,7 +177,7 @@ def labeled_graphs(n: int) -> Iterator[tuple[str, Graph]]:
 class ExhaustiveResult:
     summary: SweepSummary
     violations: list[BnReport]
-    malformed: list[tuple[int, str]]
+    malformed: int = 0  # graph6 records that did not parse
 
 
 def _chunk_size(n: int) -> int:
@@ -248,16 +248,20 @@ def _labeled_chunk(n: int, codes: np.ndarray, table: tuple[np.ndarray, np.ndarra
     return adj, bits.sum(axis=1), omega
 
 
-def exhaustive_check(source: Union[int, Iterable[str]]) -> ExhaustiveResult:
+def exhaustive_check(
+        source: Union[int, Iterable[str]],
+        on_malformed: Callable[[int, str], None] = lambda lineno, message: None,
+) -> ExhaustiveResult:
     """Run gap reports over a graph family and collect violations.
 
     ``source`` is either a vertex count (built-in labeled enumeration,
-    n <= MAX_ENUM_N) or an iterable of graph6 lines.  Malformed graph6
-    records are collected with their line numbers and the stream continues;
-    graphs the bound does not apply to (no edges) are counted and skipped.
-    The family is checked in chunks (see the module docstring).
+    n <= MAX_ENUM_N) or an iterable of graph6 lines.  Each malformed graph6
+    record is passed to ``on_malformed(lineno, message)`` when it is read
+    and counted, and the stream continues; graphs the bound does not apply
+    to (no edges) are counted and skipped.  The family is checked in chunks
+    (see the module docstring).
     """
-    res = ExhaustiveResult(SweepSummary(), [], [])
+    res = ExhaustiveResult(SweepSummary(), [])
     if isinstance(source, int):
         n = source
         _check_enum_n(n)
@@ -289,7 +293,8 @@ def exhaustive_check(source: Union[int, Iterable[str]]) -> ExhaustiveResult:
         try:
             g = parse_graph6(line)
         except Graph6Error as exc:
-            res.malformed.append((lineno, str(exc)))
+            on_malformed(lineno, str(exc))
+            res.malformed += 1
             continue
         if chunk and (chunk[0][1].n != g.n or len(chunk) == _chunk_size(g.n)):
             flush()

@@ -11,11 +11,19 @@ are members of the family at distance zero.  The exact solver enumerates
 assignments; the local-search variant scales the same cost function to
 larger graphs and can only overestimate.
 
-The local search moves the lowest vertex that has an improving move to its
-first improving part in 0, 1, 2, then rescans from vertex 0.  It keeps N[v][p],
-the neighbours of v in part p, and the part sizes (the gain bookkeeping of
-Fiduccia and Mattheyses, DAC 1982, without buckets), so each check is O(1):
-v in part p costs 2 N[v][p] - size[p] + [a_v = p] + (n - 1 - deg v).
+The local search descends from one greedy start and seeded random starts.
+A descent moves the lowest vertex that has an improving move to its first
+improving part in 0, 1, 2, then rescans from vertex 0.  The cost of v in
+part p is 2 N[p][v] - size[p] + [a_v = p] + (n - 1 - deg v), with N[p][v]
+the neighbours of v in part p (the gain bookkeeping of Fiduccia and
+Mattheyses, DAC 1982, without buckets).  All descents of a chunk of graphs
+run in lockstep on one int16 table of the first three terms, shape
+(descents, 3, n): one numpy scan per step finds every descent's move, and
+the moved vertex's adjacency row updates two rows of its table.
+``stability_experiment`` builds its rows in chunks of at most
+``_CHUNK_ENTRIES`` adjacency entries, with one batched eigensolve and one
+batched descent per chunk; ``edit_distance_local`` runs the same descent
+on a one-graph stack.
 """
 
 from __future__ import annotations
@@ -27,11 +35,14 @@ import numpy as np
 
 from .conjecture import bn_report, BnReport, OutOfDomainError
 from .graphs import Graph, is_k4_free, triangle_count, turan_graph
-from .spectra import eigenvalues
+from .spectra import adjacency_matrix
 
 EXACT_MAX_N = 12
 LOCAL_RESTARTS = 8  # edit_distance_local starts per stability row above EXACT_MAX_N
-_OTHER_PARTS = ((1, 2), (0, 2), (0, 1))  # moves out of part p, in part order
+# Matrix entries per stability chunk: the rows of one chunk stack their
+# adjacency matrices into one (B, n, n) float64 array of at most this many
+# entries, B = max(1, _CHUNK_ENTRIES // n^2) (9 rows at n = 60).
+_CHUNK_ENTRIES = 2 ** 15
 
 STABILITY_CSV_COLUMNS = (
     "n", "k", "sample", "m", "lambda1_sq_over_m", "edits", "edits_normalized",
@@ -90,102 +101,153 @@ def edit_distance_exact(g: Graph) -> EditResult:
     return EditResult(best_assignment, best_cost, best_cost / n ** 2, "exact")
 
 
-def _greedy_assignment(g: Graph) -> tuple[int, ...]:
-    """Assign vertices in index order, each to the part of least added cost."""
-    masks = [0, 0, 0]
-    assignment = []
-    assigned = 0
-    for v in range(g.n):
-        row = g.adj[v]
-        best_part, best_delta = 0, None
-        for part in range(3):
-            other = assigned & ~masks[part]
-            delta = (row & masks[part]).bit_count() \
-                + other.bit_count() - (row & other).bit_count()
-            if best_delta is None or delta < best_delta:
-                best_part, best_delta = part, delta
-        assignment.append(best_part)
-        masks[best_part] |= 1 << v
-        assigned |= 1 << v
-    return tuple(assignment)
+def _greedy_starts(adj: np.ndarray) -> np.ndarray:
+    """Per graph of the (B, n, n) stack, assign vertices in index order,
+    each to the first part of least added cost; shape (B, n).
 
-
-def _local_descent(g: Graph, neighbors: list[list[int]],
-                   assignment: list[int]) -> int:
-    """First-improvement single-vertex moves until locally optimal.
-
-    Scans v = 0, 1, ... and moves the first v with an improving part to the
-    first such part in 0, 1, 2, then scans again from v = 0.  With count[v][p]
-    the neighbours of v in part p, v in part p costs 2 count[v][p] - size[p]
-    + [a_v = p] + (n - 1 - deg v), so moving v from cur to part improves
-    exactly when 2 count[v][part] - size[part] < 2 count[v][cur] - size[cur]
-    + 1.  Returns the final cost and leaves the assignment in place.
+    With N[p][v] the neighbours of v among the assigned vertices of part p,
+    v adds 2 N[p][v] - size[p] plus a term that is the same for every part.
     """
-    masks = [0, 0, 0]
-    for v, part in enumerate(assignment):
-        masks[part] |= 1 << v
-    size = [mask.bit_count() for mask in masks]
-    count = [[(row & mask).bit_count() for mask in masks] for row in g.adj]
-    improved = True
-    while improved:
-        improved = False
-        for v, cv in enumerate(count):
-            cur = assignment[v]
-            base = 2 * cv[cur] - size[cur] + 1
-            for part in _OTHER_PARTS[cur]:
-                if 2 * cv[part] - size[part] < base:
-                    assignment[v] = part
-                    size[cur] -= 1
-                    size[part] += 1
-                    for w in neighbors[v]:
-                        count[w][cur] -= 1
-                        count[w][part] += 1
-                    improved = True
-                    break
-            if improved:
-                break
-    # Edges inside parts, plus pairs across parts that are not edges.
-    inside = sum(cv[part] for cv, part in zip(count, assignment)) // 2
-    across = (g.n * g.n - sum(s * s for s in size)) // 2
-    return inside + across - (g.m - inside)
+    b, n, _ = adj.shape
+    at = np.arange(b)
+    count = np.zeros((b, 3, n))
+    size = np.zeros((b, 3))
+    assignment = np.empty((b, n), dtype=np.int64)
+    for v in range(n):
+        part = (2 * count[:, :, v] - size).argmin(axis=1)
+        assignment[:, v] = part
+        count[at, part] += adj[:, v]
+        size[at, part] += 1
+    return assignment
+
+
+def _descend(adj: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """First-improvement single-vertex moves until locally optimal, for
+    every start of every graph at once.
+
+    ``adj`` stacks B adjacency matrices (float64, shape (B, n, n)) and
+    ``starts`` holds R assignments per graph (shape (B, R, n)); each start
+    descends in place and its final cost is returned, shape (B, R).
+
+    A descent scans v = 0, 1, ... and moves the first v with an improving
+    part to the first such part in 0, 1, 2, then scans again from v = 0.
+    With N[p][v] the neighbours of v in part p, v in part p costs
+    cost[p][v] = 2 N[p][v] - size[p] + [a_v = p], plus n - 1 - deg v
+    whatever p is, so moving v to p improves exactly when
+    cost[p][v] < cost[a_v][v].  Moving v from old to new changes
+    cost[old][w] by -s and cost[new][w] by +s, where s is +1 for a
+    neighbour w of v and -1 for any other w != v, and leaves cost[.][v]
+    as it was.
+
+    All descents step in lockstep on one (descents, 3, n) cost array: one
+    scan finds each descent's lowest improving vertex and its first
+    improving part, the moved vertex's row of a signed int8 adjacency
+    stack updates the two cost rows, and a descent with no move drops out.
+    A cost is at most N[p][v] and at least -(size[p] - [a_v = p]), so it
+    lies in [1 - n, n - 1]: int16 holds it for every n <= MAX_N = 2048,
+    and int8 would overflow from n = 129.
+    """
+    b, r, n = starts.shape
+    # inside + across - (m - inside) = (sum_v cost[a_v][v] - n + n^2) / 2 - m.
+    total = np.full((b, r), n * n - n)
+    cost = np.empty((b, r, 3, n), dtype=np.int16)
+    for p in range(3):
+        in_p = (starts == p).astype(np.float64)
+        count = in_p @ adj  # N[p]; adj is symmetric
+        total -= count.sum(axis=2).astype(np.int64)
+        cost[:, :, p] = 2 * count + in_p - in_p.sum(axis=2, keepdims=True)
+    cost = cost.reshape(b * r, 3, n)
+    total = total.reshape(b * r)
+    sign = 2 * adj.astype(np.int8) - 1  # s: +1 on an edge, -1 off it,
+    sign[:, np.arange(n), np.arange(n)] = 0  # and 0 on the diagonal
+    live = np.arange(b * r)
+    owner = live // r
+    a = starts.reshape(b * r, n).copy()
+    final = np.empty_like(a)
+    while True:
+        at = np.arange(len(live))
+        own = np.take(cost, (3 * at[:, None] + a) * n + np.arange(n))
+        better = cost < own[:, None, :]
+        movable = better[:, 0] | better[:, 1] | better[:, 2]
+        v = movable.argmax(axis=1)
+        found = movable[at, v]
+        if not found.all():
+            done = ~found
+            final[live[done]] = a[done]
+            total[live[done]] += own[done].sum(axis=1)
+            live, owner, a, cost, better, v = (
+                x[found] for x in (live, owner, a, cost, better, v))
+            if not len(live):
+                starts[...] = final.reshape(b, r, n)
+                return (total // 2).reshape(b, r)
+            at = np.arange(len(live))
+        new = better[at, :, v].argmax(axis=1)
+        old = a[at, v]
+        a[at, v] = new
+        delta = sign[owner, v]
+        cost[at, old] -= delta
+        cost[at, new] += delta
+
+
+def _local_search(adj: np.ndarray, seeds: list[int],
+                  restarts: int) -> list[EditResult]:
+    """Per graph of the (B, n, n) stack, the least (cost, assignment) over
+    the descents from one greedy start and restarts - 1 random starts drawn
+    from the graph's seed."""
+    n = adj.shape[1]
+    starts = np.empty((len(seeds), restarts, n), dtype=np.int64)
+    starts[:, 0] = _greedy_starts(adj)
+    for row, seed in zip(starts, seeds):
+        rng = np.random.default_rng(np.random.PCG64(seed))
+        for trial in range(1, restarts):
+            row[trial] = rng.integers(0, 3, size=n)
+    costs = _descend(adj, starts)
+    results = []
+    for cost_row, start_row in zip(costs.tolist(), starts.tolist()):
+        cost, assignment = min(zip(cost_row, map(tuple, start_row)))
+        results.append(EditResult(assignment, cost, cost / n ** 2,
+                                  "local_search"))
+    return results
 
 
 def edit_distance_local(g: Graph, restarts: int, seed: int) -> EditResult:
     """Best local optimum over one greedy start plus seeded random starts."""
     if restarts < 1:
         raise ValueError("need at least one restart")
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    neighbors = [list(g.neighbors(v)) for v in range(g.n)]
-    best: tuple[int, tuple[int, ...]] | None = None
-    for trial in range(restarts):
-        if trial == 0:
-            assignment = list(_greedy_assignment(g))
-        else:
-            assignment = [int(x) for x in rng.integers(0, 3, size=g.n)]
-        cost = _local_descent(g, neighbors, assignment)
-        key = (cost, tuple(assignment))
-        if best is None or key < best:
-            best = key
-    cost, assignment = best
-    return EditResult(assignment, cost, cost / g.n ** 2, "local_search")
+    return _local_search(adjacency_matrix(g)[None], [seed], restarts)[0]
 
 
-def _stability_row(n: int, base: Graph, base_edges: list, k: int, sample: int,
-                   child: np.random.SeedSequence) -> dict:
-    rng = np.random.default_rng(np.random.PCG64(child))
-    g = base
-    for idx in rng.choice(len(base_edges), size=k, replace=False):
-        g = g.without_edge(*base_edges[int(idx)])
-    lam1 = eigenvalues(g).lambda1
-    if n <= EXACT_MAX_N:
-        res = edit_distance_exact(g)
-    else:
-        res = edit_distance_local(g, LOCAL_RESTARTS,
-                                  seed=int(rng.integers(2 ** 63)))
-    return dict(zip(STABILITY_CSV_COLUMNS, (
-        n, k, sample, g.m, lam1 * lam1 / g.m if g.m else 0.0, res.edits,
-        res.normalized, res.method,
-    )))
+def _stability_chunk(n: int, base: Graph, base_edges: list,
+                     cells: list[tuple[int, int]],
+                     children: list[np.random.SeedSequence]) -> list[dict]:
+    """The rows of a run of (k, sample) cells, one seed stream each.
+
+    Each cell draws its deleted edges and then, above EXACT_MAX_N, the seed
+    of its local-search starts; lambda1 comes from one batched eigensolve
+    and the local searches from one batched descent.
+    """
+    graphs, seeds = [], []
+    for (k, _), child in zip(cells, children):
+        rng = np.random.default_rng(np.random.PCG64(child))
+        g = base
+        for idx in rng.choice(len(base_edges), size=k, replace=False):
+            g = g.without_edge(*base_edges[int(idx)])
+        graphs.append(g)
+        if n > EXACT_MAX_N:
+            seeds.append(int(rng.integers(2 ** 63)))
+    adj = np.empty((len(graphs), n, n))
+    for i, g in enumerate(graphs):
+        adj[i] = adjacency_matrix(g)
+    lam1 = np.linalg.eigvalsh(adj)[:, -1].tolist()
+    results = (_local_search(adj, seeds, LOCAL_RESTARTS) if seeds
+               else [edit_distance_exact(g) for g in graphs])
+    return [
+        dict(zip(STABILITY_CSV_COLUMNS, (
+            n, k, sample, g.m, lam * lam / g.m if g.m else 0.0, res.edits,
+            res.normalized, res.method,
+        )))
+        for (k, sample), g, lam, res in zip(cells, graphs, lam1, results)
+    ]
 
 
 def stability_experiment(n: int, deletion_grid: list[int], samples: int,
@@ -197,7 +259,8 @@ def stability_experiment(n: int, deletion_grid: list[int], samples: int,
     sits at 4/3 exactly when nothing is deleted and 3 | n) together with the
     edit distance back to the family.  Rows follow STABILITY_CSV_COLUMNS.
 
-    Each (k, sample) cell runs on its own spawned seed stream.
+    Each (k, sample) cell runs on its own spawned seed stream, so the rows
+    do not depend on how the cells are chunked.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
@@ -206,11 +269,14 @@ def stability_experiment(n: int, deletion_grid: list[int], samples: int,
     for k in deletion_grid:
         if not 0 <= k <= len(base_edges):
             raise ValueError(f"cannot delete {k} of {len(base_edges)} edges")
-    children = np.random.SeedSequence(seed).spawn(len(deletion_grid) * samples)
+    cells = [(k, sample) for k in deletion_grid for sample in range(samples)]
+    children = np.random.SeedSequence(seed).spawn(len(cells))
+    step = max(1, _CHUNK_ENTRIES // (n * n))
     return [
-        _stability_row(n, base, base_edges, k, sample, children[ki * samples + sample])
-        for ki, k in enumerate(deletion_grid)
-        for sample in range(samples)
+        row
+        for lo in range(0, len(cells), step)
+        for row in _stability_chunk(n, base, base_edges, cells[lo:lo + step],
+                                    children[lo:lo + step])
     ]
 
 

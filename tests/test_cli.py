@@ -133,6 +133,16 @@ class TestExhaustive:
         rec = json.loads(out.strip().splitlines()[-1])
         assert rec["summary"]["excluded"] == 1 and rec["malformed"] == 1
 
+    def test_malformed_diagnostics_in_line_order(self):
+        stdin = "bad \x01\n" + K5_LINE + "\n~??\n\n" + C5_LINE + "\nbad \x02\n"
+        code, out, err = run_cli("exhaustive", "--graph6", "-", stdin=stdin)
+        assert code == 0
+        lines = [line for line in err.splitlines() if "malformed" in line]
+        assert [line.split(":")[1] for line in lines] == [
+            " malformed graph6 at line 1", " malformed graph6 at line 3",
+            " malformed graph6 at line 6"]
+        assert json.loads(out.splitlines()[-1])["malformed"] == 3
+
     def test_summary_csv_leaves_min_gap_empty_without_applicable_graphs(
             self, tmp_path):
         out = tmp_path / "k5.jsonl"

@@ -5,6 +5,8 @@
 the same violation reports in the same order and the same malformed list.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -64,12 +66,15 @@ def reference(source):
 
 
 def assert_matches_reference(source):
-    res = exhaustive_check(source)
+    """The engine against ``reference``; returns the result and the
+    (lineno, message) pairs it passed to ``on_malformed``, in call order."""
+    seen = []
+    res = exhaustive_check(source, lambda *record: seen.append(record))
     summary, violations, malformed = reference(source)
     assert res.summary.as_dict() == summary.as_dict()
     assert res.violations == violations
-    assert res.malformed == malformed
-    return res
+    assert seen == malformed and res.malformed == len(malformed)
+    return res, seen
 
 
 def tighten(monkeypatch):
@@ -119,19 +124,38 @@ def test_labeled_matches_reference(n):
 
 
 def test_labeled_violations_match_reference(strict_tolerance):
-    res = assert_matches_reference(5)
+    res, _ = assert_matches_reference(5)
     assert len(res.violations) > 100
 
 
 def test_graph6_stream_matches_reference():
-    res = assert_matches_reference(atlas_stream())
-    assert [lineno for lineno, _ in res.malformed] == [22, 805]
+    res, seen = assert_matches_reference(atlas_stream())
+    assert [lineno for lineno, _ in seen] == [22, 805]
     assert res.summary.total > 1000
 
 
 def test_graph6_violations_match_reference(strict_tolerance):
-    res = assert_matches_reference(atlas_stream())
+    res, _ = assert_matches_reference(atlas_stream())
     assert len(res.violations) > 100
+
+
+def test_malformed_records_are_reported_as_read():
+    records = ["bad line \x01", to_graph6(path_graph(5)), "~??", "",
+               to_graph6(path_graph(6)), "also bad \x02"]
+    read = []
+
+    def stream():
+        for lineno, line in enumerate(records, start=1):
+            read.append(lineno)
+            yield line
+
+    reported = []
+    res = exhaustive_check(stream(), lambda lineno, message: reported.append(
+        (lineno, read[-1])))
+    # Each record is reported in line order, before the next line is read.
+    assert reported == [(1, 1), (3, 3), (6, 6)]
+    assert res.malformed == 3 and res.summary.total == 2
+    assert [f.name for f in fields(res)] == ["summary", "violations", "malformed"]
 
 
 def test_argmin_keeps_the_first_record():
@@ -141,7 +165,7 @@ def test_argmin_keeps_the_first_record():
     assert gap[lowest] < min(gap[p6], gap[p5])
     chunk = bngap.search._chunk_size(6)
     lines = [lowest, lowest] + [p6] * (2 * chunk + 3) + [lowest] + [p5] * 3 + [lowest]
-    res = assert_matches_reference(lines)
+    res, _ = assert_matches_reference(lines)
     assert res.summary.argmin_source == "graph6:line=1"
     assert res.summary.min_gap == gap[lowest]
 

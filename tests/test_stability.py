@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import bngap.stability
 from bngap.graphs import (
     Graph,
     PartSizes,
@@ -13,12 +14,12 @@ from bngap.graphs import (
     turan_graph,
 )
 from bngap.search import random_graph
-from bngap.spectra import eigenvalues, weyl_check
+from bngap.spectra import adjacency_matrix, eigenvalues, weyl_check
 from bngap.stability import (
     LOCAL_RESTARTS,
     STABILITY_CSV_COLUMNS,
-    _greedy_assignment,
-    _local_descent,
+    _descend,
+    _greedy_starts,
     dense_case_check,
     edit_distance_exact,
     edit_distance_local,
@@ -58,8 +59,29 @@ def reference_assignment_cost(g, assignment):
     return cost
 
 
+def reference_greedy_assignment(g):
+    """The reference for ``_greedy_starts``: vertices in index order, each
+    to the first part of least added cost, from bitset popcounts."""
+    masks = [0, 0, 0]
+    assignment = []
+    assigned = 0
+    for v in range(g.n):
+        row = g.adj[v]
+        best_part, best_delta = 0, None
+        for part in range(3):
+            other = assigned & ~masks[part]
+            delta = (row & masks[part]).bit_count() \
+                + other.bit_count() - (row & other).bit_count()
+            if best_delta is None or delta < best_delta:
+                best_part, best_delta = part, delta
+        assignment.append(best_part)
+        masks[best_part] |= 1 << v
+        assigned |= 1 << v
+    return assignment
+
+
 def reference_local_descent(g, assignment):
-    """The reference for ``_local_descent``: the same first-improvement order
+    """The reference for ``_descend``: the same first-improvement order
     (lowest v, first part, rescan from v = 0), with every check recomputing
     the cost of v in a part from whole-row bitset popcounts.
     """
@@ -96,18 +118,15 @@ def reference_local_descent(g, assignment):
 
 
 class RecordedAssignment(list):
-    """An assignment list that logs every write; past ``limit`` writes it
-    raises, so a descent that stops making progress fails instead of hanging."""
+    """An assignment list that logs every write, so the reference's moves
+    can be replayed."""
 
-    def __init__(self, start, limit=None):
+    def __init__(self, start):
         super().__init__(start)
         self.writes = []
-        self.limit = limit
 
     def __setitem__(self, v, part):
         self.writes.append((v, part))
-        if self.limit is not None and len(self.writes) > self.limit:
-            raise AssertionError(f"more than {self.limit} moves")
         super().__setitem__(v, part)
 
 
@@ -212,20 +231,28 @@ def _deleted_turan(n, k, rng):
 
 
 class TestGainTableDescent:
-    """The gain-table descent makes the reference's moves, in its order."""
+    """The batched descent makes the reference's moves, in its order.
+
+    Every state on the reference's path, the start included, runs as one
+    descent of a single batched call; each must end at the reference's
+    local optimum with its cost, so a different move anywhere on the path
+    shows up as a different end.
+    """
 
     def check(self, g, start):
         ref = RecordedAssignment(start)
         ref_cost = reference_local_descent(g, ref)
-        new = RecordedAssignment(start, limit=len(ref.writes))
-        neighbors = [list(g.neighbors(v)) for v in range(g.n)]
-        cost = _local_descent(g, neighbors, new)
-        assert new.writes == ref.writes
-        assert list(new) == list(ref)
-        assert cost == ref_cost
+        path = [list(start)]
+        for v, part in ref.writes:
+            path.append(list(path[-1]))
+            path[-1][v] = part
+        starts = np.array([path])
+        costs = _descend(adjacency_matrix(g)[None], starts)
+        assert costs.tolist() == [[ref_cost] * len(path)]
+        assert starts[0].tolist() == [list(ref)] * len(path)
 
     def starts(self, g, rng, randoms=2):
-        yield list(_greedy_assignment(g))
+        yield reference_greedy_assignment(g)
         for _ in range(randoms):
             yield [int(x) for x in rng.integers(0, 3, size=g.n)]
 
@@ -249,6 +276,35 @@ class TestGainTableDescent:
             for start in self.starts(g, rng, randoms=3):
                 self.check(g, start)
 
+    def test_costs_beyond_int8(self):
+        # From all-in-one-part, a vertex of degree 145 or more starts at a
+        # cost of at least 141: an int8 table would wrap.
+        rng = np.random.default_rng(np.random.PCG64(74))
+        g = random_graph(150, 0.97, rng)
+        assert max(row.bit_count() for row in g.adj) >= 145
+        self.check(g, [0] * g.n)
+        self.check(g, reference_greedy_assignment(g))
+
+    def test_graph_stack_matches_single_graphs(self):
+        rng = np.random.default_rng(np.random.PCG64(75))
+        for n in (1, 7, 31):
+            graphs = [random_graph(n, float(rng.random()), rng) for _ in range(5)]
+            adj = np.stack([adjacency_matrix(g) for g in graphs])
+            starts = rng.integers(0, 3, size=(5, 4, n))
+            singles = [starts[i:i + 1].copy() for i in range(5)]
+            costs = _descend(adj, starts)
+            for i, one in enumerate(singles):
+                assert _descend(adj[i:i + 1], one).tolist() == [costs[i].tolist()]
+                assert (one[0] == starts[i]).all()
+
+    def test_greedy_matches_reference(self):
+        rng = np.random.default_rng(np.random.PCG64(76))
+        for n in (1, 2, 9, 40):
+            graphs = [random_graph(n, float(rng.random()), rng) for _ in range(4)]
+            graphs.append(turan_graph(n, min(3, n)))
+            got = _greedy_starts(np.stack([adjacency_matrix(g) for g in graphs]))
+            assert got.tolist() == [reference_greedy_assignment(g) for g in graphs]
+
     def test_edit_distance_local_matches_reference_restarts(self):
         rng = np.random.default_rng(np.random.PCG64(73))
         for seed in range(20):
@@ -257,7 +313,7 @@ class TestGainTableDescent:
             starts = np.random.default_rng(np.random.PCG64(seed))
             best = None
             for trial in range(LOCAL_RESTARTS):
-                assignment = (list(_greedy_assignment(g)) if trial == 0 else
+                assignment = (reference_greedy_assignment(g) if trial == 0 else
                               [int(x) for x in starts.integers(0, 3, size=g.n)])
                 key = (reference_local_descent(g, assignment), tuple(assignment))
                 best = key if best is None else min(best, key)
@@ -311,6 +367,14 @@ class TestExperiment:
         for row in rows:
             if row["k"] == 0:
                 assert row["edits"] == 0
+
+    @pytest.mark.parametrize("n", [9, 15])
+    def test_rows_do_not_depend_on_the_chunk(self, monkeypatch, n):
+        args = (n, [0, 3, 20], 4, 6)
+        assert bngap.stability._CHUNK_ENTRIES // (n * n) >= 12  # one chunk
+        whole = stability_experiment(*args)
+        monkeypatch.setattr(bngap.stability, "_CHUNK_ENTRIES", 1)  # one row each
+        assert stability_experiment(*args) == whole
 
     def test_deterministic_reruns(self):
         a = stability_experiment(9, [0, 1, 3], samples=8, seed=33)
