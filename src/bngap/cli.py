@@ -246,8 +246,7 @@ def _cmd_exhaustive(run: _Run) -> int:
     total = SweepSummary()
     malformed = 0
     for family in families:
-        res = exhaustive_check(family, lambda lineno, message: _status(
-            f"malformed graph6 at line {lineno}: {message}"))
+        res = exhaustive_check(family)
         malformed += res.malformed
         for report in res.violations:
             run.emit(report.to_json())

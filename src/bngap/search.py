@@ -36,6 +36,7 @@ reads.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Union
@@ -69,8 +70,8 @@ MAX_ENUM_N = 6
 # Partitions per batched secular solve in ``sweep_multipartite``.
 SWEEP_CHUNK = 1024
 
-# Matrix entries per exhaustive chunk: one (B, n, n) float64 array holds at
-# most this many, B = max(1, _CHUNK_ENTRIES // n^2).
+# Matrix entries per exhaustive or stability chunk: one (B, n, n) float64
+# array holds at most this many, B = max(1, _CHUNK_ENTRIES // n^2).
 _CHUNK_ENTRIES = 2 ** 15
 
 
@@ -248,18 +249,24 @@ def _labeled_chunk(n: int, codes: np.ndarray, table: tuple[np.ndarray, np.ndarra
     return adj, bits.sum(axis=1), omega
 
 
+def _print_malformed(lineno: int, message: str) -> None:
+    print(f"bngap: malformed graph6 at line {lineno}: {message}",
+          file=sys.stderr)
+
+
 def exhaustive_check(
         source: Union[int, Iterable[str]],
-        on_malformed: Callable[[int, str], None] = lambda lineno, message: None,
+        on_malformed: Callable[[int, str], None] = _print_malformed,
 ) -> ExhaustiveResult:
     """Run gap reports over a graph family and collect violations.
 
     ``source`` is either a vertex count (built-in labeled enumeration,
     n <= MAX_ENUM_N) or an iterable of graph6 lines.  Each malformed graph6
-    record is passed to ``on_malformed(lineno, message)`` when it is read
-    and counted, and the stream continues; graphs the bound does not apply
-    to (no edges) are counted and skipped.  The family is checked in chunks
-    (see the module docstring).
+    record is passed to ``on_malformed(lineno, message)`` (by default
+    printed to stderr) when it is read, and counted, and the stream
+    continues; graphs the bound does not apply to (no edges) are counted
+    and skipped.  The family is checked in chunks (see the module
+    docstring).
     """
     res = ExhaustiveResult(SweepSummary(), [])
     if isinstance(source, int):

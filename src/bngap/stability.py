@@ -21,9 +21,9 @@ run in lockstep on one int16 table of the first three terms, shape
 (descents, 3, n): one numpy scan per step finds every descent's move, and
 the moved vertex's adjacency row updates two rows of its table.
 ``stability_experiment`` builds its rows in chunks of at most
-``_CHUNK_ENTRIES`` adjacency entries, with one batched eigensolve and one
-batched descent per chunk; ``edit_distance_local`` runs the same descent
-on a one-graph stack.
+``search._CHUNK_ENTRIES`` adjacency entries, with one batched eigensolve
+and one batched descent per chunk; ``edit_distance_local`` runs the same
+descent on a one-graph stack.
 """
 
 from __future__ import annotations
@@ -35,14 +35,11 @@ import numpy as np
 
 from .conjecture import bn_report, BnReport, OutOfDomainError
 from .graphs import Graph, is_k4_free, triangle_count, turan_graph
+from .search import _chunk_size
 from .spectra import adjacency_matrix
 
 EXACT_MAX_N = 12
 LOCAL_RESTARTS = 8  # edit_distance_local starts per stability row above EXACT_MAX_N
-# Matrix entries per stability chunk: the rows of one chunk stack their
-# adjacency matrices into one (B, n, n) float64 array of at most this many
-# entries, B = max(1, _CHUNK_ENTRIES // n^2) (9 rows at n = 60).
-_CHUNK_ENTRIES = 2 ** 15
 
 STABILITY_CSV_COLUMNS = (
     "n", "k", "sample", "m", "lambda1_sq_over_m", "edits", "edits_normalized",
@@ -134,59 +131,83 @@ def _descend(adj: np.ndarray, starts: np.ndarray) -> np.ndarray:
     With N[p][v] the neighbours of v in part p, v in part p costs
     cost[p][v] = 2 N[p][v] - size[p] + [a_v = p], plus n - 1 - deg v
     whatever p is, so moving v to p improves exactly when
-    cost[p][v] < cost[a_v][v].  Moving v from old to new changes
-    cost[old][w] by -s and cost[new][w] by +s, where s is +1 for a
-    neighbour w of v and -1 for any other w != v, and leaves cost[.][v]
-    as it was.
+    cost[p][v] < cost[a_v][v].
 
-    All descents step in lockstep on one (descents, 3, n) cost array: one
-    scan finds each descent's lowest improving vertex and its first
-    improving part, the moved vertex's row of a signed int8 adjacency
-    stack updates the two cost rows, and a descent with no move drops out.
-    A cost is at most N[p][v] and at least -(size[p] - [a_v = p]), so it
-    lies in [1 - n, n - 1]: int16 holds it for every n <= MAX_N = 2048,
-    and int8 would overflow from n = 129.
+    All descents step in lockstep on one (descents, 3, n) cost array (see
+    ``_step``), and a descent with no move drops out.  A cost is at most
+    N[p][v] and at least -(size[p] - [a_v = p]), so it lies in
+    [1 - n, n - 1]: int16 holds it for every n <= MAX_N = 2048, and int8
+    would overflow from n = 129.
     """
     b, r, n = starts.shape
-    # inside + across - (m - inside) = (sum_v cost[a_v][v] - n + n^2) / 2 - m.
-    total = np.full((b, r), n * n - n)
-    cost = np.empty((b, r, 3, n), dtype=np.int16)
-    for p in range(3):
-        in_p = (starts == p).astype(np.float64)
-        count = in_p @ adj  # N[p]; adj is symmetric
-        total -= count.sum(axis=2).astype(np.int64)
-        cost[:, :, p] = 2 * count + in_p - in_p.sum(axis=2, keepdims=True)
-    cost = cost.reshape(b * r, 3, n)
-    total = total.reshape(b * r)
-    sign = 2 * adj.astype(np.int8) - 1  # s: +1 on an edge, -1 off it,
-    sign[:, np.arange(n), np.arange(n)] = 0  # and 0 on the diagonal
+    cost = _cost_table(adj, starts)
+    # inside + across = (sum_v cost[a_v][v] + n^2 - n - 2m) / 2.
+    total = np.repeat(n * n - n - adj.sum(axis=(1, 2)).astype(np.int64), r)
+    sign = _move_signs(adj)
     live = np.arange(b * r)
     owner = live // r
     a = starts.reshape(b * r, n).copy()
     final = np.empty_like(a)
-    while True:
-        at = np.arange(len(live))
-        own = np.take(cost, (3 * at[:, None] + a) * n + np.arange(n))
-        better = cost < own[:, None, :]
-        movable = better[:, 0] | better[:, 1] | better[:, 2]
-        v = movable.argmax(axis=1)
-        found = movable[at, v]
+    while len(live):
+        found, _, _, own = _step(cost, a, sign, owner)
         if not found.all():
             done = ~found
             final[live[done]] = a[done]
             total[live[done]] += own[done].sum(axis=1)
-            live, owner, a, cost, better, v = (
-                x[found] for x in (live, owner, a, cost, better, v))
-            if not len(live):
-                starts[...] = final.reshape(b, r, n)
-                return (total // 2).reshape(b, r)
-            at = np.arange(len(live))
-        new = better[at, :, v].argmax(axis=1)
-        old = a[at, v]
-        a[at, v] = new
-        delta = sign[owner, v]
-        cost[at, old] -= delta
-        cost[at, new] += delta
+            live, owner, a, cost = (x[found] for x in (live, owner, a, cost))
+    starts[...] = final.reshape(b, r, n)
+    return (total // 2).reshape(b, r)
+
+
+def _cost_table(adj: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """cost[p][v] of every start, shape (B * R, 3, n), from the (B, n, n)
+    adjacency stack and the (B, R, n) starts."""
+    b, r, n = starts.shape
+    cost = np.empty((b, r, 3, n), dtype=np.int16)
+    for p in range(3):
+        in_p = (starts == p).astype(np.float64)
+        count = in_p @ adj  # N[p]; adj is symmetric
+        cost[:, :, p] = 2 * count + in_p - in_p.sum(axis=2, keepdims=True)
+    return cost.reshape(b * r, 3, n)
+
+
+def _move_signs(adj: np.ndarray) -> np.ndarray:
+    """The int8 stack s with s[w][v] = +1 on an edge, -1 off it and 0 on
+    the diagonal: moving v from old to new changes cost[old][w] by -s and
+    cost[new][w] by +s, and leaves cost[.][v] as it was."""
+    n = adj.shape[1]
+    sign = 2 * adj.astype(np.int8) - 1
+    sign[:, np.arange(n), np.arange(n)] = 0
+    return sign
+
+
+def _step(cost: np.ndarray, a: np.ndarray, sign: np.ndarray,
+          owner: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One lockstep move of every descent, in place.
+
+    Descent i, on graph ``owner[i]`` of the ``sign`` stack, moves its lowest
+    vertex with an improving part to the first such part, updating its
+    assignment ``a[i]`` and cost table ``cost[i]``.  Returns ``found`` (did
+    descent i move), the moved descents' vertices ``v`` and new parts
+    ``new``, and ``own``, each descent's cost of its own part per vertex
+    before the move.
+    """
+    n = a.shape[1]
+    at = np.arange(len(a))
+    own = np.take(cost, (3 * at[:, None] + a) * n + np.arange(n))
+    better = cost < own[:, None, :]
+    movable = better[:, 0] | better[:, 1] | better[:, 2]
+    v = movable.argmax(axis=1)
+    found = movable[at, v]
+    if not found.all():
+        at, v, owner = at[found], v[found], owner[found]
+    new = better[at, :, v].argmax(axis=1)
+    old = a[at, v]
+    a[at, v] = new
+    delta = sign[owner, v]
+    cost[at, old] -= delta
+    cost[at, new] += delta
+    return found, v, new, own
 
 
 def _local_search(adj: np.ndarray, seeds: list[int],
@@ -271,7 +292,7 @@ def stability_experiment(n: int, deletion_grid: list[int], samples: int,
             raise ValueError(f"cannot delete {k} of {len(base_edges)} edges")
     cells = [(k, sample) for k in deletion_grid for sample in range(samples)]
     children = np.random.SeedSequence(seed).spawn(len(cells))
-    step = max(1, _CHUNK_ENTRIES // (n * n))
+    step = _chunk_size(n)
     return [
         row
         for lo in range(0, len(cells), step)

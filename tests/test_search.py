@@ -142,6 +142,14 @@ class TestExhaustive:
         assert not res.violations
         assert res.malformed == 1 and seen == [4]
 
+    def test_malformed_records_go_to_stderr_by_default(self, capsys):
+        k5 = to_graph6(complete_multipartite(PartSizes((1,) * 5)))
+        res = exhaustive_check(["bad\x01", k5, "bad\x02"])
+        err = capsys.readouterr().err.splitlines()
+        assert res.malformed == 2 and len(err) == 2
+        assert err[0].startswith("bngap: malformed graph6 at line 1: ")
+        assert err[1].startswith("bngap: malformed graph6 at line 3: ")
+
     def test_stream_counts(self):
         lines = [to_graph6(g) for _, g in labeled_graphs(4)]
         res = exhaustive_check(lines)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-import bngap.stability
+import bngap.search
 from bngap.graphs import (
     Graph,
     PartSizes,
@@ -18,8 +18,11 @@ from bngap.spectra import adjacency_matrix, eigenvalues, weyl_check
 from bngap.stability import (
     LOCAL_RESTARTS,
     STABILITY_CSV_COLUMNS,
+    _cost_table,
     _descend,
     _greedy_starts,
+    _move_signs,
+    _step,
     dense_case_check,
     edit_distance_exact,
     edit_distance_local,
@@ -231,25 +234,27 @@ def _deleted_turan(n, k, rng):
 
 
 class TestGainTableDescent:
-    """The batched descent makes the reference's moves, in its order.
-
-    Every state on the reference's path, the start included, runs as one
-    descent of a single batched call; each must end at the reference's
-    local optimum with its cost, so a different move anywhere on the path
-    shows up as a different end.
-    """
+    """The batched descent makes the reference's moves, in its order."""
 
     def check(self, g, start):
         ref = RecordedAssignment(start)
         ref_cost = reference_local_descent(g, ref)
-        path = [list(start)]
+        adj = adjacency_matrix(g)[None]
+        starts = np.array([[start]])
+        # One descent stepped by hand: each step must make the reference's
+        # next move, and the step after the last must find none, so a
+        # runaway descent fails instead of hanging.
+        cost, a = _cost_table(adj, starts), starts[0].copy()
+        sign, owner = _move_signs(adj), np.zeros(1, dtype=np.intp)
         for v, part in ref.writes:
-            path.append(list(path[-1]))
-            path[-1][v] = part
-        starts = np.array([path])
-        costs = _descend(adjacency_matrix(g)[None], starts)
-        assert costs.tolist() == [[ref_cost] * len(path)]
-        assert starts[0].tolist() == [list(ref)] * len(path)
+            found, moved, new, _ = _step(cost, a, sign, owner)
+            assert (found.tolist(), moved.tolist(), new.tolist()) == (
+                [True], [v], [part])
+        assert _step(cost, a, sign, owner)[0].tolist() == [False]
+        assert a[0].tolist() == list(ref)
+        costs = _descend(adj, starts)
+        assert costs.tolist() == [[ref_cost]]
+        assert starts[0, 0].tolist() == list(ref)
 
     def starts(self, g, rng, randoms=2):
         yield reference_greedy_assignment(g)
@@ -371,9 +376,9 @@ class TestExperiment:
     @pytest.mark.parametrize("n", [9, 15])
     def test_rows_do_not_depend_on_the_chunk(self, monkeypatch, n):
         args = (n, [0, 3, 20], 4, 6)
-        assert bngap.stability._CHUNK_ENTRIES // (n * n) >= 12  # one chunk
+        assert bngap.search._CHUNK_ENTRIES // (n * n) >= 12  # one chunk
         whole = stability_experiment(*args)
-        monkeypatch.setattr(bngap.stability, "_CHUNK_ENTRIES", 1)  # one row each
+        monkeypatch.setattr(bngap.search, "_CHUNK_ENTRIES", 1)  # one row each
         assert stability_experiment(*args) == whole
 
     def test_deterministic_reruns(self):
