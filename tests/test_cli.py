@@ -251,8 +251,9 @@ class TestStability:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Seeded searches (k4free at n = 9 and 30, free at n = 12), the labeled
-# exhaustive check and a multipartite sweep: their stdout bytes are fixed.
+# Seeded searches (k4free at n = 9 and 30, free at n = 12, the lambda1
+# objective at n = 20), the labeled exhaustive check and a multipartite
+# sweep: their stdout bytes are fixed.
 @pytest.mark.parametrize("argv, digest", [
     (("search", "--n-max", "30", "--restarts", "6", "--steps", "1000",
       "--seed", "0"),
@@ -267,6 +268,9 @@ class TestStability:
      "5466934b83a8b0071d8b5e1775b3cbd13d3466e041ec230a879cfaa63e94b581"),
     (("sweep", "--n-max", "30", "--r-max", "6"),
      "6605907e38fe2a9256022327b9dc4c9d7c0c6a04c6b38a0f404312236d213cfe"),
+    (("search", "--n-max", "20", "--restarts", "3", "--steps", "400",
+      "--seed", "5", "--objective", "lambda1"),
+     "86db6076750fd3e05b1016a72abfe98e86a331cf6149a32eeee12bffef6b2230"),
 ])
 def test_golden_bytes(argv, digest):
     code, out, _ = run_cli(*argv)
