@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import sqrt
 
+import numpy as np
+
 from .graphs import (
     Graph,
     PartSizes,
@@ -29,7 +31,7 @@ from .graphs import (
 )
 from .jsonutil import dumps, json_float
 from .multipartite import multipartite_edge_count, multipartite_tag, secular_roots
-from .spectra import eigenvalues
+from .spectra import adjacency_matrix, eigenvalues
 
 GAP_TOL = 1e-9
 
@@ -53,6 +55,17 @@ class BnReport:
     equality: bool
     excluded: bool
     source: str
+
+    @classmethod
+    def from_eigenvalues(cls, vals, m: int, omega: int, source: str) -> BnReport:
+        """The report of a graph with m edges and clique number omega, read
+        off its ascending eigenvalues ``vals`` (``numpy.linalg.eigvalsh``
+        output, at least two of them): n is ``len(vals)``, lambda1, lambda2
+        and lambda_n are ``vals[-1]``, ``vals[-2]`` and ``vals[0]``."""
+        n = len(vals)
+        lam1, lam2 = float(vals[-1]), float(vals[-2])
+        return cls(n, m, omega, lam1, lam2, float(vals[0]),
+                   *gap_terms(n, m, omega, lam1, lam2), source)
 
     @property
     def violation(self) -> bool:
@@ -92,24 +105,15 @@ def gap_terms(n, m, omega, lam1, lam2):
     return bound, lhs, gap, holds, equality, m == n * (n - 1) // 2
 
 
-def bn_report(g: Graph, source: str = "graph",
-              omega: int | None = None) -> BnReport:
-    """Full gap report for an arbitrary graph (numeric spectrum, exact omega).
-
-    ``omega`` is the clique number when the caller already knows it, as the
-    K4-free search does; by default it is ``clique_number(g)``.
-    """
+def bn_report(g: Graph, source: str = "graph") -> BnReport:
+    """Full gap report for an arbitrary graph (numeric spectrum, exact omega)."""
     m = g.m
     if g.n < 2 or m < 1:
         raise OutOfDomainError(
             f"graph with n={g.n}, m={m} has clique number below 2"
         )
-    spec = eigenvalues(g)
-    if omega is None:
-        omega = clique_number(g)
-    lam1, lam2 = spec.lambda1, spec.lambda2
-    return BnReport(g.n, m, omega, lam1, lam2, spec.lambda_n,
-                    *gap_terms(g.n, m, omega, lam1, lam2), source)
+    return BnReport.from_eigenvalues(np.linalg.eigvalsh(adjacency_matrix(g)),
+                                     m, clique_number(g), source)
 
 
 def bn_report_multipartite(parts: PartSizes,

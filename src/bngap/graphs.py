@@ -22,9 +22,10 @@ k-th pair of ``graph6_pairs``.  ``Graph.edge_bitset`` encodes it and
 knows the pair order.  graph6 is the edge code written as 6-bit text after a
 vertex-count header.
 
-``Graph.nth_edge(k)`` is ``edges()[k]`` read straight off the rows, so a
-uniform draw of an edge (or, on the complement, of a non-edge) costs O(n)
-bit operations and no list.
+``Graph.nth_edge(k)`` is ``edges()[k]`` and ``Graph.nth_non_edge(k)`` is
+``complement().nth_edge(k)``, both read straight off the rows, so a uniform
+draw of an edge or of a non-edge costs O(n) bit operations, no list and no
+complement.
 
 Alongside the representation live the combinatorial parameters used by the
 gap reports (clique number, independence number, triangle count and test,
@@ -131,16 +132,27 @@ class Graph:
         lowest remaining one is the edge.  Raises IndexError unless
         0 <= k < m.
         """
+        return self._nth_pair(k, 0)
+
+    def nth_non_edge(self, k: int) -> tuple[int, int]:
+        """``complement().nth_edge(k)`` without building the complement:
+        the same walk over the rows' zero bits.  Raises IndexError unless
+        0 <= k < C(n, 2) - m.
+        """
+        return self._nth_pair(k, (1 << self.n) - 1)
+
+    def _nth_pair(self, k: int, flip: int) -> tuple[int, int]:
+        """The k-th pair (u, v), u < v, whose bit in ``row ^ flip`` is set."""
         if k >= 0:
             for u, row in enumerate(self.adj):
-                above = row >> (u + 1)
+                above = (row ^ flip) >> (u + 1)
                 count = above.bit_count()
                 if k < count:
                     for _ in range(k):
                         above &= above - 1
                     return u, u + (above & -above).bit_length()
                 k -= count
-        raise IndexError("edge index out of range")
+        raise IndexError("pair index out of range")
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2

@@ -25,18 +25,28 @@ the clique number read off a table of vertex subsets; graph6 chunks are
 runs of consecutive records with the same n.
 
 The hill climb and the Zykov walk draw a pair uniformly with one
-``rng.integers(count)`` and read it off the rows with ``Graph.nth_edge``
-(of the graph for a deletion, of its complement otherwise), so a draw costs
-O(n) bit operations and builds no pair list.  Every K4-constrained search
-state is K4-free, so its clique number comes from ``has_triangle`` and each
-hill-climb iteration costs one eigensolve plus bit operations; the Zykov walk
-keeps its exact ``clique_number`` per step, the value its monotonicity check
-reads.
+``rng.integers(count)`` and read it off the rows with ``Graph.nth_edge`` (a
+deletion) or ``Graph.nth_non_edge`` (an addition or a replacement), so a
+draw costs O(n) bit operations and builds neither a pair list nor a
+complement.  The climb draws its move with one ``rng.random()`` placed in
+``_MOVE_CDF``, the draw ``Generator.choice`` makes.  A restart carries its
+state as a graph, its float64 adjacency matrix and its edge count: a
+candidate's matrix is a copy with the move's two entries, or row and column,
+set, the same bytes ``adjacency_matrix`` would pack, so ``eigvalsh`` sees
+the same input and ``BnReport.from_eigenvalues`` builds the report from its
+output.  A replacement between vertices that already share a neighbourhood
+leaves the state as it is and is not solved again.  Every K4-constrained
+search state is K4-free, so its clique number comes from ``has_triangle``,
+and each scored candidate costs one eigensolve plus bit operations.  The
+packed edge bitset that breaks ties between equally good states is
+computed only on a tie.  The Zykov walk keeps its exact ``clique_number``
+per step, the value its monotonicity check reads.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Union
@@ -434,17 +444,19 @@ def zykov_trajectory(g: Graph, steps: int, seed: int) -> TrajectoryResult:
     rng = np.random.default_rng(np.random.PCG64(seed))
     lam1, perron = _lambda1_and_perron(g)
     omega = clique_number(g)
-    result = TrajectoryResult(lam1, omega, g.m, [], g, [])
+    m = g.m
+    result = TrajectoryResult(lam1, omega, m, [], g, [])
     current = g
+    pairs = g.n * (g.n - 1) // 2
     for step in range(1, steps + 1):
-        non_edges = current.complement()
-        count = non_edges.m
+        count = pairs - m
         if count == 0:
             break
-        u, v = non_edges.nth_edge(int(rng.integers(count)))
+        u, v = current.nth_non_edge(int(rng.integers(count)))
         if perron[u] > perron[v]:
             u, v = v, u  # keep the neighbourhood of the heavier endpoint
         current = zykov(current, u, v)
+        m = current.m
         new_lam1, perron = _lambda1_and_perron(current)
         new_omega = clique_number(current)
         if new_lam1 < lam1 - GAP_TOL:
@@ -455,8 +467,7 @@ def zykov_trajectory(g: Graph, steps: int, seed: int) -> TrajectoryResult:
             result.findings.append(
                 f"step {step}: omega increased {omega} -> {new_omega}"
             )
-        result.steps.append(TrajectoryStep(step, u, v, new_lam1, new_omega,
-                                           current.m))
+        result.steps.append(TrajectoryStep(step, u, v, new_lam1, new_omega, m))
         lam1, omega = new_lam1, new_omega
     result.final_graph = current
     return result
@@ -494,12 +505,19 @@ class HillClimbResult:
     restarts_run: int
 
 
-def _objective(cfg: SearchConfig, g: Graph) -> tuple[float, BnReport | None]:
-    if g.m < 1:
+def _objective(cfg: SearchConfig, g: Graph, a: np.ndarray,
+               m: int) -> tuple[float, BnReport | None]:
+    """The objective and report of the state g with adjacency matrix a and
+    m edges; no report when g has no edge.  The one evaluation of the climb."""
+    if m < 1:
         return float("-inf"), None
     # A K4-constrained state is K4-free (see ``_run_restart``): omega is 3 or 2.
-    omega = (3 if has_triangle(g) else 2) if cfg.k4_constrained else None
-    report = bn_report(g, source=f"search:seed={cfg.seed}", omega=omega)
+    if cfg.k4_constrained:
+        omega = 3 if has_triangle(g) else 2
+    else:
+        omega = clique_number(g)
+    report = BnReport.from_eigenvalues(np.linalg.eigvalsh(a), m, omega,
+                                       f"search:seed={cfg.seed}")
     if cfg.objective == "lambda1":
         return report.lambda1, report
     if report.excluded:
@@ -508,26 +526,49 @@ def _objective(cfg: SearchConfig, g: Graph) -> tuple[float, BnReport | None]:
     return -report.gap, report
 
 
-def _rank(obj: float, g: Graph) -> tuple[float, int]:
-    """Search states by higher objective, then smaller packed edge bitset.
-    Only a strictly higher rank replaces the best, as in ``max``."""
-    return obj, -g.edge_bitset()
+@dataclass
+class _Best:
+    """The best search state so far: higher objective, then smaller packed
+    edge bitset.  Only a strictly better state replaces it, as in ``max``.
+    ``code`` caches the best state's edge bitset; bitsets are computed only
+    when an offered objective ties the best one."""
+
+    objective: float = float("-inf")
+    graph: Graph | None = None
+    report: BnReport | None = None
+    code: int | None = None
+
+    def offer(self, obj: float, g: Graph, report: BnReport | None,
+              code: int | None = None) -> None:
+        if report is None:
+            return
+        if self.report is not None and obj <= self.objective:
+            if obj < self.objective:
+                return
+            if self.code is None:
+                self.code = self.graph.edge_bitset()
+            if code is None:
+                code = g.edge_bitset()
+            if code >= self.code:
+                return
+        self.objective, self.graph, self.report, self.code = obj, g, report, code
 
 
 @dataclass
 class _RestartOutcome:
-    best_rank: tuple[float, int] | None
-    best_graph: Graph | None
-    best_report: BnReport | None
+    best: _Best
     iterations: int
     accepted: int
 
 
 # The hill-climb moves (add an edge, delete an edge, replace a neighbourhood)
-# are equally likely.  They are drawn with ``choice(3, p=_MOVE_P)``, not
-# ``integers(3)``: the two consume the stream differently, and seeded output
-# depends on the draw.
+# are equally likely.  Seeded output depends on the draw, which is the one
+# ``rng.choice(3, p=_MOVE_P)`` makes: a single ``rng.random()`` placed with
+# ``bisect_right`` in the cumulative sums, normalised by their last entry as
+# ``Generator.choice`` does.  ``rng.integers(3)`` would consume the stream
+# differently.
 _MOVE_P = np.full(3, 1 / 3)
+_MOVE_CDF = (_MOVE_P.cumsum() / _MOVE_P.cumsum()[-1]).tolist()
 
 
 def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOutcome:
@@ -540,50 +581,63 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOu
                                       "tripartite_subgraph")
     else:
         current = random_graph(cfg.n, cfg.init_density, rng)
-    out = _RestartOutcome(None, None, None, 0, 0)
-
-    def offer(obj: float, g: Graph, report: BnReport | None) -> None:
-        if report is None:
-            return
-        rank = _rank(obj, g)
-        if out.best_rank is None or rank > out.best_rank:
-            out.best_rank, out.best_graph, out.best_report = rank, g, report
-
-    cur_obj, cur_report = _objective(cfg, current)
-    offer(cur_obj, current, cur_report)
+    # The state is carried as (graph, adjacency matrix, edge count).  A
+    # candidate's matrix is a copy of the current one with the move's
+    # entries set, the same bytes ``adjacency_matrix`` packs for it.
+    a, m = adjacency_matrix(current), current.m
+    pairs = cfg.n * (cfg.n - 1) // 2
+    out = _RestartOutcome(_Best(), 0, 0)
+    cur_obj, cur_report = _objective(cfg, current, a, m)
+    out.best.offer(cur_obj, current, cur_report)
     sideways = 0
     for _ in range(cfg.max_iters):
         out.iterations += 1
-        move = int(rng.choice(3, p=_MOVE_P))
+        move = bisect_right(_MOVE_CDF, rng.random())
         # Move 1 deletes an edge; moves 0 and 2 act on a non-adjacent pair.
-        pool = current if move == 1 else current.complement()
-        count = pool.m
+        count = m if move == 1 else pairs - m
         if count == 0:
             continue
-        u, v = pool.nth_edge(int(rng.integers(count)))
-        if move == 0:
+        k = int(rng.integers(count))
+        if move == 1:
+            u, v = current.nth_edge(k)
+            candidate, cand_m = current.without_edge(u, v), m - 1
+            b = a.copy()
+            b[u, v] = b[v, u] = 0.0
+        elif move == 0:
+            u, v = current.nth_non_edge(k)
             if cfg.k4_constrained and closes_k4(current, u, v):
                 continue
-            candidate = current.with_edge(u, v)
-        elif move == 1:
-            candidate = current.without_edge(u, v)
+            candidate, cand_m = current.with_edge(u, v), m + 1
+            b = a.copy()
+            b[u, v] = b[v, u] = 1.0
         else:
+            u, v = current.nth_non_edge(k)
             if rng.integers(2):
                 u, v = v, u
-            candidate = zykov(current, u, v)
-        cand_obj, cand_report = _objective(cfg, candidate)
+            if current.adj[u] == current.adj[v]:
+                # N(u) is N(v) already, so the candidate is the current
+                # state: scored and offered before, it is not solved again.
+                candidate, cand_m, b = current, m, a
+            else:
+                candidate = zykov(current, u, v)
+                cand_m = m - current.degree(u) + current.degree(v)
+                b = a.copy()
+                b[u] = b[:, u] = a[v]
+        if candidate is current:
+            cand_obj, cand_report = cur_obj, None
+        else:
+            cand_obj, cand_report = _objective(cfg, candidate, b, cand_m)
         if cand_obj > cur_obj:
-            current, cur_obj, cur_report = candidate, cand_obj, cand_report
-            out.accepted += 1
             sideways = 0
-            offer(cur_obj, current, cur_report)
         elif cand_obj == cur_obj and cand_obj > float("-inf"):
             if sideways >= cfg.n * cfg.n:
                 break
-            current, cur_obj, cur_report = candidate, cand_obj, cand_report
-            out.accepted += 1
             sideways += 1
-            offer(cur_obj, current, cur_report)
+        else:
+            continue
+        current, a, m, cur_obj = candidate, b, cand_m, cand_obj
+        out.accepted += 1
+        out.best.offer(cur_obj, current, cand_report)
     return out
 
 
@@ -602,13 +656,15 @@ def hill_climb(cfg: SearchConfig) -> HillClimbResult:
     outcomes = [_run_restart(cfg, child) for child in children]
     iterations = sum(out.iterations for out in outcomes)
     accepted = sum(out.accepted for out in outcomes)
-    scored = [out for out in outcomes if out.best_rank is not None]
-    if not scored:
+    best = _Best()
+    for out in outcomes:
+        best.offer(out.best.objective, out.best.graph, out.best.report,
+                   out.best.code)
+    if best.report is None:
         # Every start was out of domain (can happen only at density 0).
         return HillClimbResult(cfg, Graph._unchecked(cfg.n, (0,) * cfg.n), None,
                                float("-inf"), False, iterations, accepted,
                                len(children))
-    best = max(scored, key=lambda out: out.best_rank)
-    report = best.best_report
-    return HillClimbResult(cfg, best.best_graph, report, best.best_rank[0],
-                           report.violation, iterations, accepted, len(children))
+    return HillClimbResult(cfg, best.graph, best.report, best.objective,
+                           best.report.violation, iterations, accepted,
+                           len(children))

@@ -206,6 +206,18 @@ class TestNthEdge:
                     with pytest.raises(IndexError):
                         h.nth_edge(k)
 
+    @pytest.mark.parametrize("n", [2, 7, 30, 70])
+    def test_nth_non_edge_is_the_complements_nth_edge(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.0, float(rng.random()), 1.0):
+            g = random_graph(n, density, rng)
+            h = g.complement()
+            assert [g.nth_non_edge(k) for k in range(h.m)] == \
+                [h.nth_edge(k) for k in range(h.m)]
+            for k in (-1, h.m):
+                with pytest.raises(IndexError):
+                    g.nth_non_edge(k)
+
 
 class TestZykov:
     def test_identity_when_neighbourhoods_match(self):

@@ -1,6 +1,7 @@
 """Sweeps, exhaustive checks, seeded generators, and the hill climber."""
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +12,7 @@ import bngap.search
 from bngap import cli
 from bngap.conjecture import bn_report
 from bngap.graphs import (
+    Graph,
     PartSizes,
     clique_number,
     complete_multipartite,
@@ -18,8 +20,10 @@ from bngap.graphs import (
     to_graph6,
 )
 from bngap.search import (
+    _MOVE_CDF,
+    _MOVE_P,
     SearchConfig,
-    _rank,
+    _Best,
     _RestartOutcome,
     SweepSummary,
     exhaustive_check,
@@ -31,7 +35,7 @@ from bngap.search import (
     sweep_multipartite,
     zykov_trajectory,
 )
-from bngap.spectra import eigenvalues
+from bngap.spectra import adjacency_matrix, eigenvalues
 
 from corpus import cycle_graph, path_graph
 from test_graphs import all_partitions
@@ -268,13 +272,20 @@ class TestHillClimb:
     def test_one_rank_orders_states_and_restarts(self, monkeypatch):
         p4, c4 = path_graph(4), cycle_graph(4)
         assert p4.edge_bitset() < c4.edge_bitset()
-        assert _rank(1.0, p4) > _rank(1.0, c4) > _rank(0.5, p4)
+        best = _Best()
+        for obj, g, source in [(0.5, p4, "lower"), (1.0, c4, "c4"),
+                               (1.0, p4, "first p4"), (1.0, p4, "second p4"),
+                               (0.5, p4, "lower again")]:
+            best.offer(obj, g, bn_report(g, source))
+        assert best.report.source == "first p4" and best.objective == 1.0
 
         def outcome(obj, g, source):
-            return _RestartOutcome(_rank(obj, g), g, bn_report(g, source), 1, 1)
+            best = _Best()
+            best.offer(obj, g, bn_report(g, source))
+            return _RestartOutcome(best, 1, 1)
 
         outcomes = iter([
-            _RestartOutcome(None, None, None, 1, 0),
+            _RestartOutcome(_Best(), 1, 0),
             outcome(1.0, c4, "c4"),
             outcome(1.0, p4, "first p4"),
             outcome(1.0, p4, "second p4"),
@@ -287,18 +298,50 @@ class TestHillClimb:
         assert res.best_objective == 1.0
         assert (res.iterations, res.accepted, res.restarts_run) == (5, 4, 5)
 
+    def test_edge_bitsets_only_on_ties(self, monkeypatch):
+        p4, c4 = path_graph(4), cycle_graph(4)
+        reports = {g: bn_report(g) for g in (p4, c4)}
+        coded = []
+        real_edge_bitset = Graph.edge_bitset
+
+        def counted(g):
+            coded.append(g)
+            return real_edge_bitset(g)
+
+        monkeypatch.setattr(Graph, "edge_bitset", counted)
+        best = _Best()
+        for obj, g in [(0.5, c4), (1.0, c4), (2.0, p4)]:
+            best.offer(obj, g, reports[g])
+        assert coded == []
+        best.offer(2.0, c4, reports[c4])
+        best.offer(2.0, c4, reports[c4])
+        # The best's bitset is computed once and kept.
+        assert coded == [p4, c4, c4] and best.graph == p4
+
+    @staticmethod
+    def spy_objective(monkeypatch, check):
+        """Run ``check(cfg, g, a, m, report)`` on every evaluated state."""
+        real = bngap.search._objective
+
+        def spied(cfg, g, a, m):
+            obj, report = real(cfg, g, a, m)
+            check(cfg, g, a, m, report)
+            return obj, report
+
+        monkeypatch.setattr(bngap.search, "_objective", spied)
+
     @pytest.mark.parametrize("objective", ["bn_gap_negated", "lambda1"])
     @pytest.mark.parametrize("n", [8, 15, 30])
     def test_k4_constrained_omega_is_exact(self, monkeypatch, n, objective):
         # The triangle test stands in for clique_number on every state.
         omegas = []
 
-        def checked(g, source="graph", omega=None):
-            assert omega == clique_number(g)
-            omegas.append(omega)
-            return bn_report(g, source, omega)
+        def check(cfg, g, a, m, report):
+            if report is not None:
+                assert report.omega == clique_number(g)
+                omegas.append(report.omega)
 
-        monkeypatch.setattr(bngap.search, "bn_report", checked)
+        self.spy_objective(monkeypatch, check)
         # A sparse start passes through triangle-free states, a denser one
         # through states with triangles.
         for density in (0.05, 0.5):
@@ -307,23 +350,70 @@ class TestHillClimb:
         assert set(omegas) == {2, 3}
 
     def test_free_search_computes_omega(self, monkeypatch):
-        passed, computed = [], []
-        real_clique_number = bngap.conjecture.clique_number
+        scored, computed = [], []
+        real_clique_number = bngap.search.clique_number
 
         def counted(g):
             computed.append(g)
             return real_clique_number(g)
 
-        def checked(g, source="graph", omega=None):
-            passed.append(omega)
-            return bn_report(g, source, omega)
+        def check(cfg, g, a, m, report):
+            if report is not None:
+                scored.append(g)
+                assert report.omega == real_clique_number(g)
 
-        monkeypatch.setattr(bngap.conjecture, "clique_number", counted)
-        monkeypatch.setattr(bngap.search, "bn_report", checked)
+        monkeypatch.setattr(bngap.search, "clique_number", counted)
+        self.spy_objective(monkeypatch, check)
         hill_climb(SearchConfig(seed=4, n=12, max_iters=200, restarts=2,
                                 k4_constrained=False))
-        assert passed and set(passed) == {None}
-        assert len(computed) == len(passed)
+        assert scored and computed == scored
+
+    @pytest.mark.parametrize("objective", ["bn_gap_negated", "lambda1"])
+    @pytest.mark.parametrize("k4_constrained", [True, False])
+    @pytest.mark.parametrize("n", [8, 15, 30])
+    def test_carried_matrix_is_the_packed_one(self, monkeypatch, n,
+                                              k4_constrained, objective):
+        evaluated = []
+
+        def check(cfg, g, a, m, report):
+            packed = adjacency_matrix(g)
+            assert a.dtype == packed.dtype and a.shape == packed.shape
+            assert a.tobytes() == packed.tobytes()
+            assert m == g.m
+            evaluated.append(g)
+
+        self.spy_objective(monkeypatch, check)
+        res = hill_climb(SearchConfig(seed=n, n=n, max_iters=300, restarts=2,
+                                      k4_constrained=k4_constrained,
+                                      objective=objective))
+        assert res.accepted >= 1 and len(set(evaluated)) > res.restarts_run
+
+    def test_restart_packs_once_and_builds_no_complement(self, monkeypatch):
+        packed = []
+        real_adjacency_matrix = bngap.search.adjacency_matrix
+
+        def counted(g):
+            packed.append(g)
+            return real_adjacency_matrix(g)
+
+        def no_complement(g):
+            raise AssertionError("complement built")
+
+        monkeypatch.setattr(bngap.search, "adjacency_matrix", counted)
+        monkeypatch.setattr(Graph, "complement", no_complement)
+        for k4_constrained in (True, False):
+            packed.clear()
+            hill_climb(SearchConfig(seed=1, n=12, max_iters=300, restarts=3,
+                                    k4_constrained=k4_constrained))
+            assert len(packed) == 3
+
+    def test_move_draw_is_choice(self):
+        ours = np.random.default_rng(np.random.PCG64(2024))
+        theirs = np.random.default_rng(np.random.PCG64(2024))
+        drawn = [bisect_right(_MOVE_CDF, ours.random()) for _ in range(10 ** 5)]
+        chosen = [int(theirs.choice(3, p=_MOVE_P)) for _ in range(10 ** 5)]
+        assert drawn == chosen and set(drawn) == {0, 1, 2}
+        assert ours.random() == theirs.random()
 
     def test_lambda1_objective(self):
         res = hill_climb(SearchConfig(seed=2, n=6, max_iters=200, restarts=2,
