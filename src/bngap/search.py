@@ -48,7 +48,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
@@ -564,11 +564,12 @@ class _RestartOutcome:
 # The hill-climb moves (add an edge, delete an edge, replace a neighbourhood)
 # are equally likely.  Seeded output depends on the draw, which is the one
 # ``rng.choice(3, p=_MOVE_P)`` makes: a single ``rng.random()`` placed with
-# ``bisect_right`` in the cumulative sums, normalised by their last entry as
-# ``Generator.choice`` does.  ``rng.integers(3)`` would consume the stream
-# differently.
-_MOVE_P = np.full(3, 1 / 3)
-_MOVE_CDF = (_MOVE_P.cumsum() / _MOVE_P.cumsum()[-1]).tolist()
+# ``bisect_right`` in the running sums of ``_MOVE_P``, divided by the last
+# one, as ``Generator.choice`` computes them.  ``rng.integers(3)`` would
+# consume the stream differently.
+_MOVE_P = (1 / 3,) * 3
+_MOVE_CDF = list(accumulate(_MOVE_P))
+_MOVE_CDF = [c / _MOVE_CDF[-1] for c in _MOVE_CDF]
 
 
 def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOutcome:
