@@ -278,6 +278,15 @@ def test_golden_bytes(argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_sweep_summary_csv_golden_bytes(tmp_path):
+    out = tmp_path / "sweep.jsonl"
+    code, _, _ = run_cli("sweep", "--n-max", "30", "--r-max", "6", "--out", str(out))
+    assert code == 0
+    data = (tmp_path / "sweep.jsonl.summary.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "9e80008e48eff72ff6af9c4160aaa080c16decf778672c063a45223e5a00f47c")
+
+
 # K1, C5, the edgeless 3-vertex graph, P4, K5 and K_{3,2,1}: out-of-domain,
 # holding, equality and excluded reports.
 MIXED_G6 = "@\nDhc\nB?\nCh\nD~{\nEFzw\n"
