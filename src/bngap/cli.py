@@ -6,7 +6,8 @@ headline signal); 2 means a usage or input error, including an input or
 ``--out`` path that cannot be opened.
 
 Each run goes through one ``_Run``: it reads input line by line, writes each
-output line as it is made, counts violations and picks the exit code.
+output line as it is made (a sweep writes a chunk of lines at once), counts
+violations and picks the exit code.
 ``--out FILE`` writes the main output to ``FILE.tmp``, renames it to FILE
 once the run completes, and then writes a sibling ``FILE.manifest.json``
 recording the subcommand, flags, seeds, tool version, input digests, and
@@ -28,8 +29,15 @@ from datetime import datetime, timezone
 from typing import Iterator
 
 from . import __version__
-from .conjecture import BnReport, OutOfDomainError, bn_report
-from .graphs import Graph, Graph6Error, PartSizes, parse_edge_list_text, parse_graph6
+from .conjecture import BnReport, OutOfDomainError, bn_report, bn_report_multipartite
+from .graphs import (
+    MAX_N,
+    Graph,
+    Graph6Error,
+    PartSizes,
+    parse_edge_list_text,
+    parse_graph6,
+)
 from .jsonutil import csv_cell, dumps
 from .multipartite import (
     multipartite_edge_count,
@@ -43,7 +51,7 @@ from .search import (
     exhaustive_check,
     graph6_tag,
     hill_climb,
-    sweep_multipartite,
+    sweep_chunks,
     zykov_trajectory,
 )
 from .spectra import eigenvalues
@@ -187,7 +195,7 @@ def _cmd_spectrum(run: _Run) -> int:
         parts = _parse_parts(args.parts)
         spec = multipartite_spectrum(parts)
         run.emit(dumps({
-            "source": multipartite_tag(parts),
+            "source": multipartite_tag(parts.sizes),
             "n": parts.n,
             "m": multipartite_edge_count(parts),
             "values": list(spec.flatten()),
@@ -223,10 +231,12 @@ def _cmd_report(run: _Run) -> int:
 def _cmd_sweep(run: _Run) -> int:
     args = run.args
     summary = SweepSummary()
-    for report in sweep_multipartite(args.n_max, args.r_max):
-        summary.add(report)
-        run.emit(report.to_json())
-        run.check(report, report.source)
+    for chunk in sweep_chunks(args.n_max, args.r_max):
+        run.sink.write(chunk.lines())
+        summary.merge(chunk.summary())
+        for parts in chunk.violating_parts():
+            report = bn_report_multipartite(PartSizes(parts))
+            run.check(report, report.source)
     _status(
         f"sweep n<={args.n_max} r<={args.r_max}: {summary.violations} violations"
         f" / {summary.total} reports (equality={summary.equality},"
@@ -359,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph_input(add("report", _cmd_report, "gap report per input graph (JSONL)"))
 
     p = add("sweep", _cmd_sweep, "exact reports for all part-size partitions")
-    p.add_argument("--n-max", type=_int_at_least(2), required=True)
+    p.add_argument("--n-max", type=_int_at_least(2, MAX_N), required=True)
     p.add_argument("--r-max", type=_int_at_least(2), default=6)
 
     p = add("exhaustive", _cmd_exhaustive,

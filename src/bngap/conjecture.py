@@ -8,7 +8,9 @@ conjectured non-negative for every graph other than a complete one.  A
 ``BnReport`` collects everything a single graph contributes: the eigenvalue
 pair, the bound, the gap, and the holds / equality / excluded flags.  Its
 fields, in order, are its output record: ``dataclasses.asdict`` where it
-nests in another record, ``BnReport.to_json`` for a report line.
+nests in another record, and a report line laid out by the one template
+``REPORT_LINE``, which ``BnReport.to_json`` fills for one report and
+``report_lines`` for a chunk of reports given as numpy columns.
 
 Complete graphs violate the bound by exactly 1 and are excluded by the
 conjecture; their reports are still fully populated so the violation itself
@@ -17,8 +19,8 @@ stays under test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import sqrt
+from dataclasses import asdict, dataclass
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .graphs import (
     independence_number,
     is_k4_free,
 )
-from .jsonutil import dumps, json_float
+from .jsonutil import dumps
 from .multipartite import multipartite_edge_count, multipartite_tag, secular_roots
 from .spectra import adjacency_matrix, eigenvalues
 
@@ -73,20 +75,40 @@ class BnReport:
         return not self.excluded and not self.holds
 
     def to_json(self) -> str:
-        """``dumps(dataclasses.asdict(self))``, written directly: the sweep's
-        hot writer, so it lays out the fields without a generic encoder."""
-        return (
-            f'{{"n": {self.n}, "m": {self.m}, "omega": {self.omega}, '
-            f'"lambda1": {json_float(self.lambda1)}, '
-            f'"lambda2": {json_float(self.lambda2)}, '
-            f'"lambda_n": {json_float(self.lambda_n)}, '
-            f'"bound": {json_float(self.bound)}, "lhs": {json_float(self.lhs)}, '
-            f'"gap": {json_float(self.gap)}, '
-            f'"holds": {"true" if self.holds else "false"}, '
-            f'"equality": {"true" if self.equality else "false"}, '
-            f'"excluded": {"true" if self.excluded else "false"}, '
-            f'"source": {dumps(self.source)}}}'
-        )
+        """``dumps(dataclasses.asdict(self))``: the line ``REPORT_LINE`` lays
+        out, or, if a float is not finite (no solver output is), the
+        generic encoder's, which writes it as null."""
+        floats = (self.lambda1, self.lambda2, self.lambda_n, self.bound,
+                  self.lhs, self.gap)
+        if not all(map(isfinite, floats)):
+            return dumps(asdict(self))
+        return REPORT_LINE % (self.n, self.m, self.omega, *floats,
+                              _JSON_BOOL[self.holds], _JSON_BOOL[self.equality],
+                              _JSON_BOOL[self.excluded], dumps(self.source))
+
+
+# A report line: the fields of ``BnReport`` in order, as ``dumps`` writes
+# them.  A finite float's ``%.17g`` is ``format(x, ".17g")``, the JSON text
+# of ``json_float``.  ``BnReport.to_json`` writes one report with it and
+# ``report_lines`` a chunk of them.
+REPORT_LINE = ('{"n": %d, "m": %d, "omega": %d, "lambda1": %.17g, '
+               '"lambda2": %.17g, "lambda_n": %.17g, "bound": %.17g, '
+               '"lhs": %.17g, "gap": %.17g, "holds": %s, "equality": %s, '
+               '"excluded": %s, "source": %s}')
+_JSON_BOOL = ("false", "true")
+
+
+def report_lines(columns, sources: list[str]) -> str:
+    """The lines ``BnReport.to_json`` writes for a chunk of reports, each
+    ended by a newline.  ``columns`` are numpy columns of the fields from n
+    to excluded, in order, and ``sources`` the source tags.  Every float
+    must be finite and no tag may need a JSON escape, as in a sweep chunk."""
+    *numbers, holds, equality, excluded = (c.tolist() for c in columns)
+    flags = ([_JSON_BOOL[b] for b in flag] for flag in (holds, equality, excluded))
+    quoted = ['"' + tag + '"' for tag in sources]
+    lines = [REPORT_LINE % row for row in zip(*numbers, *flags, quoted)]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def gap_terms(n, m, omega, lam1, lam2):
@@ -116,20 +138,22 @@ def bn_report(g: Graph, source: str = "graph") -> BnReport:
                                      m, clique_number(g), source)
 
 
-def bn_report_multipartite(parts: PartSizes,
-                           roots: tuple[float, ...] | None = None) -> BnReport:
+# Appended to the source of an unbalanced complete bipartite report with
+# equality: lambda1^2 = ab = m matches the bound for every a and b.
+BIPARTITE_NOTE = "; note: bipartite equality holds for all a,b"
+
+
+def bn_report_multipartite(parts: PartSizes) -> BnReport:
     """Gap report for a complete multipartite graph via its exact spectrum.
 
-    ``roots`` are the secular roots of ``parts`` in descending order when the
-    caller has solved them already, as the sweep does in batches; by default
-    they are ``secular_roots(parts)``.  The other eigenvalues are the poles
-    -p (p a size that occurs t >= 2 times) and, when n > r, zero.  The
-    smallest root lies above the largest pole -p_max and below every other
-    pole, so lambda_n is the least of that root, -p_max when p_max occurs
-    twice or more, and zero.
+    The eigenvalues are the secular roots, the poles -p (p a size that
+    occurs t >= 2 times) and, when n > r, zero.  The smallest root lies
+    above the largest pole -p_max and below every other pole, so lambda_n is
+    the least of that root, -p_max when p_max occurs twice or more, and
+    zero.  The sweep builds the same reports a chunk at a time as columns
+    (``search.sweep_chunks``).
     """
-    if roots is None:
-        roots = secular_roots(parts)
+    roots = secular_roots(parts)
     sizes = parts.sizes
     n, r = parts.n, parts.r
     lam_n = roots[-1]
@@ -140,12 +164,9 @@ def bn_report_multipartite(parts: PartSizes,
     m = multipartite_edge_count(parts)
     lam1, lam2 = roots[0], 0.0 if n > r else -1.0
     terms = gap_terms(n, m, r, lam1, lam2)
-    source = multipartite_tag(parts)
+    source = multipartite_tag(sizes)
     if r == 2 and terms[4] and sizes[0] != sizes[1]:
-        # Bipartite equality (terms[4]) does not require balanced parts:
-        # lambda1^2 = ab = m matches the bound for every complete bipartite
-        # graph.
-        source += "; note: bipartite equality holds for all a,b"
+        source += BIPARTITE_NOTE
     return BnReport(n, m, r, lam1, lam2, lam_n, *terms, source)
 
 

@@ -11,8 +11,9 @@ JSON has no NaN or infinity, so ``dumps`` writes non-finite floats as
 
 A string with nothing to escape (printable, no quote, no backslash) is
 copied as it is; any other is escaped character by character.
-``json_float`` is the float rule on its own, for writers that lay out a
-fixed record directly, such as ``BnReport.to_json``.
+``json_float`` is the float rule on its own.  ``conjecture.REPORT_LINE``
+lays out the report record directly, writing each finite float with
+``%.17g``, the same text.
 """
 
 from __future__ import annotations

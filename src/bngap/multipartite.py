@@ -24,8 +24,11 @@ matrices of equal s into one (k, s, s) array and makes one batched
 ``eigvalsh`` call per s.  numpy solves each matrix of a stack with the same
 LAPACK call as a single solve, so a root is the same float either way;
 ``secular_roots`` is a batch of one.  The sweep solves its partitions in
-fixed-size chunks this way, and reads lambda_n off the smallest root and
-the largest pole without assembling the full spectrum (``flatten``).
+fixed-size chunks with ``secular_root_range``, which takes a chunk as one
+zero-padded array of part sizes, finds the distinct sizes with numpy and
+returns only the largest and the smallest root of each partition: lambda1,
+and with the largest pole lambda_n, without assembling the full spectrum
+(``flatten``).
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from .graphs import PartSizes
 _POLE_GUARD = 1e-9
 
 
-def multipartite_tag(parts: PartSizes) -> str:
-    """The source tag of the reports and spectra of ``parts``:
-    ``multipartite[3,2,1]``."""
-    return "multipartite[" + ",".join(map(str, parts.sizes)) + "]"
+def multipartite_tag(sizes: Sequence[int]) -> str:
+    """The source tag of the reports and spectra of the part sizes ``sizes``
+    (descending): ``multipartite[3,2,1]``."""
+    return "multipartite[" + ",".join(map(str, sizes)) + "]"
 
 
 def multipartite_edge_count(parts: PartSizes) -> int:
@@ -62,31 +65,71 @@ def secular_value(parts: PartSizes, lam: float) -> float:
     return total
 
 
+def _secular_eigenvalues(p: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """The ascending secular roots of each row of the (k, s) float arrays
+    ``p`` (distinct sizes p_i) and ``tp`` (t_i p_i): one ``eigvalsh`` call
+    on the stacked s x s matrices sqrt(t_i p_i t_j p_j) - diag(p)."""
+    # w w^T as sqrt(t_i p_i t_j p_j): one rounding per entry and an exact
+    # diagonal, which makes the balanced and bipartite closed forms exact.
+    matrices = np.sqrt(tp[:, :, None] * tp[:, None, :])
+    diagonal = np.arange(p.shape[1])
+    matrices[:, diagonal, diagonal] -= p
+    return np.linalg.eigvalsh(matrices)
+
+
 def batched_secular_roots(
     dists: Sequence[Sequence[tuple[int, int]]],
 ) -> list[tuple[float, ...]]:
     """The secular roots of each distinct-size list ``[(p_k, t_k), ...]``
     (``PartSizes.distinct()``), each in descending order, in input order.
 
-    The s x s matrices sqrt(t_i p_i t_j p_j) - diag(p) of equal s are stacked
-    and solved with one ``eigvalsh`` call per s.
+    The matrices of equal s are stacked and solved with one ``eigvalsh``
+    call per s.
     """
     by_s: dict[int, list[int]] = {}
     for k, dist in enumerate(dists):
         by_s.setdefault(len(dist), []).append(k)
     roots: list[tuple[float, ...]] = [()] * len(dists)
-    for s, members in by_s.items():
+    for members in by_s.values():
         p = np.array([[size for size, _ in dists[k]] for k in members], dtype=float)
         tp = np.array([[size * t for size, t in dists[k]] for k in members],
                       dtype=float)
-        # w w^T as sqrt(t_i p_i t_j p_j): one rounding per entry and an exact
-        # diagonal, which makes the balanced and bipartite closed forms exact.
-        matrices = np.sqrt(tp[:, :, None] * tp[:, None, :])
-        diagonal = np.arange(s)
-        matrices[:, diagonal, diagonal] -= p
-        for k, row in zip(members, np.linalg.eigvalsh(matrices)[:, ::-1].tolist()):
+        vals = _secular_eigenvalues(p, tp)
+        for k, row in zip(members, vals[:, ::-1].tolist()):
             roots[k] = tuple(row)
     return roots
+
+
+def secular_root_range(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest and the smallest secular root of each row of ``sizes``,
+    a (k, R) int array of descending part sizes padded with zeros, as two
+    columns.
+
+    The distinct sizes and their multiplicities are read off the rows with
+    numpy, and the matrices of equal s are solved as in
+    ``batched_secular_roots``, so each root is the same float.
+    """
+    k, width = sizes.shape
+    # first[b, j]: sizes[b, j] opens a run of equal sizes; slot[b, j] is the
+    # run's place among the distinct sizes of row b.
+    first = sizes > 0
+    first[:, 1:] &= sizes[:, 1:] != sizes[:, :-1]
+    slot = np.cumsum(first, axis=1) - 1
+    s = first.sum(axis=1)
+    row = np.arange(k)[:, None] * width
+    p = np.zeros(k * width)
+    p[(row + slot)[first]] = sizes[first]
+    # t_i p_i is the sum of the run of p_i, an integer, so exact.
+    filled = sizes > 0
+    tp = np.bincount((row + slot)[filled], weights=sizes[filled],
+                     minlength=k * width)
+    p, tp = p.reshape(k, width), tp.reshape(k, width)
+    largest, smallest = np.empty(k), np.empty(k)
+    for count in np.unique(s).tolist():
+        members = np.flatnonzero(s == count)
+        vals = _secular_eigenvalues(p[members, :count], tp[members, :count])
+        largest[members], smallest[members] = vals[:, -1], vals[:, 0]
+    return largest, smallest
 
 
 def secular_roots(parts: PartSizes) -> tuple[float, ...]:

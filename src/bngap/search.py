@@ -12,11 +12,23 @@ the others set both bits of every pair they keep.  Edge codes, the clique
 table's masks included, come from ``bngap.graphs``; ``graph6_pairs`` is
 read here only as the index arrays of the labeled chunks' scatter.
 
+The multipartite sweep runs a chunk of ``SWEEP_CHUNK`` partitions at a
+time as columns (``sweep_chunks``).  The descending tuples of
+``partitions_into_parts`` are trusted, so no ``PartSizes`` is built: a
+chunk becomes one zero-padded array of part sizes, from which numpy takes
+n, m and r, ``secular_root_range`` the largest and smallest secular roots
+(one ``eigvalsh`` per number of distinct sizes), and ``gap_terms`` tests
+every report at once.  ``SweepSummary.from_columns`` summarizes the chunk,
+``conjecture.report_lines`` writes its lines with the report template, and
+only violating partitions are rebuilt through ``bn_report_multipartite``.
+``sweep_multipartite`` yields the same rows as ``BnReport``s.
+
 ``exhaustive_check`` runs in chunks of same-n graphs.  A chunk is stacked
 into one ``(B, n, n)`` array and solved with one batched ``eigvalsh``;
 ``conjecture.gap_terms`` then runs on whole columns, so each graph gets the
-same floats and flags as from ``bn_report``, and ``SweepSummary.merge``
-folds the chunk into the running summary.  Only violating graphs are
+same floats and flags as from ``bn_report``, and
+``SweepSummary.from_columns`` and ``merge`` fold the chunk into the running
+summary.  Only violating graphs are
 rebuilt and reported through ``bn_report``.  A chunk holds at most
 ``_CHUNK_ENTRIES`` matrix entries (2^15 doubles, 256 KiB; 910 graphs at
 n = 6, one graph at n >= 129), which bounds the engine's working memory
@@ -48,22 +60,23 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import accumulate, combinations, islice
+from itertools import accumulate, chain, combinations, islice
 from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
 from .conjecture import (
+    BIPARTITE_NOTE,
     GAP_TOL,
     BnReport,
     bn_report,
-    bn_report_multipartite,
     gap_terms,
+    report_lines,
 )
 from .graphs import (
+    MAX_N,
     Graph,
     Graph6Error,
-    PartSizes,
     check_vertex_count,
     clique_number,
     closes_k4,
@@ -72,12 +85,12 @@ from .graphs import (
     parse_graph6,
     zykov,
 )
-from .multipartite import batched_secular_roots
+from .multipartite import multipartite_tag, secular_root_range
 from .spectra import adjacency_matrix
 
 MAX_ENUM_N = 6
 
-# Partitions per batched secular solve in ``sweep_multipartite``.
+# Partitions per sweep chunk (``sweep_chunks``).
 SWEEP_CHUNK = 1024
 
 # Matrix entries per exhaustive or stability chunk: one (B, n, n) float64
@@ -87,34 +100,107 @@ _CHUNK_ENTRIES = 2 ** 15
 
 def partitions_into_parts(n: int, r_max: int) -> Iterator[tuple[int, ...]]:
     """Integer partitions of n with 2..r_max parts, descending tuples in
-    lexicographic order."""
+    lexicographic order.
 
-    def descending(total: int, cap: int, slots: int) -> Iterator[tuple[int, ...]]:
-        # A first part of at least ceil(total / slots) leaves room for the rest.
-        if total == 0:
-            yield ()
+    The first is n spread as evenly as it goes over min(r_max, n) parts.
+    Each next one adds one to the rightmost part, short of the last, that
+    may grow: a part below the one before it, or the first part while it is
+    below n - 1.  What that leaves for the parts after it is spread as
+    evenly as it goes over as many parts as r_max allows, the least
+    completion in this order.
+    """
+    if n < 2 or r_max < 2:
+        return
+    parts: list[int] = []
+    rest = n
+    while True:
+        if rest:
+            slots = min(r_max - len(parts), rest)
+            q, extra = divmod(rest, slots)
+            parts += [q + 1] * extra + [q] * (slots - extra)
+        yield tuple(parts)
+        i = len(parts) - 2
+        while i > 0 and parts[i] == parts[i - 1]:
+            i -= 1
+        if i == 0 and parts[0] == n - 1:
             return
-        for first in range(-(-total // slots), min(cap, total) + 1):
-            for rest in descending(total - first, first, slots - 1):
-                yield (first,) + rest
+        rest = sum(parts[i + 1:]) - 1
+        parts[i] += 1
+        del parts[i + 1:]
 
-    if n >= 2 and r_max >= 2:
-        yield from descending(n, n - 1, r_max)
+
+@dataclass(frozen=True)
+class SweepChunk:
+    """Consecutive partitions of the sweep and their reports as columns.
+
+    ``columns`` are numpy columns of the ``BnReport`` fields from n to
+    excluded, in field order (omega is the part count r), and ``sources``
+    the source tags: row i is, field for field, the report
+    ``bn_report_multipartite`` gives for ``PartSizes(parts[i])``.
+    """
+
+    parts: list[tuple[int, ...]]
+    columns: tuple[np.ndarray, ...]
+    sources: list[str]
+
+    def reports(self) -> Iterator[BnReport]:
+        return map(BnReport, *(c.tolist() for c in self.columns), self.sources)
+
+    def lines(self) -> str:
+        """The report lines, each ended by a newline."""
+        return report_lines(self.columns, self.sources)
+
+    def summary(self) -> SweepSummary:
+        gap, holds, equality, excluded = self.columns[-4:]
+        return SweepSummary.from_columns(gap, holds, equality, excluded,
+                                         self.sources.__getitem__)
+
+    def violating_parts(self) -> list[tuple[int, ...]]:
+        *_, holds, _, excluded = self.columns
+        return [self.parts[i] for i in np.flatnonzero(~excluded & ~holds).tolist()]
+
+
+def _sweep_chunk(parts: list[tuple[int, ...]]) -> SweepChunk:
+    """The columns of the partitions ``parts`` (descending tuples, trusted):
+    one zero-padded array of part sizes, one ``secular_root_range`` call and
+    one ``gap_terms`` call on the whole chunk."""
+    r = np.fromiter(map(len, parts), np.int64, len(parts))
+    sizes = np.zeros((len(parts), int(r.max())), np.int64)
+    sizes[np.arange(sizes.shape[1]) < r[:, None]] = list(chain.from_iterable(parts))
+    n = sizes.sum(axis=1)
+    m = (n * n - (sizes * sizes).sum(axis=1)) // 2
+    lam1, smallest = secular_root_range(sizes)
+    # lambda_n as ``bn_report_multipartite`` takes it: the smallest root,
+    # then -p_max when p_max repeats, then zero when n > r.
+    p_max, p_next = sizes[:, 0], sizes[:, 1]
+    lam_n = np.where(p_next == p_max, np.minimum(smallest, -p_max), smallest)
+    lam_n = np.where(n > r, np.minimum(lam_n, 0.0), lam_n)
+    lam2 = np.where(n > r, 0.0, -1.0)
+    terms = gap_terms(n, m, r, lam1, lam2)
+    sources = [multipartite_tag(p) for p in parts]
+    for i in np.flatnonzero((r == 2) & terms[4] & (p_next != p_max)).tolist():
+        sources[i] += BIPARTITE_NOTE
+    return SweepChunk(parts, (n, m, r, lam1, lam2, lam_n, *terms), sources)
+
+
+def sweep_chunks(n_max: int, r_max: int) -> Iterator[SweepChunk]:
+    """The sweep over every partition of each n <= n_max into 2..r_max
+    parts, in order, as ``SweepChunk``s of ``SWEEP_CHUNK`` partitions drawn
+    across n boundaries, so memory stays flat however many partitions the
+    sweep covers."""
+    if n_max > MAX_N:
+        raise ValueError(f"total vertex count exceeds {MAX_N}")
+    partitions = (parts for n in range(2, n_max + 1)
+                  for parts in partitions_into_parts(n, r_max))
+    while chunk := list(islice(partitions, SWEEP_CHUNK)):
+        yield _sweep_chunk(chunk)
 
 
 def sweep_multipartite(n_max: int, r_max: int) -> Iterator[BnReport]:
-    """One exact gap report per partition of each n <= n_max, deterministic order.
-
-    Partitions are drawn ``SWEEP_CHUNK`` at a time, across n boundaries, and
-    each chunk's secular roots come from one ``batched_secular_roots`` call,
-    so memory stays flat however many partitions the sweep covers.
-    """
-    partitions = (parts for n in range(2, n_max + 1)
-                  for parts in partitions_into_parts(n, r_max))
-    while chunk := [PartSizes(parts) for parts in islice(partitions, SWEEP_CHUNK)]:
-        roots = batched_secular_roots([parts.distinct() for parts in chunk])
-        for parts, part_roots in zip(chunk, roots):
-            yield bn_report_multipartite(parts, part_roots)
+    """One exact gap report per partition of each n <= n_max, deterministic
+    order: the reports of ``sweep_chunks``."""
+    for chunk in sweep_chunks(n_max, r_max):
+        yield from chunk.reports()
 
 
 @dataclass
@@ -128,6 +214,33 @@ class SweepSummary:
     min_gap: float = float("inf")
     argmin_source: str = ""
 
+    @classmethod
+    def from_columns(cls, gap: np.ndarray, holds: np.ndarray,
+                     equality: np.ndarray, excluded: np.ndarray,
+                     source: Callable[[int], str],
+                     live: np.ndarray | bool = True) -> SweepSummary:
+        """The summary of a chunk of reports given as ``gap_terms`` columns.
+
+        ``live`` marks the graphs the bound applies to (at least one edge);
+        the others count as out of domain and their entries are ignored.
+        ``source(i)`` names report i.  Of equal minima the first is kept
+        (``np.argmin``), as in ``merge``.
+        """
+        live = np.broadcast_to(live, gap.shape)
+        applicable = live & ~excluded
+        summary = cls(
+            total=int(np.count_nonzero(live)),
+            holds=int(np.count_nonzero(applicable & holds)),
+            equality=int(np.count_nonzero(applicable & equality)),
+            excluded=int(np.count_nonzero(live & excluded)),
+            violations=int(np.count_nonzero(applicable & ~holds)),
+            out_of_domain=int(np.count_nonzero(~live)),
+        )
+        if applicable.any():
+            i = int(np.argmin(np.where(applicable, gap, np.inf)))
+            summary.min_gap, summary.argmin_source = float(gap[i]), source(i)
+        return summary
+
     def merge(self, other: SweepSummary) -> None:
         """Add ``other``'s counts; of equal minima the first is kept."""
         self.total += other.total
@@ -138,21 +251,6 @@ class SweepSummary:
         self.out_of_domain += other.out_of_domain
         if other.min_gap < self.min_gap:
             self.min_gap, self.argmin_source = other.min_gap, other.argmin_source
-
-    def add(self, report: BnReport) -> None:
-        self.total += 1
-        if report.excluded:
-            self.excluded += 1
-            return
-        if report.violation:
-            self.violations += 1
-        else:
-            self.holds += 1
-        if report.equality:
-            self.equality += 1
-        if report.gap < self.min_gap:
-            self.min_gap = report.gap
-            self.argmin_source = report.source
 
     def as_dict(self) -> dict:
         """The fields in order, ``min_gap`` None when every report was excluded."""
@@ -202,8 +300,9 @@ def _check_chunk(res: ExhaustiveResult, adj: np.ndarray, m: np.ndarray,
 
     ``adj`` stacks the B adjacency matrices, ``m`` and ``omega`` are their
     edge counts and clique numbers; ``source(i)`` and ``graph(i)`` name and
-    rebuild graph i.  ``gap_terms`` tests the chunk, ``SweepSummary.merge``
-    folds it in, and ``bn_report`` reports its violating graphs.
+    rebuild graph i.  ``gap_terms`` tests the chunk,
+    ``SweepSummary.from_columns`` summarizes it for ``merge``, and
+    ``bn_report`` reports its violating graphs.
     """
     live = m >= 1
     if not live.any():
@@ -213,20 +312,9 @@ def _check_chunk(res: ExhaustiveResult, adj: np.ndarray, m: np.ndarray,
     # Some graph has an edge, so n >= 2 and every complete graph is live.
     _, _, gap, holds, equality, excluded = gap_terms(
         adj.shape[1], m, omega, vals[:, -1], vals[:, -2])
-    applicable = live & ~excluded
-    bad = np.flatnonzero(applicable & ~holds)
-    chunk = SweepSummary(
-        total=int(np.count_nonzero(live)),
-        holds=int(np.count_nonzero(applicable & holds)),
-        equality=int(np.count_nonzero(applicable & equality)),
-        excluded=int(np.count_nonzero(excluded)),
-        violations=len(bad),
-        out_of_domain=int(np.count_nonzero(~live)),
-    )
-    if applicable.any():
-        i = int(np.argmin(np.where(applicable, gap, np.inf)))
-        chunk.min_gap, chunk.argmin_source = float(gap[i]), source(i)
-    res.summary.merge(chunk)
+    res.summary.merge(SweepSummary.from_columns(gap, holds, equality, excluded,
+                                                source, live))
+    bad = np.flatnonzero(live & ~excluded & ~holds)
     res.violations.extend(bn_report(graph(i), source=source(i)) for i in bad)
 
 

@@ -9,15 +9,26 @@ import sys
 
 import pytest
 
+import bngap.conjecture
+import bngap.search
 from bngap import cli
+from bngap.conjecture import bn_report_multipartite
 from bngap.graphs import (
+    MAX_N,
     PartSizes,
     complete_multipartite,
     from_edge_list,
     to_graph6,
     turan_graph,
 )
-from bngap.search import sweep_multipartite
+from bngap.jsonutil import csv_cell
+from bngap.search import (
+    SweepSummary,
+    partitions_into_parts,
+    sweep_chunks,
+    sweep_multipartite,
+)
+from test_exhaustive_engine import add
 
 K5_LINE = to_graph6(complete_multipartite(PartSizes((1,) * 5)))
 C5_EDGES = "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
@@ -115,6 +126,41 @@ class TestSweep:
             head, row = csv.reader(fh)
         assert len(head) == len(row) == 8
         assert head[-1] == "argmin_source" and row[-1] == argmin["source"]
+
+    def test_lines_are_the_library_reports(self, capsys):
+        assert cli.main(["sweep", "--n-max", "30", "--r-max", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        reports = list(sweep_multipartite(30, 8))
+        assert len(lines) == len(reports) > 10000
+        assert lines == [r.to_json() for r in reports]
+
+    def test_violations_match_the_per_report_reference(self, tmp_path,
+                                                       monkeypatch, capsys):
+        # Count a gap below 5 as a violation, so most reports fail; the gap
+        # test has one owner, so the patch reaches the chunks and the
+        # reference alike.
+        monkeypatch.setattr(bngap.conjecture, "GAP_TOL", -5.0)
+        monkeypatch.setattr(bngap.search, "SWEEP_CHUNK", 100)
+        reports = [bn_report_multipartite(PartSizes(parts)) for n in range(2, 17)
+                   for parts in partitions_into_parts(n, 5)]
+        want = SweepSummary()
+        for report in reports:
+            add(want, report)
+        assert want.violations > want.total // 2
+        out = tmp_path / "sweep.jsonl"
+        assert cli.main(["sweep", "--n-max", "16", "--r-max", "5",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "VIOLATION" in line] == [
+            f"bngap: VIOLATION: {r.source} gap={r.gap!r}"
+            for r in reports if r.violation]
+        assert out.read_text().splitlines() == [r.to_json() for r in reports]
+        with open(tmp_path / "sweep.jsonl.summary.csv", newline="",
+                  encoding="utf-8") as fh:
+            head, row = csv.reader(fh)
+        d = want.as_dict()
+        assert head == list(d)
+        assert row == ["" if v is None else csv_cell(v) for v in d.values()]
 
 
 class TestExhaustive:
@@ -407,6 +453,14 @@ class TestUsage:
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("*.tmp"))
 
+    def test_sweep_n_max_above_the_vertex_cap(self):
+        code, out, err = run_cli("sweep", "--n-max", str(MAX_N + 1), "--r-max", "2")
+        assert code == 2 and out == ""
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            f"bngap sweep: error: argument --n-max: need at most {MAX_N},"
+            f" got {MAX_N + 1}"]
+        assert "Traceback" not in err
+
     def test_version(self):
         code, out, _ = run_cli("--version")
         assert code == 0 and out.strip() == "0.1.0"
@@ -433,11 +487,12 @@ class TestStreamingRun:
         out = tmp_path / "sweep.jsonl"
 
         def failing_sweep(n_max, r_max):
-            yield from itertools.islice(sweep_multipartite(n_max, r_max), 5)
+            yield from itertools.islice(sweep_chunks(n_max, r_max), 2)
             assert (tmp_path / "sweep.jsonl.tmp").exists()
             raise exc("interrupted mid-run")
 
-        monkeypatch.setattr(cli, "sweep_multipartite", failing_sweep)
+        monkeypatch.setattr(bngap.search, "SWEEP_CHUNK", 5)
+        monkeypatch.setattr(cli, "sweep_chunks", failing_sweep)
         argv = ["sweep", "--n-max", "8", "--out", str(out)]
         if exc is KeyboardInterrupt:
             with pytest.raises(KeyboardInterrupt):

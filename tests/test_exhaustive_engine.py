@@ -1,8 +1,9 @@
 """The chunked exhaustive engine against the per-graph reference loop.
 
 ``reference`` is the scalar path: one ``Graph``, one ``bn_report`` and one
-``SweepSummary.add`` per record.  The engine must give the same summary,
-the same violation reports in the same order and the same malformed list.
+``add`` (the per-report summary fold) per record.  The engine must give the
+same summary, the same violation reports in the same order and the same
+malformed list.
 """
 
 from dataclasses import fields
@@ -33,6 +34,24 @@ from bngap.search import (
 from corpus import path_graph
 
 
+def add(summary, report):
+    """Fold one report into ``summary``: the per-report reference for
+    ``SweepSummary.from_columns``, whose chunks ``merge`` folds."""
+    summary.total += 1
+    if report.excluded:
+        summary.excluded += 1
+        return
+    if report.violation:
+        summary.violations += 1
+    else:
+        summary.holds += 1
+    if report.equality:
+        summary.equality += 1
+    if report.gap < summary.min_gap:
+        summary.min_gap = report.gap
+        summary.argmin_source = report.source
+
+
 def reference(source):
     """(summary, violations, malformed) from the per-graph loop."""
     summary = SweepSummary()
@@ -45,7 +64,7 @@ def reference(source):
         except OutOfDomainError:
             summary.out_of_domain += 1
             return
-        summary.add(report)
+        add(summary, report)
         if not report.excluded and not report.holds:
             violations.append(report)
 

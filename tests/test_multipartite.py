@@ -13,6 +13,7 @@ from bngap.multipartite import (
     multipartite_edge_count,
     multipartite_spectrum,
     quotient_eigenvector,
+    secular_root_range,
     secular_roots,
     secular_value,
     zero_eigenbasis,
@@ -123,6 +124,17 @@ class TestBatchedSecularRoots:
         for ps, roots in zip(cases, batched):
             assert bits(roots) == bits(single_solve(ps)), ps.sizes
             assert secular_roots(ps) == roots
+
+    def test_root_range_equals_single_solves_bit_for_bit(self):
+        cases = (SWEEP_30_8 + sampled_partitions_of_60(500)
+                 + [PartSizes(p) for p in LARGE_PARTS])
+        sizes = np.zeros((len(cases), max(ps.r for ps in cases)), np.int64)
+        for row, ps in zip(sizes, cases):
+            row[:ps.r] = ps.sizes
+        largest, smallest = secular_root_range(sizes)
+        for ps, hi, lo in zip(cases, largest.tolist(), smallest.tolist()):
+            roots = single_solve(ps)
+            assert bits([hi, lo]) == bits([roots[0], roots[-1]]), ps.sizes
 
     def test_direct_lambda_n_matches_flatten(self):
         for ps in SWEEP_30_8 + sampled_partitions_of_60(500, seed=1):

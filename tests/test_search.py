@@ -10,7 +10,7 @@ import pytest
 import bngap.conjecture
 import bngap.search
 from bngap import cli
-from bngap.conjecture import bn_report
+from bngap.conjecture import BnReport, bn_report
 from bngap.graphs import (
     Graph,
     PartSizes,
@@ -38,6 +38,7 @@ from bngap.search import (
 from bngap.spectra import adjacency_matrix, eigenvalues
 
 from corpus import cycle_graph, path_graph
+from test_exhaustive_engine import add
 from test_graphs import all_partitions
 
 
@@ -83,10 +84,42 @@ class TestSweep:
     def test_summary_counts(self):
         summary = SweepSummary()
         for r in sweep_multipartite(10, 6):
-            summary.add(r)
+            add(summary, r)
         d = summary.as_dict()
         assert d["violations"] == 0
         assert d["total"] == d["holds"] + d["excluded"]
+
+
+    def test_n_max_above_the_vertex_cap(self):
+        with pytest.raises(ValueError, match="exceeds 2048"):
+            next(sweep_multipartite(2049, 2))
+
+
+class TestSummaryFromColumns:
+    def test_equals_the_per_report_fold(self):
+        rng = np.random.default_rng(3)
+        for size in (1, 2, 7, 200):
+            # Few distinct gaps, so minima tie; some reports excluded, some
+            # out of domain.
+            gap = rng.integers(-3, 4, size) / 4.0
+            holds, equality = gap >= 0, gap == 0
+            excluded = rng.random(size) < 0.2
+            live = rng.random(size) < 0.8
+            got = SweepSummary.from_columns(gap, holds, equality, excluded,
+                                            lambda i: f"row {i}", live)
+            want = SweepSummary(out_of_domain=int((~live).sum()))
+            for i in np.flatnonzero(live).tolist():
+                add(want, BnReport(3, 2, 2, 0.0, 0.0, 0.0, 0.0, 0.0,
+                                   float(gap[i]), bool(holds[i]),
+                                   bool(equality[i]), bool(excluded[i]),
+                                   f"row {i}"))
+            assert got == want, size
+
+    def test_no_live_report(self):
+        got = SweepSummary.from_columns(np.zeros(3), np.ones(3, bool),
+                                        np.ones(3, bool), np.zeros(3, bool),
+                                        str, np.zeros(3, bool))
+        assert got == SweepSummary(out_of_domain=3)
 
 
 class TestSweepChunks:
