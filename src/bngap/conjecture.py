@@ -107,7 +107,7 @@ def report_lines(columns, sources: list[str]) -> str:
     flags = ([_JSON_BOOL[b] for b in flag] for flag in (holds, equality, excluded))
     quoted = ['"' + tag + '"' for tag in sources]
     lines = [REPORT_LINE % row for row in zip(*numbers, *flags, quoted)]
-    lines.append("")
+    lines.append("")  # so the join ends the last line too
     return "\n".join(lines)
 
 

@@ -110,19 +110,17 @@ def secular_root_range(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``batched_secular_roots``, so each root is the same float.
     """
     k, width = sizes.shape
-    # first[b, j]: sizes[b, j] opens a run of equal sizes; slot[b, j] is the
-    # run's place among the distinct sizes of row b.
-    first = sizes > 0
-    first[:, 1:] &= sizes[:, 1:] != sizes[:, :-1]
-    slot = np.cumsum(first, axis=1) - 1
-    s = first.sum(axis=1)
-    row = np.arange(k)[:, None] * width
-    p = np.zeros(k * width)
-    p[(row + slot)[first]] = sizes[first]
-    # t_i p_i is the sum of the run of p_i, an integer, so exact.
     filled = sizes > 0
-    tp = np.bincount((row + slot)[filled], weights=sizes[filled],
-                     minlength=k * width)
+    # first[b, j]: sizes[b, j] opens a run of equal sizes.  index[b, j] is
+    # the flat place of that run among the distinct sizes of row b.
+    first = filled.copy()
+    first[:, 1:] &= sizes[:, 1:] != sizes[:, :-1]
+    s = first.sum(axis=1)
+    index = np.arange(k)[:, None] * width + np.cumsum(first, axis=1) - 1
+    p = np.zeros(k * width)
+    p[index[first]] = sizes[first]
+    # t_i p_i is the sum of the run of p_i, an integer, so exact.
+    tp = np.bincount(index[filled], weights=sizes[filled], minlength=k * width)
     p, tp = p.reshape(k, width), tp.reshape(k, width)
     largest, smallest = np.empty(k), np.empty(k)
     for count in np.unique(s).tolist():

@@ -28,8 +28,8 @@ into one ``(B, n, n)`` array and solved with one batched ``eigvalsh``;
 ``conjecture.gap_terms`` then runs on whole columns, so each graph gets the
 same floats and flags as from ``bn_report``, and
 ``SweepSummary.from_columns`` and ``merge`` fold the chunk into the running
-summary.  Only violating graphs are
-rebuilt and reported through ``bn_report``.  A chunk holds at most
+summary.  Only violating graphs are rebuilt and reported through
+``bn_report``.  A chunk holds at most
 ``_CHUNK_ENTRIES`` matrix entries (2^15 doubles, 256 KiB; 910 graphs at
 n = 6, one graph at n >= 129), which bounds the engine's working memory
 whatever the family size.  Labeled chunks are slices of edge codes, with
