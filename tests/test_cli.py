@@ -284,12 +284,15 @@ class TestStability:
         assert code == 0 and len(out.strip().splitlines()) == 5
 
     # n > EXACT_MAX_N, so every row takes the local-search edit distance.
-    # At k = 40 of 75 edges the local optima fall below k.
+    # At k = 40 of 75 edges the local optima fall below k.  The n = 100 run
+    # spans two descent groups and many float sub-chunks.
     @pytest.mark.parametrize("argv, digest", [
         (("--n-max", "60", "--grid", "0,10,50", "--samples", "20", "--seed", "0"),
          "b26ebb79684c6eff96e303e66c4620158f5273a2833a989b3290ef42a5fb98d5"),
         (("--n-max", "15", "--grid", "0,4,40", "--samples", "5", "--seed", "3"),
          "33d8c236eeece522ce78a3c0cc1a224ad9de11603dfeeaa55e50ded4648403a6"),
+        (("--n-max", "100", "--grid", "0,20,200", "--samples", "10", "--seed", "1"),
+         "60e2de9c3a94470a8a07b377b9e466fe46d722c5b667e6bb78eea5fd6448d080"),
     ])
     def test_local_search_golden_bytes(self, argv, digest):
         code, out, _ = run_cli("stability", *argv)
