@@ -255,12 +255,14 @@ def _cmd_exhaustive(run: _Run) -> int:
         scope = f"all labeled graphs, n<={args.n_max}"
     total = SweepSummary()
     malformed = 0
+
+    def violation(report: BnReport) -> None:
+        run.emit(report.to_json())
+        run.check(report, report.source)
+
     for family in families:
-        res = exhaustive_check(family)
+        res = exhaustive_check(family, on_violation=violation)
         malformed += res.malformed
-        for report in res.violations:
-            run.emit(report.to_json())
-            run.check(report, report.source)
         total.merge(res.summary)
     run.emit(dumps({"summary": total.as_dict(), "malformed": malformed}))
     _status(f"exhaustive ({scope}): {run.violations} violations"

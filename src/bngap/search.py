@@ -28,8 +28,9 @@ into one ``(B, n, n)`` array and solved with one batched ``eigvalsh``;
 ``conjecture.gap_terms`` then runs on whole columns, so each graph gets the
 same floats and flags as from ``bn_report``, and
 ``SweepSummary.from_columns`` and ``merge`` fold the chunk into the running
-summary.  Only violating graphs are rebuilt and reported through
-``bn_report``.  A chunk holds at most
+summary.  Only violating graphs are rebuilt, through ``bn_report``, and
+each report goes to the caller's ``on_violation`` as its chunk is checked,
+so no list of them is kept.  A chunk holds at most
 ``_CHUNK_ENTRIES`` matrix entries (2^15 doubles, 256 KiB; 910 graphs at
 n = 6, one graph at n >= 129), which bounds the engine's working memory
 whatever the family size.  Labeled chunks are slices of edge codes, with
@@ -93,8 +94,11 @@ MAX_ENUM_N = 6
 # Partitions per sweep chunk (``sweep_chunks``).
 SWEEP_CHUNK = 1024
 
-# Matrix entries per exhaustive or stability chunk: one (B, n, n) float64
-# array holds at most this many, B = max(1, _CHUNK_ENTRIES // n^2).
+# Matrix entries per float64 chunk: one (B, n, n) float64 array of the
+# exhaustive engine, or of a stability descent group's eigensolve and cost
+# tables, holds at most this many, B = max(1, _CHUNK_ENTRIES // n^2).
+# Stability's int8 descent groups are sized by their own budget,
+# ``stability._GROUP_ENTRIES``.
 _CHUNK_ENTRIES = 2 ** 15
 
 
@@ -284,8 +288,7 @@ def labeled_graphs(n: int) -> Iterator[tuple[str, Graph]]:
 
 @dataclass
 class ExhaustiveResult:
-    summary: SweepSummary
-    violations: list[BnReport]
+    summary: SweepSummary  # ``summary.violations`` counts the violations
     malformed: int = 0  # graph6 records that did not parse
 
 
@@ -295,14 +298,15 @@ def _chunk_size(n: int) -> int:
 
 def _check_chunk(res: ExhaustiveResult, adj: np.ndarray, m: np.ndarray,
                  omega: np.ndarray, source: Callable[[int], str],
-                 graph: Callable[[int], Graph]) -> None:
+                 graph: Callable[[int], Graph],
+                 on_violation: Callable[[BnReport], None]) -> None:
     """Fold a chunk of same-n graphs into ``res``.
 
     ``adj`` stacks the B adjacency matrices, ``m`` and ``omega`` are their
     edge counts and clique numbers; ``source(i)`` and ``graph(i)`` name and
     rebuild graph i.  ``gap_terms`` tests the chunk,
-    ``SweepSummary.from_columns`` summarizes it for ``merge``, and
-    ``bn_report`` reports its violating graphs.
+    ``SweepSummary.from_columns`` summarizes it for ``merge``, and each
+    violating graph's ``bn_report`` goes to ``on_violation``.
     """
     live = m >= 1
     if not live.any():
@@ -315,7 +319,8 @@ def _check_chunk(res: ExhaustiveResult, adj: np.ndarray, m: np.ndarray,
     res.summary.merge(SweepSummary.from_columns(gap, holds, equality, excluded,
                                                 source, live))
     bad = np.flatnonzero(live & ~excluded & ~holds)
-    res.violations.extend(bn_report(graph(i), source=source(i)) for i in bad)
+    for i in bad:
+        on_violation(bn_report(graph(i), source=source(i)))
 
 
 def _clique_table(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -352,21 +357,28 @@ def _print_malformed(lineno: int, message: str) -> None:
           file=sys.stderr)
 
 
+def _ignore_violation(report: BnReport) -> None:
+    pass
+
+
 def exhaustive_check(
         source: Union[int, Iterable[str]],
         on_malformed: Callable[[int, str], None] = _print_malformed,
+        on_violation: Callable[[BnReport], None] = _ignore_violation,
 ) -> ExhaustiveResult:
-    """Run gap reports over a graph family and collect violations.
+    """Run gap reports over a graph family and count violations.
 
     ``source`` is either a vertex count (built-in labeled enumeration,
     n <= MAX_ENUM_N) or an iterable of graph6 lines.  Each malformed graph6
     record is passed to ``on_malformed(lineno, message)`` (by default
     printed to stderr) when it is read, and counted, and the stream
     continues; graphs the bound does not apply to (no edges) are counted
-    and skipped.  The family is checked in chunks (see the module
-    docstring).
+    and skipped.  Each violating graph's report is passed to
+    ``on_violation(report)`` when its chunk is checked, in family order,
+    and only counted here, so memory does not grow with the violations.
+    The family is checked in chunks (see the module docstring).
     """
-    res = ExhaustiveResult(SweepSummary(), [])
+    res = ExhaustiveResult(SweepSummary())
     if isinstance(source, int):
         n = source
         _check_enum_n(n)
@@ -378,7 +390,8 @@ def exhaustive_check(
             adj, m, omega = _labeled_chunk(n, codes, table)
             _check_chunk(res, adj, m, omega,
                          lambda i: labeled_tag(n, lo + i),
-                         lambda i: Graph.from_edge_bitset(n, int(lo + i)))
+                         lambda i: Graph.from_edge_bitset(n, int(lo + i)),
+                         on_violation)
         return res
 
     chunk: list[tuple[int, Graph]] = []
@@ -389,7 +402,7 @@ def exhaustive_check(
                      np.array([g.m for g in graphs]),
                      np.array([clique_number(g) for g in graphs]),
                      lambda i: graph6_tag(chunk[i][0]),
-                     lambda i: graphs[i])
+                     lambda i: graphs[i], on_violation)
         chunk.clear()
 
     for lineno, line in enumerate(source, start=1):

@@ -16,30 +16,47 @@ A descent moves the lowest vertex that has an improving move to its first
 improving part in 0, 1, 2, then rescans from vertex 0.  The cost of v in
 part p is 2 N[p][v] - size[p] + [a_v = p] + (n - 1 - deg v), with N[p][v]
 the neighbours of v in part p (the gain bookkeeping of Fiduccia and
-Mattheyses, DAC 1982, without buckets).  All descents of a chunk of graphs
+Mattheyses, DAC 1982, without buckets).  All descents of a group of graphs
 run in lockstep on one int16 table of the first three terms, shape
 (descents, 3, n): one numpy scan per step finds every descent's move, and
-the moved vertex's adjacency row updates two rows of its table.
-``stability_experiment`` builds its rows in chunks of at most
-``search._CHUNK_ENTRIES`` adjacency entries, with one batched eigensolve
-and one batched descent per chunk; ``edit_distance_local`` runs the same
-descent on a one-graph stack.
+the moved vertex's row of the int8 move-sign stack updates two rows of its
+table.
+
+``stability_experiment`` runs its rows in descent groups whose int8
+adjacency stack holds at most ``_GROUP_ENTRIES`` entries (2^18, 256 KiB:
+all 60 rows at n = 60, 26 at n = 100).  A row's matrix is the int8
+adjacency of T(n, 3) with its drawn pairs zeroed, so no ``Graph`` is built
+or packed per row, and its edge count is m(T(n, 3)) - k.  The greedy starts
+run once per group on the int8 stack.  The float64 matrices are made one
+sub-chunk of at most ``search._CHUNK_ENTRIES`` entries (2^15, 256 KiB) at a
+time, for the batched ``eigvalsh`` that gives lambda1 and for the matmul
+that fills the cost tables.  ``edit_distance_local`` runs the same search
+on a one-graph stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .conjecture import bn_report, BnReport, OutOfDomainError
 from .graphs import Graph, is_k4_free, triangle_count, turan_graph
-from .search import _chunk_size
+from .search import _CHUNK_ENTRIES, _chunk_size
 from .spectra import adjacency_matrix
 
 EXACT_MAX_N = 12
-LOCAL_RESTARTS = 8  # edit_distance_local starts per stability row above EXACT_MAX_N
+# The starts (one greedy, the rest seeded random) of every stability row
+# above EXACT_MAX_N; edit_distance_local takes ``restarts`` from its caller.
+LOCAL_RESTARTS = 8
+
+# Adjacency entries per stability descent group: the group's int8 stack
+# (and its move signs) holds at most this many, B = max(1,
+# _GROUP_ENTRIES // n^2) rows: 256 KiB, all 60 rows of the n = 60 benchmark
+# run.  Its float64 matrices are built _CHUNK_ENTRIES at a time.
+_GROUP_ENTRIES = 8 * _CHUNK_ENTRIES
 
 STABILITY_CSV_COLUMNS = (
     "n", "k", "sample", "m", "lambda1_sq_over_m", "edits", "edits_normalized",
@@ -118,11 +135,20 @@ def _greedy_starts(adj: np.ndarray) -> np.ndarray:
     return assignment
 
 
+def _float_chunks(adj: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """The (B, n, n) int8 stack as float64 sub-stacks of at most
+    ``search._CHUNK_ENTRIES`` entries, each with its slice of the stack."""
+    step = _chunk_size(adj.shape[1])
+    for lo in range(0, len(adj), step):
+        at = slice(lo, lo + step)
+        yield at, adj[at].astype(np.float64)
+
+
 def _descend(adj: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """First-improvement single-vertex moves until locally optimal, for
     every start of every graph at once.
 
-    ``adj`` stacks B adjacency matrices (float64, shape (B, n, n)) and
+    ``adj`` stacks B adjacency matrices (int8, shape (B, n, n)) and
     ``starts`` holds R assignments per graph (shape (B, R, n)); each start
     descends in place and its final cost is returned, shape (B, R).
 
@@ -142,7 +168,7 @@ def _descend(adj: np.ndarray, starts: np.ndarray) -> np.ndarray:
     b, r, n = starts.shape
     cost = _cost_table(adj, starts)
     # inside + across = (sum_v cost[a_v][v] + n^2 - n - 2m) / 2.
-    total = np.repeat(n * n - n - adj.sum(axis=(1, 2)).astype(np.int64), r)
+    total = np.repeat(n * n - n - adj.sum(axis=(1, 2), dtype=np.int64), r)
     sign = _move_signs(adj)
     live = np.arange(b * r)
     owner = live // r
@@ -161,13 +187,15 @@ def _descend(adj: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def _cost_table(adj: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """cost[p][v] of every start, shape (B * R, 3, n), from the (B, n, n)
-    adjacency stack and the (B, R, n) starts."""
+    int8 adjacency stack and the (B, R, n) starts, one float sub-stack of
+    the adjacency at a time."""
     b, r, n = starts.shape
     cost = np.empty((b, r, 3, n), dtype=np.int16)
-    for p in range(3):
-        in_p = (starts == p).astype(np.float64)
-        count = in_p @ adj  # N[p]; adj is symmetric
-        cost[:, :, p] = 2 * count + in_p - in_p.sum(axis=2, keepdims=True)
+    for at, sub in _float_chunks(adj):
+        for p in range(3):
+            in_p = (starts[at] == p).astype(np.float64)
+            count = in_p @ sub  # N[p]; adj is symmetric
+            cost[at, :, p] = 2 * count + in_p - in_p.sum(axis=2, keepdims=True)
     return cost.reshape(b * r, 3, n)
 
 
@@ -212,9 +240,9 @@ def _step(cost: np.ndarray, a: np.ndarray, sign: np.ndarray,
 
 def _local_search(adj: np.ndarray, seeds: list[int],
                   restarts: int) -> list[EditResult]:
-    """Per graph of the (B, n, n) stack, the least (cost, assignment) over
-    the descents from one greedy start and restarts - 1 random starts drawn
-    from the graph's seed."""
+    """Per graph of the (B, n, n) int8 stack, the least (cost, assignment)
+    over the descents from one greedy start and restarts - 1 random starts
+    drawn from the graph's seed."""
     n = adj.shape[1]
     starts = np.empty((len(seeds), restarts, n), dtype=np.int64)
     starts[:, 0] = _greedy_starts(adj)
@@ -235,40 +263,48 @@ def edit_distance_local(g: Graph, restarts: int, seed: int) -> EditResult:
     """Best local optimum over one greedy start plus seeded random starts."""
     if restarts < 1:
         raise ValueError("need at least one restart")
-    return _local_search(adjacency_matrix(g)[None], [seed], restarts)[0]
+    adj = adjacency_matrix(g).astype(np.int8)
+    return _local_search(adj[None], [seed], restarts)[0]
 
 
-def _stability_chunk(n: int, base: Graph, base_edges: list,
-                     cells: list[tuple[int, int]],
+def _stability_group(n: int, base: np.ndarray, pairs: np.ndarray,
+                     base_m: int, cells: list[tuple[int, int]],
                      children: list[np.random.SeedSequence]) -> list[dict]:
     """The rows of a run of (k, sample) cells, one seed stream each.
 
     Each cell draws its deleted edges and then, above EXACT_MAX_N, the seed
-    of its local-search starts; lambda1 comes from one batched eigensolve
-    and the local searches from one batched descent.
+    of its local-search starts.  Row i of the int8 stack is ``base``, the
+    adjacency of T(n, 3), with the drawn ``pairs`` zeroed; lambda1 comes
+    from one batched eigensolve per float sub-stack and the local searches
+    from one batched descent.
     """
-    graphs, seeds = [], []
-    for (k, _), child in zip(cells, children):
+    ks = [k for k, _ in cells]
+    drawn, seeds = [], []
+    for k, child in zip(ks, children):
         rng = np.random.default_rng(np.random.PCG64(child))
-        g = base
-        for idx in rng.choice(len(base_edges), size=k, replace=False):
-            g = g.without_edge(*base_edges[int(idx)])
-        graphs.append(g)
+        drawn.append(rng.choice(len(pairs), size=k, replace=False))
         if n > EXACT_MAX_N:
             seeds.append(int(rng.integers(2 ** 63)))
-    adj = np.empty((len(graphs), n, n))
-    for i, g in enumerate(graphs):
-        adj[i] = adjacency_matrix(g)
-    lam1 = np.linalg.eigvalsh(adj)[:, -1].tolist()
-    results = (_local_search(adj, seeds, LOCAL_RESTARTS) if seeds
-               else [edit_distance_exact(g) for g in graphs])
-    return [
-        dict(zip(STABILITY_CSV_COLUMNS, (
-            n, k, sample, g.m, lam * lam / g.m if g.m else 0.0, res.edits,
+    row = np.repeat(np.arange(len(cells)), ks)
+    u, v = pairs[np.concatenate(drawn)].T
+    adj = np.repeat(base[None], len(cells), axis=0)
+    adj[row, u, v] = adj[row, v, u] = 0
+    lam1 = np.concatenate([np.linalg.eigvalsh(sub)[:, -1]
+                           for _, sub in _float_chunks(adj)]).tolist()
+    if seeds:
+        results = _local_search(adj, seeds, LOCAL_RESTARTS)
+    else:
+        bits = (adj.astype(np.int64) << np.arange(n)).sum(axis=2).tolist()
+        results = [edit_distance_exact(Graph._unchecked(n, tuple(rows)))
+                   for rows in bits]
+    rows = []
+    for (k, sample), lam, res in zip(cells, lam1, results):
+        m = base_m - k
+        rows.append(dict(zip(STABILITY_CSV_COLUMNS, (
+            n, k, sample, m, lam * lam / m if m else 0.0, res.edits,
             res.normalized, res.method,
-        )))
-        for (k, sample), g, lam, res in zip(cells, graphs, lam1, results)
-    ]
+        ))))
+    return rows
 
 
 def stability_experiment(n: int, deletion_grid: list[int], samples: int,
@@ -281,23 +317,24 @@ def stability_experiment(n: int, deletion_grid: list[int], samples: int,
     edit distance back to the family.  Rows follow STABILITY_CSV_COLUMNS.
 
     Each (k, sample) cell runs on its own spawned seed stream, so the rows
-    do not depend on how the cells are chunked.
+    do not depend on how the cells are grouped.
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
-    base = turan_graph(n, 3)
-    base_edges = base.edges()
+    turan = turan_graph(n, 3)
+    pairs = np.array(turan.edges(), dtype=np.intp).reshape(-1, 2)
     for k in deletion_grid:
-        if not 0 <= k <= len(base_edges):
-            raise ValueError(f"cannot delete {k} of {len(base_edges)} edges")
+        if not 0 <= k <= len(pairs):
+            raise ValueError(f"cannot delete {k} of {len(pairs)} edges")
+    base = adjacency_matrix(turan).astype(np.int8)
     cells = [(k, sample) for k in deletion_grid for sample in range(samples)]
     children = np.random.SeedSequence(seed).spawn(len(cells))
-    step = _chunk_size(n)
+    step = max(1, _GROUP_ENTRIES // (n * n))
     return [
         row
         for lo in range(0, len(cells), step)
-        for row in _stability_chunk(n, base, base_edges, cells[lo:lo + step],
-                                    children[lo:lo + step])
+        for row in _stability_group(n, base, pairs, turan.m,
+                                    cells[lo:lo + step], children[lo:lo + step])
     ]
 
 

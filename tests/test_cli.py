@@ -6,6 +6,7 @@ import itertools
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -21,14 +22,15 @@ from bngap.graphs import (
     to_graph6,
     turan_graph,
 )
-from bngap.jsonutil import csv_cell
+from bngap.jsonutil import csv_cell, dumps
 from bngap.search import (
     SweepSummary,
+    labeled_graphs,
     partitions_into_parts,
     sweep_chunks,
     sweep_multipartite,
 )
-from test_exhaustive_engine import add
+from test_exhaustive_engine import add, reference
 
 K5_LINE = to_graph6(complete_multipartite(PartSizes((1,) * 5)))
 C5_EDGES = "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
@@ -188,6 +190,57 @@ class TestExhaustive:
             " malformed graph6 at line 1", " malformed graph6 at line 3",
             " malformed graph6 at line 6"]
         assert json.loads(out.splitlines()[-1])["malformed"] == 3
+
+    @staticmethod
+    def violating_stream(tmp_path, monkeypatch, reps):
+        """A graph6 file of ``reps`` copies of every fourth labeled graph on
+        5 vertices, with a malformed and an excluded record; with a gap
+        below 5 counted as a violation, almost every record violates."""
+        monkeypatch.setattr(bngap.conjecture, "GAP_TOL", -5.0)
+        every_fourth = itertools.islice(labeled_graphs(5), 0, None, 4)
+        lines = [to_graph6(g) for _, g in every_fourth]
+        lines[10:10] = ["bad \x01", K5_LINE, ""]
+        path = tmp_path / f"x{reps}.g6"
+        path.write_text("\n".join(lines * reps) + "\n")
+        return path, lines * reps
+
+    def test_violations_match_the_per_report_reference(self, tmp_path,
+                                                       monkeypatch, capsys):
+        path, lines = self.violating_stream(tmp_path, monkeypatch, 1)
+        summary, violations, malformed = reference(lines)
+        assert len(violations) > 250 and len(malformed) == 1
+        out = tmp_path / "x.jsonl"
+        assert cli.main(["exhaustive", "--graph6", str(path),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "VIOLATION" in line] == [
+            f"bngap: VIOLATION: {r.source} gap={r.gap!r}" for r in violations]
+        assert out.read_text().splitlines() == [
+            r.to_json() for r in violations] + [dumps(
+                {"summary": summary.as_dict(), "malformed": len(malformed)})]
+
+    def test_memory_does_not_grow_with_the_violations(self, tmp_path,
+                                                      monkeypatch):
+        # Chunks of 64 graphs, so that both streams run full chunks.
+        monkeypatch.setattr(bngap.search, "_CHUNK_ENTRIES", 25 * 64)
+
+        def peak(reps):
+            path, _ = self.violating_stream(tmp_path, monkeypatch, reps)
+            # Keep stderr's VIOLATION lines out of traced memory.
+            with open(tmp_path / "err", "w", encoding="utf-8") as err:
+                monkeypatch.setattr(sys, "stderr", err)
+                tracemalloc.start()
+                try:
+                    assert cli.main(["exhaustive", "--graph6", str(path),
+                                     "--out", str(tmp_path / "x.jsonl")]) == 1
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        # Holding the reports would add about 400 bytes per violation,
+        # some 0.9 MB over the longer stream's 2,300 extra ones.
+        small, large = peak(1), peak(10)
+        assert large - small < 128 * 1024, (small, large)
 
     def test_summary_csv_leaves_min_gap_empty_without_applicable_graphs(
             self, tmp_path):

@@ -156,12 +156,12 @@ class TestExhaustive:
     def test_builtin_n4(self):
         res = exhaustive_check(4)
         assert res.summary.total + res.summary.out_of_domain == 64
-        assert not res.violations
+        assert res.summary.violations == 0
 
     def test_builtin_n5(self):
         res = exhaustive_check(5)
         assert res.summary.total + res.summary.out_of_domain == 1024
-        assert not res.violations
+        assert res.summary.violations == 0
         assert res.summary.excluded == 1
 
     def test_builtin_cap(self):
@@ -176,7 +176,7 @@ class TestExhaustive:
         res = exhaustive_check([k5, "", "   ", "bad line \x01"],
                                lambda lineno, message: seen.append(lineno))
         assert res.summary.excluded == 1
-        assert not res.violations
+        assert res.summary.violations == 0
         assert res.malformed == 1 and seen == [4]
 
     def test_malformed_records_go_to_stderr_by_default(self, capsys):
@@ -191,7 +191,7 @@ class TestExhaustive:
         lines = [to_graph6(g) for _, g in labeled_graphs(4)]
         res = exhaustive_check(lines)
         assert res.summary.total + res.summary.out_of_domain == 64
-        assert not res.violations
+        assert res.summary.violations == 0
 
 
 class TestRandomK4Free:

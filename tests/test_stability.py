@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import bngap.search
+import bngap.stability
 from bngap.graphs import (
     Graph,
     PartSizes,
@@ -16,6 +17,7 @@ from bngap.graphs import (
 from bngap.search import random_graph
 from bngap.spectra import adjacency_matrix, eigenvalues, weyl_check
 from bngap.stability import (
+    EXACT_MAX_N,
     LOCAL_RESTARTS,
     STABILITY_CSV_COLUMNS,
     _cost_table,
@@ -118,6 +120,11 @@ def reference_local_descent(g, assignment):
             if improved:
                 break
     return reference_assignment_cost(g, tuple(assignment))
+
+
+def int8_stack(graphs):
+    """The (B, n, n) int8 adjacency stack the descent runs on."""
+    return np.stack([adjacency_matrix(g) for g in graphs]).astype(np.int8)
 
 
 class RecordedAssignment(list):
@@ -239,7 +246,7 @@ class TestGainTableDescent:
     def check(self, g, start):
         ref = RecordedAssignment(start)
         ref_cost = reference_local_descent(g, ref)
-        adj = adjacency_matrix(g)[None]
+        adj = int8_stack([g])
         starts = np.array([[start]])
         # One descent stepped by hand: each step must make the reference's
         # next move, and the step after the last must find none, so a
@@ -294,7 +301,7 @@ class TestGainTableDescent:
         rng = np.random.default_rng(np.random.PCG64(75))
         for n in (1, 7, 31):
             graphs = [random_graph(n, float(rng.random()), rng) for _ in range(5)]
-            adj = np.stack([adjacency_matrix(g) for g in graphs])
+            adj = int8_stack(graphs)
             starts = rng.integers(0, 3, size=(5, 4, n))
             singles = [starts[i:i + 1].copy() for i in range(5)]
             costs = _descend(adj, starts)
@@ -307,7 +314,7 @@ class TestGainTableDescent:
         for n in (1, 2, 9, 40):
             graphs = [random_graph(n, float(rng.random()), rng) for _ in range(4)]
             graphs.append(turan_graph(n, min(3, n)))
-            got = _greedy_starts(np.stack([adjacency_matrix(g) for g in graphs]))
+            got = _greedy_starts(int8_stack(graphs))
             assert got.tolist() == [reference_greedy_assignment(g) for g in graphs]
 
     def test_edit_distance_local_matches_reference_restarts(self):
@@ -373,13 +380,36 @@ class TestExperiment:
             if row["k"] == 0:
                 assert row["edits"] == 0
 
-    @pytest.mark.parametrize("n", [9, 15])
+    @pytest.mark.parametrize("n", [9, 15, 40])
     def test_rows_do_not_depend_on_the_chunk(self, monkeypatch, n):
         args = (n, [0, 3, 20], 4, 6)
-        assert bngap.search._CHUNK_ENTRIES // (n * n) >= 12  # one chunk
-        whole = stability_experiment(*args)
-        monkeypatch.setattr(bngap.search, "_CHUNK_ENTRIES", 1)  # one row each
-        assert stability_experiment(*args) == whole
+        # At the defaults, the 12 rows are one descent group and one float
+        # sub-chunk.
+        group = bngap.stability._GROUP_ENTRIES
+        assert bngap.search._CHUNK_ENTRIES // (n * n) >= 12
+        rows = stability_experiment(*args)
+        # One row per group; then one group over float sub-chunks of 5, 5
+        # and 2 rows.
+        for entries in ((1, bngap.search._CHUNK_ENTRIES), (group, 5 * n * n)):
+            monkeypatch.setattr(bngap.stability, "_GROUP_ENTRIES", entries[0])
+            monkeypatch.setattr(bngap.search, "_CHUNK_ENTRIES", entries[1])
+            assert stability_experiment(*args) == rows
+        # Each row is its graph's: the cell's seed stream draws the deleted
+        # edges, then the seed of edit_distance_local's starts.
+        base = turan_graph(n, 3)
+        edges = base.edges()
+        children = np.random.SeedSequence(args[3]).spawn(len(rows))
+        for row, child in zip(rows, children):
+            rng = np.random.default_rng(np.random.PCG64(child))
+            g = base
+            for idx in rng.choice(len(edges), size=row["k"], replace=False):
+                g = g.without_edge(*edges[int(idx)])
+            lam = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
+            assert (row["m"], row["lambda1_sq_over_m"]) == (g.m, lam * lam / g.m)
+            res = (edit_distance_exact(g) if n <= EXACT_MAX_N else
+                   edit_distance_local(g, LOCAL_RESTARTS,
+                                       int(rng.integers(2 ** 63))))
+            assert (row["edits"], row["method"]) == (res.edits, res.method)
 
     def test_deterministic_reruns(self):
         a = stability_experiment(9, [0, 1, 3], samples=8, seed=33)
