@@ -267,17 +267,18 @@ def edit_distance_local(g: Graph, restarts: int, seed: int) -> EditResult:
     return _local_search(adj[None], [seed], restarts)[0]
 
 
-def _stability_group(n: int, base: np.ndarray, pairs: np.ndarray,
-                     base_m: int, cells: list[tuple[int, int]],
+def _stability_group(base: np.ndarray, pairs: np.ndarray,
+                     cells: list[tuple[int, int]],
                      children: list[np.random.SeedSequence]) -> list[dict]:
     """The rows of a run of (k, sample) cells, one seed stream each.
 
+    ``base`` is the int8 adjacency of T(n, 3) and ``pairs`` its edges.
     Each cell draws its deleted edges and then, above EXACT_MAX_N, the seed
-    of its local-search starts.  Row i of the int8 stack is ``base``, the
-    adjacency of T(n, 3), with the drawn ``pairs`` zeroed; lambda1 comes
-    from one batched eigensolve per float sub-stack and the local searches
-    from one batched descent.
+    of its local-search starts.  Row i of the int8 stack is ``base`` with
+    cell i's drawn pairs zeroed; lambda1 comes from one batched eigensolve
+    per float sub-stack and the local searches from one batched descent.
     """
+    n = len(base)
     ks = [k for k, _ in cells]
     drawn, seeds = [], []
     for k, child in zip(ks, children):
@@ -285,21 +286,21 @@ def _stability_group(n: int, base: np.ndarray, pairs: np.ndarray,
         drawn.append(rng.choice(len(pairs), size=k, replace=False))
         if n > EXACT_MAX_N:
             seeds.append(int(rng.integers(2 ** 63)))
-    row = np.repeat(np.arange(len(cells)), ks)
+    i = np.repeat(np.arange(len(cells)), ks)
     u, v = pairs[np.concatenate(drawn)].T
     adj = np.repeat(base[None], len(cells), axis=0)
-    adj[row, u, v] = adj[row, v, u] = 0
+    adj[i, u, v] = adj[i, v, u] = 0
     lam1 = np.concatenate([np.linalg.eigvalsh(sub)[:, -1]
                            for _, sub in _float_chunks(adj)]).tolist()
     if seeds:
         results = _local_search(adj, seeds, LOCAL_RESTARTS)
     else:
-        bits = (adj.astype(np.int64) << np.arange(n)).sum(axis=2).tolist()
-        results = [edit_distance_exact(Graph._unchecked(n, tuple(rows)))
-                   for rows in bits]
+        masks = (adj.astype(np.int64) << np.arange(n)).sum(axis=2).tolist()
+        results = [edit_distance_exact(Graph._unchecked(n, tuple(row)))
+                   for row in masks]
     rows = []
     for (k, sample), lam, res in zip(cells, lam1, results):
-        m = base_m - k
+        m = len(pairs) - k
         rows.append(dict(zip(STABILITY_CSV_COLUMNS, (
             n, k, sample, m, lam * lam / m if m else 0.0, res.edits,
             res.normalized, res.method,
@@ -333,8 +334,8 @@ def stability_experiment(n: int, deletion_grid: list[int], samples: int,
     return [
         row
         for lo in range(0, len(cells), step)
-        for row in _stability_group(n, base, pairs, turan.m,
-                                    cells[lo:lo + step], children[lo:lo + step])
+        for row in _stability_group(base, pairs, cells[lo:lo + step],
+                                    children[lo:lo + step])
     ]
 
 
