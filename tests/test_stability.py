@@ -386,7 +386,7 @@ class TestExperiment:
         # At the defaults, the 12 rows are one descent group and one float
         # sub-chunk.
         group = bngap.stability._GROUP_ENTRIES
-        assert bngap.search._CHUNK_ENTRIES // (n * n) >= 12
+        assert min(group, bngap.search._CHUNK_ENTRIES) // (n * n) >= 12
         rows = stability_experiment(*args)
         # One row per group; then one group over float sub-chunks of 5, 5
         # and 2 rows.
@@ -396,14 +396,10 @@ class TestExperiment:
             assert stability_experiment(*args) == rows
         # Each row is its graph's: the cell's seed stream draws the deleted
         # edges, then the seed of edit_distance_local's starts.
-        base = turan_graph(n, 3)
-        edges = base.edges()
         children = np.random.SeedSequence(args[3]).spawn(len(rows))
         for row, child in zip(rows, children):
             rng = np.random.default_rng(np.random.PCG64(child))
-            g = base
-            for idx in rng.choice(len(edges), size=row["k"], replace=False):
-                g = g.without_edge(*edges[int(idx)])
+            g = _deleted_turan(n, row["k"], rng)
             lam = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
             assert (row["m"], row["lambda1_sq_over_m"]) == (g.m, lam * lam / g.m)
             res = (edit_distance_exact(g) if n <= EXACT_MAX_N else
