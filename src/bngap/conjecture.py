@@ -113,18 +113,25 @@ def report_lines(columns, sources: list[str]) -> str:
 
 def gap_terms(n, m, omega, lam1, lam2):
     """``bound, lhs, gap, holds, equality, excluded`` for one graph or, as
-    numpy columns, a chunk: only Python operators are used.  Both tests use
-    the scale ``GAP_TOL * max(1, bound)``, since the rounding error of
-    ``lhs`` grows with it: ``holds`` is ``gap >= -GAP_TOL * max(1, bound)``
-    and ``equality`` is ``|gap| <= GAP_TOL * max(1, bound)``, so equality
-    implies holds.  ``excluded`` marks complete graphs.
+    numpy columns, a chunk: only Python operators are used.  Both tests
+    (``gap_flags``) use the scale ``GAP_TOL * max(1, bound)``, since the
+    rounding error of ``lhs`` grows with it: ``holds`` is
+    ``gap >= -GAP_TOL * max(1, bound)`` and ``equality`` is
+    ``|gap| <= GAP_TOL * max(1, bound)``, so equality implies holds.
+    ``excluded`` marks complete graphs.
     """
     bound = 2.0 * (1.0 - 1.0 / omega) * m
     lhs = lam1 * lam1 + lam2 * lam2
     gap = bound - lhs
+    return (bound, lhs, gap, *gap_flags(gap, bound), m == n * (n - 1) // 2)
+
+
+def gap_flags(gap, bound):
+    """``holds, equality`` of ``gap_terms`` for a gap and its bound, one
+    graph's or numpy columns': the one owner of the ``GAP_TOL`` tests."""
     holds = (gap >= -GAP_TOL) | (gap >= -GAP_TOL * bound)
     equality = (abs(gap) <= GAP_TOL) | (abs(gap) <= GAP_TOL * bound)
-    return bound, lhs, gap, holds, equality, m == n * (n - 1) // 2
+    return holds, equality
 
 
 def bn_report(g: Graph, source: str = "graph") -> BnReport:

@@ -10,7 +10,8 @@ build symmetric rows and skip ``Graph`` validation (see ``bngap.graphs``):
 ``labeled_graphs`` decodes each edge code with ``Graph.from_edge_bitset``,
 the others set both bits of every pair they keep.  Edge codes, the clique
 table's masks included, come from ``bngap.graphs``; ``graph6_pairs`` is
-read here only as the index arrays of the labeled chunks' scatter.
+read here only as index arrays: the labeled chunks' scatter and the pair
+maps of ``_orbits``.
 
 The multipartite sweep runs a chunk of ``SWEEP_CHUNK`` partitions at a
 time as columns (``sweep_chunks``).  The descending tuples of
@@ -23,19 +24,31 @@ every report at once.  ``SweepSummary.from_columns`` summarizes the chunk,
 only violating partitions are rebuilt through ``bn_report_multipartite``.
 ``sweep_multipartite`` yields the same rows as ``BnReport``s.
 
-``exhaustive_check`` runs in chunks of same-n graphs.  A chunk is stacked
-into one ``(B, n, n)`` array and solved with one batched ``eigvalsh``;
-``conjecture.gap_terms`` then runs on whole columns, so each graph gets the
-same floats and flags as from ``bn_report``, and
-``SweepSummary.from_columns`` and ``merge`` fold the chunk into the running
-summary.  Only violating graphs are rebuilt, through ``bn_report``, and
-each report goes to the caller's ``on_violation`` as its chunk is checked,
-so no list of them is kept.  A chunk holds at most
-``_CHUNK_ENTRIES`` matrix entries (2^15 doubles, 256 KiB; 910 graphs at
-n = 6, one graph at n >= 129), which bounds the engine's working memory
-whatever the family size.  Labeled chunks are slices of edge codes, with
-the clique number read off a table of vertex subsets; graph6 chunks are
-runs of consecutive records with the same n.
+``exhaustive_check`` stacks same-n graphs into ``(B, n, n)`` arrays and
+solves each with one batched ``eigvalsh``; ``conjecture.gap_terms`` then
+runs on whole columns, so each graph gets the same floats and flags as from
+``bn_report``.  Only violating graphs are rebuilt, through ``bn_report``,
+and each report goes to the caller's ``on_violation`` in family order, so
+no list of them is kept.  A stack holds at most ``_CHUNK_ENTRIES`` matrix
+entries (2^15 doubles, 256 KiB; 910 graphs at n = 6, one graph at
+n >= 129), which bounds the engine's working memory whatever the family
+size.
+
+A graph6 stream is checked in runs of consecutive records with the same n,
+and ``SweepSummary.from_columns`` and ``merge`` fold each run into the
+running summary.  The labeled graphs on n vertices are checked one
+isomorphism class at a time, since isomorphic graphs have the same
+spectrum, m and clique number: ``_orbits`` maps every edge code to its
+class, one stack solves the classes' least codes, and every code takes its
+class's columns.  Floats of isomorphic graphs still differ by rounding, so
+a class whose gap lies within ``_ORBIT_MARGIN * max(1, bound)`` of a flag
+threshold or of the least gap of its n is solved graph by graph in
+``_chunk_size(n)`` slices of its members' codes (``_unsure``).  For n <= 6
+those are the 4,167 equality graphs, so 4,374 graphs are solved instead
+of 33,861, with the same summary and violations as a graph-by-graph
+check.  One ``SweepSummary.from_columns`` over the columns in code order
+gives the summary.  The clique number of an edge code is read off a table
+of vertex subsets.
 
 The hill climb and the Zykov walk draw a pair uniformly with one
 ``rng.integers(count)`` and read it off the rows with ``Graph.nth_edge`` (a
@@ -61,7 +74,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import accumulate, chain, combinations, islice
+from itertools import accumulate, chain, combinations, islice, permutations
 from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
@@ -71,6 +84,7 @@ from .conjecture import (
     GAP_TOL,
     BnReport,
     bn_report,
+    gap_flags,
     gap_terms,
     report_lines,
 )
@@ -100,6 +114,15 @@ SWEEP_CHUNK = 1024
 # Stability's int8 descent groups are sized by their own budget,
 # ``stability._GROUP_ENTRIES``.
 _CHUNK_ENTRIES = 2 ** 15
+
+# An isomorphism class of labeled graphs is solved graph by graph when its
+# representative's gap lies within _ORBIT_MARGIN * max(1, bound) of a
+# threshold of ``gap_flags`` or of the least gap of its n.  Isomorphic
+# graphs' float gaps differ by rounding only, at most 3.75e-15 * max(1,
+# bound) for n <= 6 (the tests hold them within 1e-12 * max(1, bound)), so
+# no member of a class solved once can cross a threshold or become the
+# minimum.
+_ORBIT_MARGIN = 1e-6
 
 
 def partitions_into_parts(n: int, r_max: int) -> Iterator[tuple[int, ...]]:
@@ -352,6 +375,74 @@ def _labeled_chunk(n: int, codes: np.ndarray, table: tuple[np.ndarray, np.ndarra
     return adj, bits.sum(axis=1), omega
 
 
+def _orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The isomorphism classes of the labeled graphs on n vertices: the
+    class index of every edge code, and each class's least code, in
+    increasing order.  The least code not yet reached opens a class, and
+    its images under the n! vertex permutations join it."""
+    pairs = np.array(list(graph6_pairs(n)), dtype=np.intp).reshape(-1, 2)
+    index = np.zeros((n, n), dtype=np.int64)
+    index[pairs[:, 0], pairs[:, 1]] = index[pairs[:, 1], pairs[:, 0]] = range(len(pairs))
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    # weights[p, k] is the bit that pair k moves to under permutation p.
+    weights = 1 << index[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]
+    shifts = np.arange(len(pairs))
+    cls = np.full(1 << len(pairs), -1, dtype=np.int64)
+    reps = []
+    while (unseen := cls < 0).any():
+        code = int(unseen.argmax())
+        cls[weights @ (code >> shifts & 1)] = len(reps)
+        reps.append(code)
+    return cls, np.array(reps, dtype=np.int64)
+
+
+def _unsure(gap: np.ndarray, bound: np.ndarray,
+            applicable: np.ndarray) -> np.ndarray:
+    """Which of the classes with representatives' columns ``gap`` and
+    ``bound`` are solved graph by graph: the applicable ones whose gap lies
+    within ``_ORBIT_MARGIN * max(1, bound)`` of a threshold of ``gap_flags``
+    (the flags at gap - margin and gap + margin differ) or of the least
+    applicable gap."""
+    margin = _ORBIT_MARGIN * np.maximum(1.0, bound)
+    low, high = gap_flags(gap - margin, bound), gap_flags(gap + margin, bound)
+    least = np.min(gap, where=applicable, initial=np.inf)
+    return applicable & ((low[0] != high[0]) | (low[1] != high[1])
+                         | (gap <= least + margin))
+
+
+def _labeled_summary(n: int, on_violation: Callable[[BnReport], None]
+                     ) -> SweepSummary:
+    """The summary of the labeled graphs on n vertices, solved one
+    isomorphism class at a time (see the module docstring)."""
+    if n < 2:
+        return SweepSummary(out_of_domain=1)  # K1 has no edge
+    table = _clique_table(n)
+    cls, reps = _orbits(n)
+    adj, m, omega = _labeled_chunk(n, reps, table)
+    vals = np.linalg.eigvalsh(adj)
+    bound, _, gap, holds, equality, excluded = gap_terms(
+        n, m, omega, vals[:, -1], vals[:, -2])
+    live = m >= 1
+    unsure = _unsure(gap, bound, live & ~excluded)
+    # Every code takes its class's columns; the members of unsure classes
+    # are then solved graph by graph and keep their own.
+    gap, holds, equality, excluded, live = (
+        column[cls] for column in (gap, holds, equality, excluded, live))
+    members = np.flatnonzero(unsure[cls])
+    step = _chunk_size(n)
+    for lo in range(0, len(members), step):
+        codes = members[lo:lo + step]
+        adj, m, omega = _labeled_chunk(n, codes, table)
+        vals = np.linalg.eigvalsh(adj)
+        _, _, gap[codes], holds[codes], equality[codes], _ = gap_terms(
+            n, m, omega, vals[:, -1], vals[:, -2])
+    for code in np.flatnonzero(live & ~excluded & ~holds).tolist():
+        on_violation(bn_report(Graph.from_edge_bitset(n, code),
+                               source=labeled_tag(n, code)))
+    return SweepSummary.from_columns(gap, holds, equality, excluded,
+                                     lambda i: labeled_tag(n, i), live)
+
+
 def _print_malformed(lineno: int, message: str) -> None:
     print(f"bngap: malformed graph6 at line {lineno}: {message}",
           file=sys.stderr)
@@ -374,26 +465,16 @@ def exhaustive_check(
     printed to stderr) when it is read, and counted, and the stream
     continues; graphs the bound does not apply to (no edges) are counted
     and skipped.  Each violating graph's report is passed to
-    ``on_violation(report)`` when its chunk is checked, in family order,
-    and only counted here, so memory does not grow with the violations.
-    The family is checked in chunks (see the module docstring).
+    ``on_violation(report)`` in family order, and only counted here, so
+    memory does not grow with the violations.  A graph6 stream is checked
+    in chunks and the labeled graphs one isomorphism class at a time (see
+    the module docstring).
     """
-    res = ExhaustiveResult(SweepSummary())
     if isinstance(source, int):
-        n = source
-        _check_enum_n(n)
-        table = _clique_table(n)
-        step = _chunk_size(n)
-        total = 1 << n * (n - 1) // 2
-        for lo in range(0, total, step):
-            codes = np.arange(lo, min(lo + step, total), dtype=np.int64)
-            adj, m, omega = _labeled_chunk(n, codes, table)
-            _check_chunk(res, adj, m, omega,
-                         lambda i: labeled_tag(n, lo + i),
-                         lambda i: Graph.from_edge_bitset(n, int(lo + i)),
-                         on_violation)
-        return res
+        _check_enum_n(source)
+        return ExhaustiveResult(_labeled_summary(source, on_violation))
 
+    res = ExhaustiveResult(SweepSummary())
     chunk: list[tuple[int, Graph]] = []
 
     def flush() -> None:

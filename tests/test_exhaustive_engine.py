@@ -7,13 +7,14 @@ same order and report the same malformed list.
 """
 
 from dataclasses import fields
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
 import bngap.conjecture
 import bngap.search
-from bngap.conjecture import OutOfDomainError, bn_report
+from bngap.conjecture import OutOfDomainError, bn_report, gap_terms
 from bngap.graphs import (
     Graph,
     Graph6Error,
@@ -26,6 +27,8 @@ from bngap.search import (
     SweepSummary,
     _clique_table,
     _labeled_chunk,
+    _orbits,
+    _unsure,
     exhaustive_check,
     labeled_graphs,
     random_graph,
@@ -227,3 +230,107 @@ def test_bn_report_only_for_violations(monkeypatch):
     res = exhaustive_check(4, on_violation=reported.append)
     assert res.summary.violations == len(reported) > 0
     assert calls == [r.source for r in reported]
+
+
+@pytest.mark.parametrize("n, classes", [(1, 1), (2, 2), (3, 4), (4, 11),
+                                        (5, 34), (6, 156)])
+def test_orbit_class_counts(n, classes):
+    # OEIS A000088: graphs on n unlabeled vertices.
+    cls, reps = _orbits(n)
+    assert len(reps) == classes and len(cls) == 1 << comb(n, 2)
+    sizes = np.bincount(cls)
+    assert sizes.sum() == len(cls) and (factorial(n) % sizes == 0).all()
+    # Each class's representative is its least code.
+    assert cls[reps].tolist() == list(range(classes))
+    assert (reps[cls] <= np.arange(len(cls))).all()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_members_are_isomorphic_to_their_representative(n):
+    nx = pytest.importorskip("networkx")
+
+    def graph(code):
+        g = nx.empty_graph(n)
+        g.add_edges_from(Graph.from_edge_bitset(n, int(code)).edges())
+        return g
+
+    cls, reps = _orbits(n)
+    rep_graphs = [graph(code) for code in reps]
+    for code, k in enumerate(cls.tolist()):
+        assert nx.is_isomorphic(graph(code), rep_graphs[k])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_member_gaps_spread_by_rounding_only(n):
+    cls, reps = _orbits(n)
+    codes = np.arange(len(cls))
+    adj, m, omega = _labeled_chunk(n, codes, _clique_table(n))
+    vals = np.linalg.eigvalsh(adj)
+    bound, _, gap, *_ = gap_terms(n, m, omega, vals[:, -1], vals[:, -2])
+    assert (bound == bound[reps][cls]).all()
+    high = np.full(len(reps), -np.inf)
+    low = np.full(len(reps), np.inf)
+    np.maximum.at(high, cls, gap)
+    np.minimum.at(low, cls, gap)
+    assert (high - low <= 1e-12 * np.maximum(1.0, bound[reps])).all()
+
+
+@pytest.mark.parametrize("bound", [0.5, 3.0, 40.0])
+def test_unsure_rule(bound):
+    scale = max(1.0, bound)
+    tol = bngap.conjecture.GAP_TOL * scale
+    margin = bngap.search._ORBIT_MARGIN * scale
+    least = -5.0
+    # At +-margin only one flag differs across gap -+ margin.
+    near = [least, least + margin / 2, tol + margin / 2, tol - margin / 2,
+            -tol + margin / 2, -tol - margin / 2, margin, -margin]
+    far = [least + 2 * margin, tol + 2 * margin, -tol - 2 * margin, 1.0]
+    gap = np.array(near + far + [least, tol])
+    applicable = np.array([True] * (len(near) + len(far)) + [False, False])
+    unsure = _unsure(gap, np.full(len(gap), bound), applicable)
+    assert unsure.tolist() == [True] * len(near) + [False] * (len(far) + 2)
+
+
+def solved_codes(monkeypatch):
+    """The edge codes ``_labeled_chunk`` is called on, in call order."""
+    codes = []
+    labeled_chunk = bngap.search._labeled_chunk
+
+    def recorded(n, chunk, table):
+        codes.extend(chunk.tolist())
+        return labeled_chunk(n, chunk, table)
+
+    monkeypatch.setattr(bngap.search, "_labeled_chunk", recorded)
+    return codes
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_only_equality_classes_are_solved_graph_by_graph(monkeypatch, n):
+    codes = solved_codes(monkeypatch)
+    res = exhaustive_check(n)
+    _, reps = _orbits(n)
+    assert codes[:len(reps)] == reps.tolist()
+    assert len(codes) - len(reps) == res.summary.equality
+
+
+@pytest.mark.parametrize("gap_tol", [None, -1.0])
+def test_unbounded_margin_gives_the_same_result(monkeypatch, gap_tol):
+    if gap_tol is not None:
+        monkeypatch.setattr(bngap.conjecture, "GAP_TOL", gap_tol)
+
+    def run(n):
+        reported = []
+        res = exhaustive_check(n, on_violation=reported.append)
+        return res.summary.as_dict(), reported
+
+    want = [run(n) for n in range(1, 7)]
+    monkeypatch.setattr(bngap.search, "_ORBIT_MARGIN", np.inf)
+    codes = solved_codes(monkeypatch)
+    for n in range(2, 7):
+        codes.clear()
+        summary, reported = want[n - 1]
+        assert run(n) == (summary, reported)
+        # Every applicable graph is solved graph by graph.
+        classes = len(_orbits(n)[1])
+        assert len(codes) == classes + summary["total"] - summary["excluded"]
+    assert run(1) == want[0]
