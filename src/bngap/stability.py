@@ -248,8 +248,7 @@ def _local_search(adj: np.ndarray, seeds: list[int],
     starts[:, 0] = _greedy_starts(adj)
     for row, seed in zip(starts, seeds):
         rng = np.random.default_rng(np.random.PCG64(seed))
-        for trial in range(1, restarts):
-            row[trial] = rng.integers(0, 3, size=n)
+        row[1:] = rng.integers(0, 3, size=(restarts - 1, n))
     costs = _descend(adj, starts)
     results = []
     for cost_row, start_row in zip(costs.tolist(), starts.tolist()):
