@@ -3,7 +3,10 @@
 ``reference`` is the scalar path: one ``Graph``, one ``bn_report`` and one
 ``add`` (the per-report summary fold) per record.  The engine must give the
 same summary, pass the same violation reports to ``on_violation`` in the
-same order and report the same malformed list.
+same order and report the same malformed list.  The labeled graphs are
+solved one isomorphism class at a time, so the classes of ``_orbits`` and
+the rule that sends a class back to graph-by-graph solving (``_unsure``)
+are tested on their own too.
 """
 
 from dataclasses import fields
@@ -281,7 +284,8 @@ def test_unsure_rule(bound):
     tol = bngap.conjecture.GAP_TOL * scale
     margin = bngap.search._ORBIT_MARGIN * scale
     least = -5.0
-    # At +-margin only one flag differs across gap -+ margin.
+    # At gap = margin only the equality flag tells gap - margin from
+    # gap + margin.
     near = [least, least + margin / 2, tol + margin / 2, tol - margin / 2,
             -tol + margin / 2, -tol - margin / 2, margin, -margin]
     far = [least + 2 * margin, tol + 2 * margin, -tol - 2 * margin, 1.0]
