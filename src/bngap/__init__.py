@@ -20,13 +20,9 @@ from .graphs import (
 from .spectra import Spectrum, eigenvalues, trace_check, weyl_check
 from .multipartite import (
     SecularSpectrum,
-    ZeroBasisVector,
-    batched_secular_roots,
     multipartite_spectrum,
-    quotient_eigenvector,
     secular_roots,
     secular_value,
-    zero_eigenbasis,
 )
 from .conjecture import (
     BnReport,
@@ -43,7 +39,6 @@ from .search import (
     exhaustive_check,
     hill_climb,
     random_k4_free,
-    sweep_multipartite,
     zykov_trajectory,
 )
 from .stability import (

@@ -29,7 +29,7 @@ from datetime import datetime, timezone
 from typing import Iterator
 
 from . import __version__
-from .conjecture import BnReport, OutOfDomainError, bn_report, bn_report_multipartite
+from .conjecture import BnReport, OutOfDomainError, bn_report
 from .graphs import (
     MAX_N,
     Graph,
@@ -51,7 +51,7 @@ from .search import (
     exhaustive_check,
     graph6_tag,
     hill_climb,
-    sweep_chunks,
+    sweep,
     zykov_trajectory,
 )
 from .spectra import eigenvalues
@@ -85,15 +85,17 @@ class _Run:
         self.sink.write(line + "\n")
 
     def lines(self, path: str) -> Iterator[str]:
-        """The decoded lines of ``path`` ('-' is stdin), line endings kept.
-        The input's sha256 joins the manifest once it has been read to the
-        end."""
+        """The lines of ``path`` ('-' is stdin), line endings kept, decoded
+        byte for byte (latin-1), so no input byte is a decoding error: a
+        graph6 record with a byte outside 63..126 is malformed, and its
+        error names that byte.  The input's sha256 joins the manifest once
+        it has been read to the end."""
         digest = hashlib.sha256()
         with (contextlib.nullcontext(sys.stdin.buffer) if path == "-"
               else open(path, "rb")) as fh:
             for raw in fh:
                 digest.update(raw)
-                yield raw.decode("utf-8")
+                yield raw.decode("latin-1")
         self.inputs.append({"path": "<stdin>" if path == "-" else path,
                             "sha256": digest.hexdigest()})
 
@@ -178,7 +180,7 @@ def _load_graphs(run: _Run) -> list[tuple[str, Graph]]:
         return [("edges", parse_edge_list_text("".join(run.lines(args.edges))))]
     graphs = []
     for lineno, line in enumerate(run.lines(args.graph6), start=1):
-        if not line.strip():
+        if line.isascii() and not line.strip():
             continue
         try:
             graphs.append((graph6_tag(lineno), parse_graph6(line)))
@@ -230,13 +232,8 @@ def _cmd_report(run: _Run) -> int:
 
 def _cmd_sweep(run: _Run) -> int:
     args = run.args
-    summary = SweepSummary()
-    for chunk in sweep_chunks(args.n_max, args.r_max):
-        run.sink.write(chunk.lines())
-        summary.merge(chunk.summary())
-        for parts in chunk.violating_parts():
-            report = bn_report_multipartite(PartSizes(parts))
-            run.check(report, report.source)
+    summary = sweep(args.n_max, args.r_max, run.sink.write,
+                    lambda report: run.check(report, report.source))
     _status(
         f"sweep n<={args.n_max} r<={args.r_max}: {summary.violations} violations"
         f" / {summary.total} reports (equality={summary.equality},"

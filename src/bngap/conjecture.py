@@ -158,7 +158,7 @@ def bn_report_multipartite(parts: PartSizes) -> BnReport:
     above the largest pole -p_max and below every other pole, so lambda_n is
     the least of that root, -p_max when p_max occurs twice or more, and
     zero.  The sweep builds the same reports a chunk at a time as columns
-    (``search.sweep_chunks``).
+    (``search.sweep``) and calls this only for its violators.
     """
     roots = secular_roots(parts)
     sizes = parts.sizes

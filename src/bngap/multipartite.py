@@ -19,16 +19,15 @@ prod_k (lam + p_k) times (1 - sum_k t_k p_k / (lam + p_k)) (Golub, "Some
 modified matrix eigenvalue problems", SIAM Review 15, 1973).  One small
 dense eigensolve therefore gives all of them.
 
-``batched_secular_roots`` solves many partitions at once: it stacks the
-matrices of equal s into one (k, s, s) array and makes one batched
-``eigvalsh`` call per s.  numpy solves each matrix of a stack with the same
-LAPACK call as a single solve, so a root is the same float either way;
-``secular_roots`` is a batch of one.  The sweep solves its partitions in
-fixed-size chunks with ``secular_root_range``, which takes a chunk as one
-zero-padded array of part sizes, finds the distinct sizes with numpy and
+``secular_roots`` solves one partition as a stack of one matrix.
+``secular_root_range``, the one batched entry point, solves a sweep chunk
+of partitions at once: it takes the chunk as one zero-padded array of part
+sizes, finds the distinct sizes with numpy, stacks the matrices of equal s
+into one (k, s, s) array, makes one batched ``eigvalsh`` call per s and
 returns only the largest and the smallest root of each partition: lambda1,
 and with the largest pole lambda_n, without assembling the full spectrum
-(``flatten``).
+(``flatten``).  numpy solves each matrix of a stack with the same LAPACK
+call as a single solve, so a root is the same float either way.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ from typing import Sequence
 import numpy as np
 
 from .graphs import PartSizes
-
-_POLE_GUARD = 1e-9
 
 
 def multipartite_tag(sizes: Sequence[int]) -> str:
@@ -77,37 +74,16 @@ def _secular_eigenvalues(p: np.ndarray, tp: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(matrices)
 
 
-def batched_secular_roots(
-    dists: Sequence[Sequence[tuple[int, int]]],
-) -> list[tuple[float, ...]]:
-    """The secular roots of each distinct-size list ``[(p_k, t_k), ...]``
-    (``PartSizes.distinct()``), each in descending order, in input order.
-
-    The matrices of equal s are stacked and solved with one ``eigvalsh``
-    call per s.
-    """
-    by_s: dict[int, list[int]] = {}
-    for k, dist in enumerate(dists):
-        by_s.setdefault(len(dist), []).append(k)
-    roots: list[tuple[float, ...]] = [()] * len(dists)
-    for members in by_s.values():
-        p = np.array([[size for size, _ in dists[k]] for k in members], dtype=float)
-        tp = np.array([[size * t for size, t in dists[k]] for k in members],
-                      dtype=float)
-        vals = _secular_eigenvalues(p, tp)
-        for k, row in zip(members, vals[:, ::-1].tolist()):
-            roots[k] = tuple(row)
-    return roots
-
-
 def secular_root_range(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The largest and the smallest secular root of each row of ``sizes``,
     a (k, R) int array of descending part sizes padded with zeros, as two
     columns.
 
     The distinct sizes and their multiplicities are read off the rows with
-    numpy, and the matrices of equal s are solved as in
-    ``batched_secular_roots``, so each root is the same float.
+    numpy, and the matrices of equal s are stacked and solved with one
+    ``eigvalsh`` call per s.  numpy solves each matrix of a stack with the
+    same LAPACK call as a single solve, so each root is the float
+    ``secular_roots`` gives.
     """
     k, width = sizes.shape
     filled = sizes > 0
@@ -136,7 +112,10 @@ def secular_roots(parts: PartSizes) -> tuple[float, ...]:
     The first is the unique positive root; the rest interlace the distinct
     poles, one strictly between each consecutive pair.
     """
-    return batched_secular_roots([parts.distinct()])[0]
+    dist = parts.distinct()
+    p = np.array([[size for size, _ in dist]], dtype=float)
+    tp = np.array([[size * t for size, t in dist]], dtype=float)
+    return tuple(_secular_eigenvalues(p, tp)[0, ::-1].tolist())
 
 
 @dataclass(frozen=True)
@@ -178,48 +157,3 @@ def multipartite_spectrum(parts: PartSizes) -> SecularSpectrum:
         pole_eigenvalues=poles,
         zero_multiplicity=parts.n - parts.r,
     )
-
-
-@dataclass(frozen=True)
-class ZeroBasisVector:
-    """A +1/-1 difference vector inside one part, annihilated by the adjacency."""
-
-    part_index: int
-    member_index: int
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sum(self.coefficients) != 0:
-            raise ValueError("coefficients must sum to zero")
-
-
-def zero_eigenbasis(parts: PartSizes) -> list[ZeroBasisVector]:
-    """The n - r within-part difference vectors spanning the zero eigenspace.
-
-    Vector (i, k) has +1 at the k-th vertex of part i and -1 at the last
-    vertex of that part; vectors from distinct parts have disjoint supports.
-    """
-    n = parts.n
-    offsets = parts.offsets()
-    out = []
-    for i, (size, start) in enumerate(zip(parts.sizes, offsets)):
-        last = start + size - 1
-        for k in range(size - 1):
-            coeffs = [0] * n
-            coeffs[start + k] = 1
-            coeffs[last] = -1
-            out.append(ZeroBasisVector(i, k, tuple(coeffs)))
-    return out
-
-
-def quotient_eigenvector(parts: PartSizes, root: float) -> tuple[float, ...]:
-    """Part-constant coefficients c_i = 1/(root + n_i) of a secular root.
-
-    Normalized so that sum_i n_i c_i = 1; lifting c to the full vertex set
-    (value c_i on every vertex of part i) gives an eigenvector for `root`.
-    """
-    for p, _ in parts.distinct():
-        if abs(root + p) <= _POLE_GUARD:
-            raise ValueError(f"root {root} is within {_POLE_GUARD} of pole {-p}")
-    return tuple(1.0 / (root + s) for s in parts.sizes)
-

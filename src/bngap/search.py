@@ -13,42 +13,44 @@ table's masks included, come from ``bngap.graphs``; ``graph6_pairs`` is
 read here only as index arrays: the labeled chunks' scatter and the pair
 maps of ``_orbits``.
 
-The multipartite sweep runs a chunk of ``SWEEP_CHUNK`` partitions at a
-time as columns (``sweep_chunks``).  The descending tuples of
-``partitions_into_parts`` are trusted, so no ``PartSizes`` is built: a
-chunk becomes one zero-padded array of part sizes, from which numpy takes
-n, m and r, ``secular_root_range`` the largest and smallest secular roots
-(one ``eigvalsh`` per number of distinct sizes), and ``gap_terms`` tests
-every report at once.  ``SweepSummary.from_columns`` summarizes the chunk,
-``conjecture.report_lines`` writes its lines with the report template, and
-only violating partitions are rebuilt through ``bn_report_multipartite``.
-``sweep_multipartite`` yields the same rows as ``BnReport``s.
+Every family is checked by one engine.  A producer turns a chunk of
+graphs into ``gap_terms`` columns, and ``_fold`` summarizes the chunk
+with ``SweepSummary.from_columns``, merges it into the running summary
+and rebuilds only the violating rows as ``BnReport``s, each passed to the
+caller's ``on_violation`` in family order, so no list of them is kept.
+Adjacency stacks get their columns from ``_stack_terms``, one batched
+``eigvalsh`` on a ``(B, n, n)`` array, so each graph gets the same floats
+and flags as from ``bn_report``.  There are three producers:
 
-``exhaustive_check`` stacks same-n graphs into ``(B, n, n)`` arrays and
-solves each with one batched ``eigvalsh``; ``conjecture.gap_terms`` then
-runs on whole columns, so each graph gets the same floats and flags as from
-``bn_report``.  Only violating graphs are rebuilt, through ``bn_report``,
-and each report goes to the caller's ``on_violation`` in family order, so
-no list of them is kept.  A stack holds at most ``_CHUNK_ENTRIES`` matrix
-entries (2^15 doubles, 256 KiB; 910 graphs at n = 6, one graph at
-n >= 129), which bounds the engine's working memory whatever the family
-size.
+* ``sweep``: the multipartite sweep, ``SWEEP_CHUNK`` partitions at a
+  time (``_sweep_chunk``).  The descending tuples of
+  ``partitions_into_parts`` are trusted, so no ``PartSizes`` is built: a
+  chunk becomes one zero-padded array of part sizes, from which numpy
+  takes n, m and r, ``secular_root_range`` the largest and smallest
+  secular roots (one ``eigvalsh`` per number of distinct sizes), and
+  ``gap_terms`` tests every report at once.  ``conjecture.report_lines``
+  writes the chunk's lines with the report template, and violators are
+  rebuilt through ``bn_report_multipartite``.
+* a graph6 stream, checked in runs of consecutive records with the same
+  n.  A run of edgeless graphs is only counted, since n = 1 has no second
+  eigenvalue.
+* the labeled graphs on n vertices, checked one isomorphism class at a
+  time, since isomorphic graphs have the same spectrum, m and clique
+  number: ``_orbits`` maps every edge code to its class, one stack solves
+  the classes' least codes, and every code takes its class's columns.
+  Floats of isomorphic graphs still differ by rounding, so a class whose
+  gap lies within ``_ORBIT_MARGIN * max(1, bound)`` of a flag threshold
+  or of the least gap of its n is solved graph by graph in
+  ``_chunk_size(n)`` slices of its members' codes (``_unsure``).  For
+  n <= 6 those are the 4,167 equality graphs, so 4,374 graphs are solved
+  instead of 33,861, with the same summary and violations as a
+  graph-by-graph check.  The columns of all codes are folded as one chunk
+  in code order.  The clique number of an edge code is read off a table
+  of vertex subsets.
 
-A graph6 stream is checked in runs of consecutive records with the same n,
-and ``SweepSummary.from_columns`` and ``merge`` fold each run into the
-running summary.  The labeled graphs on n vertices are checked one
-isomorphism class at a time, since isomorphic graphs have the same
-spectrum, m and clique number: ``_orbits`` maps every edge code to its
-class, one stack solves the classes' least codes, and every code takes its
-class's columns.  Floats of isomorphic graphs still differ by rounding, so
-a class whose gap lies within ``_ORBIT_MARGIN * max(1, bound)`` of a flag
-threshold or of the least gap of its n is solved graph by graph in
-``_chunk_size(n)`` slices of its members' codes (``_unsure``).  For n <= 6
-those are the 4,167 equality graphs, so 4,374 graphs are solved instead
-of 33,861, with the same summary and violations as a graph-by-graph
-check.  One ``SweepSummary.from_columns`` over the columns in code order
-gives the summary.  The clique number of an edge code is read off a table
-of vertex subsets.
+An adjacency stack holds at most ``_CHUNK_ENTRIES`` matrix entries (2^15
+doubles, 256 KiB; 910 graphs at n = 6, one graph at n >= 129), which
+bounds the engine's working memory whatever the family size.
 
 The hill climb and the Zykov walk draw a pair uniformly with one
 ``rng.integers(count)`` and read it off the rows with ``Graph.nth_edge`` (a
@@ -84,6 +86,7 @@ from .conjecture import (
     GAP_TOL,
     BnReport,
     bn_report,
+    bn_report_multipartite,
     gap_flags,
     gap_terms,
     report_lines,
@@ -92,6 +95,7 @@ from .graphs import (
     MAX_N,
     Graph,
     Graph6Error,
+    PartSizes,
     check_vertex_count,
     clique_number,
     closes_k4,
@@ -105,7 +109,7 @@ from .spectra import adjacency_matrix
 
 MAX_ENUM_N = 6
 
-# Partitions per sweep chunk (``sweep_chunks``).
+# Partitions per sweep chunk (``sweep``).
 SWEEP_CHUNK = 1024
 
 # Matrix entries per float64 chunk: one (B, n, n) float64 array of the
@@ -156,41 +160,14 @@ def partitions_into_parts(n: int, r_max: int) -> Iterator[tuple[int, ...]]:
         del parts[i + 1:]
 
 
-@dataclass(frozen=True)
-class SweepChunk:
-    """Consecutive partitions of the sweep and their reports as columns.
-
-    ``columns`` are numpy columns of the ``BnReport`` fields from n to
-    excluded, in field order (omega is the part count r), and ``sources``
-    the source tags: row i is, field for field, the report
-    ``bn_report_multipartite`` gives for ``PartSizes(parts[i])``.
-    """
-
-    parts: list[tuple[int, ...]]
-    columns: tuple[np.ndarray, ...]
-    sources: list[str]
-
-    def reports(self) -> Iterator[BnReport]:
-        return map(BnReport, *(c.tolist() for c in self.columns), self.sources)
-
-    def lines(self) -> str:
-        """The report lines, each ended by a newline."""
-        return report_lines(self.columns, self.sources)
-
-    def summary(self) -> SweepSummary:
-        gap, holds, equality, excluded = self.columns[-4:]
-        return SweepSummary.from_columns(gap, holds, equality, excluded,
-                                         self.sources.__getitem__)
-
-    def violating_parts(self) -> list[tuple[int, ...]]:
-        *_, holds, _, excluded = self.columns
-        return [self.parts[i] for i in np.flatnonzero(~excluded & ~holds).tolist()]
-
-
-def _sweep_chunk(parts: list[tuple[int, ...]]) -> SweepChunk:
-    """The columns of the partitions ``parts`` (descending tuples, trusted):
-    one zero-padded array of part sizes, one ``secular_root_range`` call and
-    one ``gap_terms`` call on the whole chunk."""
+def _sweep_chunk(parts: list[tuple[int, ...]]
+                 ) -> tuple[tuple[np.ndarray, ...], list[str]]:
+    """The report columns and source tags of the partitions ``parts``
+    (descending tuples, trusted): one zero-padded array of part sizes, one
+    ``secular_root_range`` call and one ``gap_terms`` call on the whole
+    chunk.  The columns are the ``BnReport`` fields from n to excluded, in
+    field order (omega is the part count r): row i is, field for field, the
+    report ``bn_report_multipartite`` gives for ``PartSizes(parts[i])``."""
     r = np.fromiter(map(len, parts), np.int64, len(parts))
     sizes = np.zeros((len(parts), int(r.max())), np.int64)
     sizes[np.arange(sizes.shape[1]) < r[:, None]] = list(chain.from_iterable(parts))
@@ -207,27 +184,31 @@ def _sweep_chunk(parts: list[tuple[int, ...]]) -> SweepChunk:
     sources = [multipartite_tag(p) for p in parts]
     for i in np.flatnonzero((r == 2) & terms[4] & (p_next != p_max)).tolist():
         sources[i] += BIPARTITE_NOTE
-    return SweepChunk(parts, (n, m, r, lam1, lam2, lam_n, *terms), sources)
+    return (n, m, r, lam1, lam2, lam_n, *terms), sources
 
 
-def sweep_chunks(n_max: int, r_max: int) -> Iterator[SweepChunk]:
-    """The sweep over every partition of each n <= n_max into 2..r_max
-    parts, in order, as ``SweepChunk``s of ``SWEEP_CHUNK`` partitions drawn
-    across n boundaries, so memory stays flat however many partitions the
-    sweep covers."""
+def sweep(n_max: int, r_max: int, write: Callable[[str], object],
+          on_violation: Callable[[BnReport], None]) -> SweepSummary:
+    """Check every partition of each n <= n_max into 2..r_max parts, in
+    order, with its exact report, and return the summary.
+
+    The partitions are drawn ``SWEEP_CHUNK`` at a time across n
+    boundaries, so memory stays flat however many the sweep covers.  Each
+    chunk's report lines go to ``write`` as one string, and each violating
+    partition's ``bn_report_multipartite`` to ``on_violation``.
+    """
     if n_max > MAX_N:
         raise ValueError(f"total vertex count exceeds {MAX_N}")
     partitions = (parts for n in range(2, n_max + 1)
                   for parts in partitions_into_parts(n, r_max))
+    summary = SweepSummary()
     while chunk := list(islice(partitions, SWEEP_CHUNK)):
-        yield _sweep_chunk(chunk)
-
-
-def sweep_multipartite(n_max: int, r_max: int) -> Iterator[BnReport]:
-    """One exact gap report per partition of each n <= n_max, deterministic
-    order: the reports of ``sweep_chunks``."""
-    for chunk in sweep_chunks(n_max, r_max):
-        yield from chunk.reports()
+        columns, sources = _sweep_chunk(chunk)
+        write(report_lines(columns, sources))
+        _fold(summary, columns, True, sources.__getitem__,
+              lambda i: bn_report_multipartite(PartSizes(chunk[i])),
+              on_violation)
+    return summary
 
 
 @dataclass
@@ -287,6 +268,34 @@ class SweepSummary:
         return d
 
 
+def _fold(summary: SweepSummary, terms: Iterable[np.ndarray],
+          live: np.ndarray | bool, source: Callable[[int], str],
+          rebuild: Callable[[int], BnReport],
+          on_violation: Callable[[BnReport], None]) -> None:
+    """Fold a chunk of reports into ``summary``: the one engine every
+    family runs through.  ``terms`` are report columns that end with the
+    ``gap_terms`` columns gap, holds, equality and excluded, the four read.
+
+    ``live`` marks the graphs the bound applies to, as in
+    ``SweepSummary.from_columns``, and ``source(i)`` names report i.  Each
+    violating report is rebuilt as ``rebuild(i)`` and passed to
+    ``on_violation`` in row order, so only violators become ``BnReport``s.
+    """
+    *_, gap, holds, equality, excluded = terms
+    summary.merge(SweepSummary.from_columns(gap, holds, equality, excluded,
+                                            source, live))
+    for i in np.flatnonzero(live & ~excluded & ~holds).tolist():
+        on_violation(rebuild(i))
+
+
+def _stack_terms(adj: np.ndarray, m: np.ndarray, omega: np.ndarray) -> tuple:
+    """The ``gap_terms`` columns of a (B, n, n) stack of adjacency matrices
+    with edge counts ``m`` and clique numbers ``omega`` (n >= 2): one
+    batched ``eigvalsh``, so each graph gets the floats of ``bn_report``."""
+    vals = np.linalg.eigvalsh(adj)
+    return gap_terms(adj.shape[1], m, omega, vals[:, -1], vals[:, -2])
+
+
 def _check_enum_n(n: int) -> None:
     if not 1 <= n <= MAX_ENUM_N:
         raise ValueError(f"built-in enumeration capped at n <= {MAX_ENUM_N}")
@@ -317,33 +326,6 @@ class ExhaustiveResult:
 
 def _chunk_size(n: int) -> int:
     return max(1, _CHUNK_ENTRIES // (n * n))
-
-
-def _check_chunk(res: ExhaustiveResult, adj: np.ndarray, m: np.ndarray,
-                 omega: np.ndarray, source: Callable[[int], str],
-                 graph: Callable[[int], Graph],
-                 on_violation: Callable[[BnReport], None]) -> None:
-    """Fold a chunk of same-n graphs into ``res``.
-
-    ``adj`` stacks the B adjacency matrices, ``m`` and ``omega`` are their
-    edge counts and clique numbers; ``source(i)`` and ``graph(i)`` name and
-    rebuild graph i.  ``gap_terms`` tests the chunk,
-    ``SweepSummary.from_columns`` summarizes it for ``merge``, and each
-    violating graph's ``bn_report`` goes to ``on_violation``.
-    """
-    live = m >= 1
-    if not live.any():
-        res.summary.merge(SweepSummary(out_of_domain=len(m)))
-        return
-    vals = np.linalg.eigvalsh(adj)
-    # Some graph has an edge, so n >= 2 and every complete graph is live.
-    _, _, gap, holds, equality, excluded = gap_terms(
-        adj.shape[1], m, omega, vals[:, -1], vals[:, -2])
-    res.summary.merge(SweepSummary.from_columns(gap, holds, equality, excluded,
-                                                source, live))
-    bad = np.flatnonzero(live & ~excluded & ~holds)
-    for i in bad:
-        on_violation(bn_report(graph(i), source=source(i)))
 
 
 def _clique_table(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -419,28 +401,24 @@ def _labeled_summary(n: int, on_violation: Callable[[BnReport], None]
     table = _clique_table(n)
     cls, reps = _orbits(n)
     adj, m, omega = _labeled_chunk(n, reps, table)
-    vals = np.linalg.eigvalsh(adj)
-    bound, _, gap, holds, equality, excluded = gap_terms(
-        n, m, omega, vals[:, -1], vals[:, -2])
+    bound, _, gap, holds, equality, excluded = _stack_terms(adj, m, omega)
     live = m >= 1
     unsure = _unsure(gap, bound, live & ~excluded)
-    # Every code takes its class's columns; the members of unsure classes
-    # are then solved graph by graph and keep their own.
-    gap, holds, equality, excluded, live = (
-        column[cls] for column in (gap, holds, equality, excluded, live))
+    # Every code takes its class's gap and flags; the members of unsure
+    # classes are then solved graph by graph and keep their own.
+    flags = [column[cls] for column in (gap, holds, equality, excluded)]
     members = np.flatnonzero(unsure[cls])
     step = _chunk_size(n)
     for lo in range(0, len(members), step):
         codes = members[lo:lo + step]
-        adj, m, omega = _labeled_chunk(n, codes, table)
-        vals = np.linalg.eigvalsh(adj)
-        _, _, gap[codes], holds[codes], equality[codes], _ = gap_terms(
-            n, m, omega, vals[:, -1], vals[:, -2])
-    for code in np.flatnonzero(live & ~excluded & ~holds).tolist():
-        on_violation(bn_report(Graph.from_edge_bitset(n, code),
-                               source=labeled_tag(n, code)))
-    return SweepSummary.from_columns(gap, holds, equality, excluded,
-                                     lambda i: labeled_tag(n, i), live)
+        solved = _stack_terms(*_labeled_chunk(n, codes, table))
+        for column, values in zip(flags, solved[2:]):
+            column[codes] = values
+    summary = SweepSummary()
+    _fold(summary, flags, live[cls], lambda i: labeled_tag(n, i),
+          lambda i: bn_report(Graph.from_edge_bitset(n, i),
+                              source=labeled_tag(n, i)), on_violation)
+    return summary
 
 
 def _print_malformed(lineno: int, message: str) -> None:
@@ -463,8 +441,9 @@ def exhaustive_check(
     n <= MAX_ENUM_N) or an iterable of graph6 lines.  Each malformed graph6
     record is passed to ``on_malformed(lineno, message)`` (by default
     printed to stderr) when it is read, and counted, and the stream
-    continues; graphs the bound does not apply to (no edges) are counted
-    and skipped.  Each violating graph's report is passed to
+    continues; blank lines are skipped (a line with a non-ASCII character
+    is a record), and graphs the bound does not apply to (no edges) are
+    counted and skipped.  Each violating graph's report is passed to
     ``on_violation(report)`` in family order, and only counted here, so
     memory does not grow with the violations.  A graph6 stream is checked
     in chunks and the labeled graphs one isomorphism class at a time (see
@@ -479,15 +458,21 @@ def exhaustive_check(
 
     def flush() -> None:
         graphs = [g for _, g in chunk]
-        _check_chunk(res, np.stack([adjacency_matrix(g) for g in graphs]),
-                     np.array([g.m for g in graphs]),
-                     np.array([clique_number(g) for g in graphs]),
-                     lambda i: graph6_tag(chunk[i][0]),
-                     lambda i: graphs[i], on_violation)
+        m = np.array([g.m for g in graphs])
+        live = m >= 1
+        if live.any():
+            # Some graph has an edge, so n >= 2 and every complete graph is live.
+            terms = _stack_terms(np.stack([adjacency_matrix(g) for g in graphs]),
+                                 m, np.array([clique_number(g) for g in graphs]))
+            _fold(res.summary, terms, live, lambda i: graph6_tag(chunk[i][0]),
+                  lambda i: bn_report(graphs[i], source=graph6_tag(chunk[i][0])),
+                  on_violation)
+        else:
+            res.summary.merge(SweepSummary(out_of_domain=len(m)))
         chunk.clear()
 
     for lineno, line in enumerate(source, start=1):
-        if not line.strip():
+        if line.isascii() and not line.strip():
             continue
         try:
             g = parse_graph6(line)

@@ -27,8 +27,6 @@ from bngap.search import (
     SweepSummary,
     labeled_graphs,
     partitions_into_parts,
-    sweep_chunks,
-    sweep_multipartite,
 )
 from test_exhaustive_engine import add, reference
 
@@ -132,7 +130,8 @@ class TestSweep:
     def test_lines_are_the_library_reports(self, capsys):
         assert cli.main(["sweep", "--n-max", "30", "--r-max", "8"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        reports = list(sweep_multipartite(30, 8))
+        reports = [bn_report_multipartite(PartSizes(parts)) for n in range(2, 31)
+                   for parts in partitions_into_parts(n, 8)]
         assert len(lines) == len(reports) > 10000
         assert lines == [r.to_json() for r in reports]
 
@@ -190,6 +189,31 @@ class TestExhaustive:
             " malformed graph6 at line 1", " malformed graph6 at line 3",
             " malformed graph6 at line 6"]
         assert json.loads(out.splitlines()[-1])["malformed"] == 3
+
+    def test_any_input_byte_is_read(self, tmp_path):
+        # Input is decoded byte for byte: a record with a byte outside
+        # 63..126, UTF-8 or not, is malformed, its error names that byte,
+        # and the stream goes on.
+        data = b"Dhc\n\xff\xfe\nDhc\nDh\xc3\xa9\n\xa0\n"
+        path = tmp_path / "bytes.g6"
+        path.write_bytes(data)
+        for source, stdin in ((str(path), b""), ("-", data)):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bngap.cli", "exhaustive", "--graph6", source],
+                input=stdin, capture_output=True, timeout=300)
+            assert proc.returncode == 0
+            assert proc.stderr.decode().splitlines() == [
+                f"bngap: malformed graph6 at line {lineno}: record: byte {byte}"
+                " outside graph6 range 63..126"
+                for lineno, byte in ((2, 0xff), (4, 0xc3), (5, 0xa0))] + [
+                "bngap: exhaustive (graph6 stream): 0 violations"
+                " / 2 applicable graphs"]
+            rec = json.loads(proc.stdout)
+            assert rec["malformed"] == 3 and rec["summary"]["total"] == 2
+        code, out, err = run_cli("report", "--graph6", str(path))
+        assert code == 2 and out == ""
+        assert err == ("bngap: error: line 2: record: byte 255"
+                       " outside graph6 range 63..126\n")
 
     @staticmethod
     def violating_stream(tmp_path, monkeypatch, reps):
@@ -542,13 +566,20 @@ class TestStreamingRun:
     def test_failed_run_leaves_no_files(self, tmp_path, monkeypatch, exc):
         out = tmp_path / "sweep.jsonl"
 
-        def failing_sweep(n_max, r_max):
-            yield from itertools.islice(sweep_chunks(n_max, r_max), 2)
-            assert (tmp_path / "sweep.jsonl.tmp").exists()
-            raise exc("interrupted mid-run")
+        sweep_chunk = bngap.search._sweep_chunk
+        chunks = 0
+
+        def failing_chunk(parts):
+            # Two chunks are written, then the third one fails.
+            nonlocal chunks
+            chunks += 1
+            if chunks == 3:
+                assert (tmp_path / "sweep.jsonl.tmp").exists()
+                raise exc("interrupted mid-run")
+            return sweep_chunk(parts)
 
         monkeypatch.setattr(bngap.search, "SWEEP_CHUNK", 5)
-        monkeypatch.setattr(cli, "sweep_chunks", failing_sweep)
+        monkeypatch.setattr(bngap.search, "_sweep_chunk", failing_chunk)
         argv = ["sweep", "--n-max", "8", "--out", str(out)]
         if exc is KeyboardInterrupt:
             with pytest.raises(KeyboardInterrupt):

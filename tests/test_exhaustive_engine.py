@@ -199,13 +199,13 @@ def test_argmin_keeps_the_first_record():
 
 def test_graph6_chunks_are_bounded_runs_of_one_n(monkeypatch):
     shapes = []
-    check_chunk = bngap.search._check_chunk
+    stack_terms = bngap.search._stack_terms
 
-    def recorded(res, adj, *rest):
+    def recorded(adj, m, omega):
         shapes.append(adj.shape)
-        check_chunk(res, adj, *rest)
+        return stack_terms(adj, m, omega)
 
-    monkeypatch.setattr(bngap.search, "_check_chunk", recorded)
+    monkeypatch.setattr(bngap.search, "_stack_terms", recorded)
     monkeypatch.setattr(bngap.search, "_CHUNK_ENTRIES", 36 * 7)
     p6, p5 = to_graph6(path_graph(6)), to_graph6(path_graph(5))
     exhaustive_check([p6] * 9 + [p5] * 2 + ["", p5] + [p6])

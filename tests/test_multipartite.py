@@ -9,19 +9,16 @@ import pytest
 from bngap.conjecture import bn_report_multipartite
 from bngap.graphs import PartSizes, complete_multipartite
 from bngap.multipartite import (
-    batched_secular_roots,
     multipartite_edge_count,
     multipartite_spectrum,
-    quotient_eigenvector,
     secular_root_range,
     secular_roots,
     secular_value,
-    zero_eigenbasis,
 )
-from bngap.search import sweep_multipartite
 from bngap.spectra import Spectrum, adjacency_matrix, eigenvalues
 
 from test_graphs import all_partitions
+from test_search import sweep_reports
 
 GOLDEN = (1 + math.sqrt(5))  # positive secular root of parts (2,2,1)
 
@@ -119,11 +116,8 @@ class TestBatchedSecularRoots:
     def test_equal_to_single_solves_bit_for_bit(self):
         cases = SWEEP_30_8 + sampled_partitions_of_60(500)
         assert len({len(ps.distinct()) for ps in cases}) >= 8
-        batched = batched_secular_roots([ps.distinct() for ps in cases])
-        assert len(batched) == len(cases)
-        for ps, roots in zip(cases, batched):
-            assert bits(roots) == bits(single_solve(ps)), ps.sizes
-            assert secular_roots(ps) == roots
+        for ps in cases:
+            assert bits(secular_roots(ps)) == bits(single_solve(ps)), ps.sizes
 
     def test_root_range_equals_single_solves_bit_for_bit(self):
         cases = (SWEEP_30_8 + sampled_partitions_of_60(500)
@@ -143,7 +137,7 @@ class TestBatchedSecularRoots:
 
     def test_sweep_reports_equal_single_path(self):
         notes = 0
-        for ps, report in zip(SWEEP_30_8, sweep_multipartite(30, 8), strict=True):
+        for ps, report in zip(SWEEP_30_8, sweep_reports(30, 8), strict=True):
             single = dataclasses.asdict(bn_report_multipartite(ps))
             assert dataclasses.asdict(report) == single, ps.sizes
             notes += "note" in report.source
@@ -202,6 +196,54 @@ class TestSpectrumAssembly:
         for ps in part_sizes_upto(11):
             spec = multipartite_spectrum(ps)
             assert spec.flatten()[1] == pytest.approx(spec.lambda2, abs=1e-10)
+
+
+@dataclasses.dataclass(frozen=True)
+class ZeroBasisVector:
+    """A +1/-1 difference vector inside one part, annihilated by the adjacency."""
+
+    part_index: int
+    member_index: int
+    coefficients: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if sum(self.coefficients) != 0:
+            raise ValueError("coefficients must sum to zero")
+
+
+def zero_eigenbasis(parts: PartSizes) -> list[ZeroBasisVector]:
+    """The n - r within-part difference vectors spanning the zero eigenspace.
+
+    Vector (i, k) has +1 at the k-th vertex of part i and -1 at the last
+    vertex of that part; vectors from distinct parts have disjoint supports.
+    An oracle for the zero multiplicity n - r of the exact spectrum.
+    """
+    n = parts.n
+    out = []
+    for i, (size, start) in enumerate(zip(parts.sizes, parts.offsets())):
+        last = start + size - 1
+        for k in range(size - 1):
+            coeffs = [0] * n
+            coeffs[start + k] = 1
+            coeffs[last] = -1
+            out.append(ZeroBasisVector(i, k, tuple(coeffs)))
+    return out
+
+
+_POLE_GUARD = 1e-9
+
+
+def quotient_eigenvector(parts: PartSizes, root: float) -> tuple[float, ...]:
+    """Part-constant coefficients c_i = 1/(root + n_i) of a secular root.
+
+    Normalized so that sum_i n_i c_i = 1; lifting c to the full vertex set
+    (value c_i on every vertex of part i) gives an eigenvector for `root`.
+    An oracle that each secular root is an eigenvalue of the graph.
+    """
+    for p, _ in parts.distinct():
+        if abs(root + p) <= _POLE_GUARD:
+            raise ValueError(f"root {root} is within {_POLE_GUARD} of pole {-p}")
+    return tuple(1.0 / (root + s) for s in parts.sizes)
 
 
 class TestZeroEigenbasis:

@@ -1,6 +1,7 @@
 """Sweeps, exhaustive checks, seeded generators, and the hill climber."""
 
 import hashlib
+import json
 from bisect import bisect_right
 from dataclasses import asdict
 
@@ -32,7 +33,7 @@ from bngap.search import (
     partitions_into_parts,
     random_graph,
     random_k4_free,
-    sweep_multipartite,
+    sweep,
     zykov_trajectory,
 )
 from bngap.spectra import adjacency_matrix, eigenvalues
@@ -40,6 +41,24 @@ from bngap.spectra import adjacency_matrix, eigenvalues
 from corpus import cycle_graph, path_graph
 from test_exhaustive_engine import add
 from test_graphs import all_partitions
+
+
+def no_violation(report):
+    raise AssertionError(f"unexpected violation: {report}")
+
+
+def sweep_reports(n_max, r_max):
+    """The reports ``sweep`` writes, parsed back from its lines; the
+    summary it returns must be their per-report fold."""
+    written = []
+    summary = sweep(n_max, r_max, written.append, no_violation)
+    reports = [BnReport(**json.loads(line))
+               for line in "".join(written).splitlines()]
+    want = SweepSummary()
+    for report in reports:
+        add(want, report)
+    assert summary == want
+    return reports
 
 
 class TestSweep:
@@ -58,7 +77,7 @@ class TestSweep:
         assert sum(1 for _ in partitions_into_parts(60, 6)) == 19857
 
     def test_n_max_3(self):
-        reports = list(sweep_multipartite(3, 6))
+        reports = sweep_reports(3, 6)
         assert len(reports) == 3
         sources = [r.source.split(";")[0] for r in reports]
         assert sources == ["multipartite[1,1]", "multipartite[1,1,1]",
@@ -66,7 +85,7 @@ class TestSweep:
 
     def test_n_max_4_equality_set(self):
         by_parts = {}
-        for r in sweep_multipartite(4, 6):
+        for r in sweep_reports(4, 6):
             key = r.source.split("[")[1].split("]")[0]
             by_parts[key] = r
         assert by_parts["1,1"].excluded
@@ -77,13 +96,13 @@ class TestSweep:
         assert equality == ["2,1", "2,2", "3,1"]
 
     def test_deterministic_order(self):
-        a = [r.source for r in sweep_multipartite(10, 5)]
-        b = [r.source for r in sweep_multipartite(10, 5)]
+        a = [r.source for r in sweep_reports(10, 5)]
+        b = [r.source for r in sweep_reports(10, 5)]
         assert a == b
 
     def test_summary_counts(self):
         summary = SweepSummary()
-        for r in sweep_multipartite(10, 6):
+        for r in sweep_reports(10, 6):
             add(summary, r)
         d = summary.as_dict()
         assert d["violations"] == 0
@@ -91,8 +110,10 @@ class TestSweep:
 
 
     def test_n_max_above_the_vertex_cap(self):
+        written = []
         with pytest.raises(ValueError, match="exceeds 2048"):
-            next(sweep_multipartite(2049, 2))
+            sweep(2049, 2, written.append, no_violation)
+        assert written == []
 
 
 class TestSummaryFromColumns:
@@ -135,6 +156,7 @@ class TestSweepChunks:
 
     @pytest.mark.parametrize("size", [7, None])
     def test_first_report_draws_one_chunk(self, monkeypatch, size):
+        # The sweep writes chunk 1 before it draws partition SWEEP_CHUNK + 1.
         if size is not None:
             monkeypatch.setattr(bngap.search, "SWEEP_CHUNK", size)
         drawn = 0
@@ -146,10 +168,18 @@ class TestSweepChunks:
                 drawn += 1
                 yield parts
 
+        class FirstChunk(Exception):
+            pass
+
+        def write(text):
+            raise FirstChunk(drawn, text.splitlines())
+
         monkeypatch.setattr(bngap.search, "partitions_into_parts", counting)
-        first = next(sweep_multipartite(200, 200))
-        assert first.source == "multipartite[1,1]"
-        assert 1 <= drawn <= bngap.search.SWEEP_CHUNK
+        with pytest.raises(FirstChunk) as caught:
+            sweep(200, 200, write, no_violation)
+        drawn_then, lines = caught.value.args
+        assert json.loads(lines[0])["source"] == "multipartite[1,1]"
+        assert drawn_then == len(lines) == bngap.search.SWEEP_CHUNK
 
 
 class TestExhaustive:
