@@ -19,6 +19,7 @@ from bngap.graphs import (
     complete_multipartite,
     is_k4_free,
     to_graph6,
+    zykov,
 )
 from bngap.search import (
     _MOVE_CDF,
@@ -26,6 +27,8 @@ from bngap.search import (
     SearchConfig,
     _Best,
     _RestartOutcome,
+    _move_key,
+    _objective,
     SweepSummary,
     exhaustive_check,
     hill_climb,
@@ -496,6 +499,60 @@ class TestHillClimb:
         for density in (0.0, 1.0):
             SearchConfig(seed=0, n=5, init_density=density, k4_constrained=False)
 
+    @pytest.mark.parametrize("objective", ["bn_gap_negated", "lambda1"])
+    @pytest.mark.parametrize("k4_constrained", [True, False])
+    @pytest.mark.parametrize("n", [5, 9, 15, 30])
+    def test_skipped_moves_change_no_result(self, monkeypatch, n,
+                                            k4_constrained, objective):
+        # With an infinite margin only -inf rejections, which are exact,
+        # skip a move, so nearly every candidate is solved: the oracle.
+        solved = {}
+
+        def run(cfg, margin):
+            scored = solved.setdefault(margin, [])
+            with monkeypatch.context() as patch:
+                patch.setattr(bngap.search, "_ORBIT_MARGIN", margin)
+                self.spy_objective(patch, lambda *args: scored.append(1))
+                return hill_climb(cfg)
+
+        for seed in (0, 1, 2):
+            for density in (0.2, 0.5, 0.9):
+                cfg = SearchConfig(seed=seed, n=n, max_iters=300, restarts=2,
+                                   k4_constrained=k4_constrained,
+                                   objective=objective, init_density=density)
+                fast = run(cfg, bngap.search._ORBIT_MARGIN)
+                oracle = run(cfg, float("inf"))
+                # Best rows, report, objective, iterations and accepted.
+                assert fast == oracle
+                assert repr(fast.best_objective) == repr(oracle.best_objective)
+        # Some candidates were skipped, so the comparison is not vacuous.
+        assert len(solved[bngap.search._ORBIT_MARGIN]) < len(solved[float("inf")])
+
+    def test_benchmark_search_solves_at_most_1000(self, monkeypatch):
+        # ``search --n-max 30 --restarts 6 --steps 1000 --seed 0`` solved
+        # 2,430 candidates before rejected moves were remembered.
+        solves = []
+        real_eigvalsh = np.linalg.eigvalsh
+
+        def counted(a):
+            solves.append(a.shape)
+            return real_eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        res = hill_climb(SearchConfig(seed=0, n=30, max_iters=1000, restarts=6))
+        assert res.iterations == 6000
+        assert 0 < len(solves) <= 1000
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_two_vertices_in_one_part_have_no_report(self, seed):
+        # The tripartite start puts both vertices in one part, so it is
+        # edgeless, and the only addition gives K2, excluded at -inf.
+        res = hill_climb(SearchConfig(seed=seed, n=2, init_density=1.0))
+        assert res.best_report is None and not res.found_violation
+        assert res.best_objective == float("-inf")
+        assert res.best_graph == Graph(2, (0, 0))
+        assert (res.iterations, res.accepted) == (2000, 0)
+
     def test_never_reports_complete_as_violation(self):
         # tiny n so the climber has every chance to reach K_n
         for seed in range(5):
@@ -520,3 +577,81 @@ def test_random_graph_reports_match_direct_computation():
         r = bn_report(g, "spot")
         assert r.omega == clique_number(g)
         assert r.holds
+
+
+def twinned_graph(n, rng):
+    """A random graph on n vertices, most of them with twins: a random
+    graph on k <= n base vertices blown up by a random map of the n
+    vertices onto them, so the vertices over one base vertex share a row."""
+    k = int(rng.integers(1, n + 1))
+    base = random_graph(k, float(rng.random()), rng)
+    over = [*range(k), *rng.integers(k, size=n - k).tolist()]
+    return Graph(n, tuple(sum(1 << w for w in range(n)
+                              if base.adj[over[v]] >> over[w] & 1)
+                          for v in range(n)))
+
+
+def moves_by_key(g):
+    """The candidates of every hill-climb move from g, grouped by the
+    move's ``_move_key``."""
+    groups = {}
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if g.has_edge(u, v):
+                moves = [((1, u, v), g.without_edge(u, v))]
+            else:
+                moves = [((0, u, v), g.with_edge(u, v)),
+                         ((2, u, v), zykov(g, u, v)),
+                         ((2, v, u), zykov(g, v, u))]
+            for move, candidate in moves:
+                groups.setdefault(_move_key(g.adj, *move), []).append(candidate)
+    return groups
+
+
+def test_equal_move_keys_give_isomorphic_candidates():
+    nx = pytest.importorskip("networkx")
+
+    def as_nx(g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    rng = np.random.default_rng(19)
+    merged = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        g = twinned_graph(n, rng) if rng.random() < 0.7 else \
+            random_graph(n, float(rng.random()), rng)
+        for candidates in moves_by_key(g).values():
+            first = as_nx(candidates[0])
+            for other in candidates[1:]:
+                assert nx.is_isomorphic(first, as_nx(other))
+            merged += len(set(candidates)) > 1
+    # Some keys merge moves that build different graphs.
+    assert merged
+
+
+def test_equal_move_keys_give_equal_objectives():
+    rng = np.random.default_rng(20)
+    merged = 0
+    for n in (2, 5, 10, 17, 24, 30):
+        g = twinned_graph(n, rng)
+        for candidates in moves_by_key(g).values():
+            if len(set(candidates)) < 2:
+                continue
+            merged += 1
+            for objective in ("bn_gap_negated", "lambda1"):
+                cfg = SearchConfig(seed=0, n=n, k4_constrained=False,
+                                   objective=objective)
+                scored = [_objective(cfg, c, adjacency_matrix(c), c.m)
+                          for c in candidates]
+                objs = [obj for obj, _ in scored]
+                if objs[0] == float("-inf"):
+                    assert set(objs) == {float("-inf")}
+                    continue
+                report = scored[0][1]
+                assert {(r.m, r.omega, r.bound) for _, r in scored} == \
+                    {(report.m, report.omega, report.bound)}
+                assert max(objs) - min(objs) <= 1e-12 * max(1.0, report.bound)
+    assert merged
