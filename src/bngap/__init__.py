@@ -17,7 +17,7 @@ from .graphs import (
     turan_graph,
     zykov,
 )
-from .spectra import Spectrum, eigenvalues, trace_check, weyl_check
+from .spectra import Spectrum, eigenvalues
 from .multipartite import (
     SecularSpectrum,
     multipartite_spectrum,
@@ -32,7 +32,6 @@ from .conjecture import (
     hoffman_bound,
     hoffman_ratio_check,
     obstruction_report,
-    spectral_turan_check,
 )
 from .search import (
     SearchConfig,

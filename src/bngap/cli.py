@@ -49,6 +49,7 @@ from .search import (
     SearchConfig,
     SweepSummary,
     exhaustive_check,
+    graph6_records,
     graph6_tag,
     hill_climb,
     sweep,
@@ -179,9 +180,7 @@ def _load_graphs(run: _Run) -> list[tuple[str, Graph]]:
     if args.edges is not None:
         return [("edges", parse_edge_list_text("".join(run.lines(args.edges))))]
     graphs = []
-    for lineno, line in enumerate(run.lines(args.graph6), start=1):
-        if line.isascii() and not line.strip():
-            continue
+    for lineno, line in graph6_records(run.lines(args.graph6)):
         try:
             graphs.append((graph6_tag(lineno), parse_graph6(line)))
         except Graph6Error as exc:

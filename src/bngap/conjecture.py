@@ -20,7 +20,7 @@ stays under test.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from math import isfinite, sqrt
+from math import isfinite
 
 import numpy as np
 
@@ -175,23 +175,6 @@ def bn_report_multipartite(parts: PartSizes) -> BnReport:
     if r == 2 and terms[4] and sizes[0] != sizes[1]:
         source += BIPARTITE_NOTE
     return BnReport(n, m, r, lam1, lam2, lam_n, *terms, source)
-
-
-@dataclass(frozen=True)
-class TuranCheck:
-    lambda1: float
-    bound: float
-    slack: float
-    passes: bool
-
-
-def spectral_turan_check(g: Graph) -> TuranCheck:
-    """Check lambda1 <= sqrt(2 (1 - 1/omega) m) and report the slack."""
-    if g.n < 2 or g.m < 1:
-        raise OutOfDomainError("spectral bound needs omega >= 2")
-    lam1 = eigenvalues(g).lambda1
-    bound = sqrt(2.0 * (1.0 - 1.0 / clique_number(g)) * g.m)
-    return TuranCheck(lam1, bound, bound - lam1, lam1 <= bound + GAP_TOL)
 
 
 def hoffman_bound(g: Graph) -> float:

@@ -122,8 +122,6 @@ def secular_roots(parts: PartSizes) -> tuple[float, ...]:
 class SecularSpectrum:
     """Structured exact spectrum of a complete multipartite graph."""
 
-    parts: PartSizes
-    distinct: tuple[tuple[int, int], ...]
     secular_roots: tuple[float, ...]
     pole_eigenvalues: tuple[tuple[float, int], ...]
     zero_multiplicity: int
@@ -146,13 +144,8 @@ class SecularSpectrum:
 
 
 def multipartite_spectrum(parts: PartSizes) -> SecularSpectrum:
-    dist = tuple(parts.distinct())
-    poles = tuple(
-        (float(-p), t - 1) for p, t in dist if t >= 2
-    )
+    poles = tuple((float(-p), t - 1) for p, t in parts.distinct() if t >= 2)
     return SecularSpectrum(
-        parts=parts,
-        distinct=dist,
         secular_roots=secular_roots(parts),
         pole_eigenvalues=poles,
         zero_multiplicity=parts.n - parts.r,

@@ -5,13 +5,13 @@ generator; per-restart and per-sample streams are split off the master seed
 with ``numpy.random.SeedSequence.spawn``, so identical inputs reproduce
 identical outputs no matter how the work is scheduled.
 
-The generators (``labeled_graphs``, ``random_graph``, ``random_k4_free``)
-build symmetric rows and skip ``Graph`` validation (see ``bngap.graphs``):
-``labeled_graphs`` decodes each edge code with ``Graph.from_edge_bitset``,
-the others set both bits of every pair they keep.  Edge codes, the clique
-table's masks included, come from ``bngap.graphs``; ``graph6_pairs`` is
-read here only as index arrays: the labeled chunks' scatter and the pair
-maps of ``_orbits``.
+The generators ``random_graph`` (each pair kept with the given density)
+and ``random_k4_free`` (a random tripartite split, each cross pair kept so
+as to target the density; K4-free by construction, the hill climb's start)
+set both bits of every pair they keep and skip ``Graph`` validation (see
+``bngap.graphs``).  Edge codes, the clique table's masks included, come
+from ``bngap.graphs``; ``graph6_pairs`` is read here only as index arrays:
+the labeled chunks' scatter and the pair maps of ``_orbits``.
 
 Every family is checked by one engine.  A producer turns a chunk of
 graphs into ``gap_terms`` columns, and ``_fold`` summarizes the chunk
@@ -64,14 +64,15 @@ set, the same bytes ``adjacency_matrix`` would pack, so ``eigvalsh`` sees
 the same input and ``BnReport.from_eigenvalues`` builds the report from its
 output.  A replacement between vertices that already share a neighbourhood
 leaves the state as it is and is not solved again.  Nor is a move whose
-candidate is isomorphic to one the current state already rejected, at
--inf or by a clear margin: a restart keeps the ``_move_key`` of each such
-move, the move and the rows of its endpoints, and clears them when the
-state changes.  Vertices with equal rows are twins, so moves with equal keys
-build isomorphic candidates, and a move whose key is kept is drawn as
-before but neither built nor solved.  At n = 30 (``search --n-max 30
---restarts 6 --steps 1000 --seed 0``) 895 of the 6,000 iterations solve a
-candidate instead of 2,430.  Every K4-constrained search state is
+candidate is isomorphic to one the current state already rejected, for
+closing a K4, at -inf or by a clear margin: a restart keeps the
+``_move_key`` of each such move, the move and the rows of its endpoints,
+and clears them when the state changes.  Vertices with equal rows are
+twins, so moves with equal keys build isomorphic candidates, and a move
+whose key is kept is drawn as before but neither built nor solved.  At
+n = 30 (``search --n-max 30 --restarts 6 --steps 1000 --seed 0``) 895 of
+the 6,000 iterations solve a candidate instead of 2,430, and 456 test
+``closes_k4`` instead of 2,004.  Every K4-constrained search state is
 K4-free, so its clique number comes from ``has_triangle``, and each solved
 candidate costs one eigensolve plus bit operations.  The packed edge
 bitset that breaks ties between equally good states is computed only on a
@@ -326,11 +327,13 @@ def graph6_tag(lineno: int) -> str:
     return f"graph6:line={lineno}"
 
 
-def labeled_graphs(n: int) -> Iterator[tuple[str, Graph]]:
-    """All 2^C(n,2) labeled graphs on n vertices (no isomorphism reduction)."""
-    _check_enum_n(n)
-    for code in range(1 << n * (n - 1) // 2):
-        yield labeled_tag(n, code), Graph.from_edge_bitset(n, code)
+def graph6_records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """The (line number, line) of each record of a graph6 stream, counted
+    from 1: a blank line, ASCII whitespace only, is skipped, and a line that
+    holds a byte above 127 is a record."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii() or line.strip():
+            yield lineno, line
 
 
 @dataclass
@@ -486,9 +489,7 @@ def exhaustive_check(
             res.summary.merge(SweepSummary(out_of_domain=len(m)))
         chunk.clear()
 
-    for lineno, line in enumerate(source, start=1):
-        if line.isascii() and not line.strip():
-            continue
+    for lineno, line in graph6_records(source):
         try:
             g = parse_graph6(line)
         except Graph6Error as exc:
@@ -521,62 +522,32 @@ def random_graph(n: int, density: float, rng: np.random.Generator) -> Graph:
     return Graph._unchecked(n, tuple(rows))
 
 
-def random_k4_free(n: int, target_density: float, seed: int,
-                   method: str = "tripartite_subgraph",
-                   balanced: bool = False) -> Graph:
+def random_k4_free(n: int, target_density: float, seed: int) -> Graph:
     """Seeded K4-free graph with roughly the requested edge density.
 
-    ``tripartite_subgraph`` assigns vertices to three parts (multinomial, or
-    exactly equitable when ``balanced``) and keeps each cross edge with the
-    probability that targets ``density * C(n,2)`` edges; the output is
-    3-partite, hence K4-free by construction.  ``greedy_insertion`` walks a
-    shuffled pair order and inserts any edge that closes no K4, stopping at
-    the target edge count; if the target is unreachable the best effort is
-    returned.
+    Each vertex joins one of three parts at random, and each cross pair is
+    kept with the probability that targets ``density * C(n,2)`` edges; the
+    output is 3-partite, hence K4-free by construction.
     """
     rng = np.random.default_rng(np.random.PCG64(seed))
-    return _random_k4_free_rng(n, target_density, rng, method, balanced)
+    return _random_k4_free_rng(n, target_density, rng)
 
 
-def _random_k4_free_rng(n: int, target_density: float, rng: np.random.Generator,
-                        method: str = "tripartite_subgraph",
-                        balanced: bool = False) -> Graph:
+def _random_k4_free_rng(n: int, target_density: float,
+                        rng: np.random.Generator) -> Graph:
     check_vertex_count(n)
     _check_density(target_density)
-    npairs = n * (n - 1) // 2
-    target_m = int(round(target_density * npairs))
-
-    if method == "tripartite_subgraph":
-        if balanced:
-            labels = np.array([i % 3 for i in range(n)])
-            rng.shuffle(labels)
-        else:
-            labels = rng.integers(0, 3, size=n)
-        rows = [0] * n
-        cross = [(u, v) for u, v in combinations(range(n), 2)
-                 if labels[u] != labels[v]]
-        keep_p = min(1.0, target_m / len(cross)) if cross else 0.0
-        for u, v in cross:
-            if rng.random() < keep_p:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-        return Graph._unchecked(n, tuple(rows))
-
-    if method == "greedy_insertion":
-        pairs = list(combinations(range(n), 2))
-        order = rng.permutation(len(pairs))
-        g = Graph._unchecked(n, (0,) * n)
-        m = 0
-        for idx in order:
-            if m >= target_m:
-                break
-            u, v = pairs[idx]
-            if not closes_k4(g, u, v):
-                g = g.with_edge(u, v)
-                m += 1
-        return g
-
-    raise ValueError(f"unknown method {method!r}")
+    target_m = int(round(target_density * (n * (n - 1) // 2)))
+    labels = rng.integers(0, 3, size=n)
+    rows = [0] * n
+    cross = [(u, v) for u, v in combinations(range(n), 2)
+             if labels[u] != labels[v]]
+    keep_p = min(1.0, target_m / len(cross)) if cross else 0.0
+    for u, v in cross:
+        if rng.random() < keep_p:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return Graph._unchecked(n, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -774,8 +745,7 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOu
     # a K4 is skipped, and neither a deletion nor a Zykov replacement can
     # raise the clique number: every state is K4-free.
     if cfg.k4_constrained:
-        current = _random_k4_free_rng(cfg.n, cfg.init_density, rng,
-                                      "tripartite_subgraph")
+        current = _random_k4_free_rng(cfg.n, cfg.init_density, rng)
     else:
         current = random_graph(cfg.n, cfg.init_density, rng)
     # The state is carried as (graph, adjacency matrix, edge count).  A
@@ -813,6 +783,8 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOu
             b[u, v] = b[v, u] = 0.0
         elif move == 0:
             if cfg.k4_constrained and closes_k4(current, u, v):
+                # Whether uv closes a K4 is isomorphism-invariant too.
+                rejected.add(key)
                 continue
             candidate, cand_m = current.with_edge(u, v), m + 1
             b = a.copy()

@@ -26,7 +26,7 @@ from bngap.graphs import (
 )
 from bngap.multipartite import multipartite_spectrum, secular_roots
 from bngap.search import exhaustive_check, random_graph, zykov_trajectory
-from bngap.spectra import eigenvalues, weyl_check
+from bngap.spectra import eigenvalues
 from bngap.stability import (
     edit_distance_exact,
     edit_distance_local,
@@ -36,6 +36,7 @@ from bngap.stability import (
 import _acceptance_log
 from corpus import CORPUS, cycle_graph
 from test_graphs import all_partitions
+from test_spectra import weyl_check
 
 
 def report(line: str) -> None:

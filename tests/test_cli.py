@@ -23,12 +23,8 @@ from bngap.graphs import (
     turan_graph,
 )
 from bngap.jsonutil import csv_cell, dumps
-from bngap.search import (
-    SweepSummary,
-    labeled_graphs,
-    partitions_into_parts,
-)
-from test_exhaustive_engine import add, reference
+from bngap.search import SweepSummary, partitions_into_parts
+from test_exhaustive_engine import add, labeled_graphs, reference
 
 K5_LINE = to_graph6(complete_multipartite(PartSizes((1,) * 5)))
 C5_EDGES = "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"

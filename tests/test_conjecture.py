@@ -1,8 +1,13 @@
-"""Gap reports, the spectral bound, and the Hoffman-route diagnostics."""
+"""Gap reports, the spectral bound, and the Hoffman-route diagnostics.
+
+``spectral_turan_check`` is an oracle for Nikiforov's spectral Turán bound
+lambda1 <= sqrt(2 (1 - 1/omega) m), the step the paper's multipartite proof
+applies after lambda2 = 0.
+"""
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -18,11 +23,11 @@ from bngap.conjecture import (
     hoffman_bound,
     hoffman_ratio_check,
     obstruction_report,
-    spectral_turan_check,
 )
 from bngap.graphs import (
     Graph,
     PartSizes,
+    clique_number,
     complete_multipartite,
     independence_number,
     is_k4_free,
@@ -30,6 +35,7 @@ from bngap.graphs import (
 )
 
 from bngap.search import _clique_table, _labeled_chunk
+from bngap.spectra import eigenvalues
 
 from corpus import CORPUS, cycle_graph
 from test_graph_properties import graphs, no_deadline
@@ -37,6 +43,23 @@ from test_graphs import all_partitions
 
 GOLDEN = 1 + math.sqrt(5)
 C5_LAMBDA2 = 2 * math.cos(2 * math.pi / 5)
+
+
+@dataclass(frozen=True)
+class TuranCheck:
+    lambda1: float
+    bound: float
+    slack: float
+    passes: bool
+
+
+def spectral_turan_check(g: Graph) -> TuranCheck:
+    """Check lambda1 <= sqrt(2 (1 - 1/omega) m) and report the slack."""
+    if g.n < 2 or g.m < 1:
+        raise OutOfDomainError("spectral bound needs omega >= 2")
+    lam1 = eigenvalues(g).lambda1
+    bound = math.sqrt(2.0 * (1.0 - 1.0 / clique_number(g)) * g.m)
+    return TuranCheck(lam1, bound, bound - lam1, lam1 <= bound + GAP_TOL)
 
 
 def complete(n):

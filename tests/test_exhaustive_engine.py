@@ -6,7 +6,9 @@ same summary, pass the same violation reports to ``on_violation`` in the
 same order and report the same malformed list.  The labeled graphs are
 solved one isomorphism class at a time, so the classes of ``_orbits`` and
 the rule that sends a class back to graph-by-graph solving (``_unsure``)
-are tested on their own too.
+are tested on their own too.  ``labeled_graphs``, every labeled graph one
+by one, is the oracle of the class-at-a-time engine here and elsewhere in
+the suite.
 """
 
 from dataclasses import fields
@@ -33,11 +35,17 @@ from bngap.search import (
     _orbits,
     _unsure,
     exhaustive_check,
-    labeled_graphs,
+    labeled_tag,
     random_graph,
 )
 
 from corpus import path_graph
+
+
+def labeled_graphs(n):
+    """All 2^C(n,2) labeled graphs on n vertices (no isomorphism reduction)."""
+    for code in range(1 << n * (n - 1) // 2):
+        yield labeled_tag(n, code), Graph.from_edge_bitset(n, code)
 
 
 def add(summary, report):

@@ -42,10 +42,10 @@ from bngap.graphs import (
     is_k4_free,
     parse_graph6,
 )
-from bngap.search import labeled_graphs
 from bngap.spectra import eigenvalues
 
 from corpus import cycle_graph, path_graph, star_graph
+from test_exhaustive_engine import labeled_graphs
 
 WHEEL5_GRAPH6 = "Etv_"  # hub + 5-cycle, canonical labelling
 

@@ -20,7 +20,10 @@ from bngap.graphs import (
     turan_graph,
     zykov,
 )
-from bngap.search import labeled_graphs, random_graph, random_k4_free
+from bngap.search import random_graph, random_k4_free
+
+from corpus import greedy_k4_free
+from test_exhaustive_engine import labeled_graphs
 
 MAX_TEST_N = 40
 
@@ -134,11 +137,10 @@ class TestDerivedGraphsAreValid:
 
     @no_deadline
     @given(st.integers(1, MAX_TEST_N), st.floats(0.0, 1.0),
-           st.integers(0, 2 ** 63 - 1),
-           st.sampled_from(["tripartite_subgraph", "greedy_insertion"]),
-           st.booleans())
-    def test_random_k4_free(self, n, density, seed, method, balanced):
-        assert_valid(random_k4_free(n, density, seed, method, balanced))
+           st.integers(0, 2 ** 63 - 1))
+    def test_random_k4_free(self, n, density, seed):
+        assert_valid(random_k4_free(n, density, seed))
+        assert_valid(greedy_k4_free(n, density, seed))
 
 
 class TestVertexArgumentsAreChecked:

@@ -317,17 +317,16 @@ def closed_forms(parts: PartSizes) -> Spectrum | None:
     """
     sizes = parts.sizes
     n, r = parts.n, parts.r
-    m = multipartite_edge_count(parts)
     if r == 2:
         a, b = sizes
         ab = a * b
         lam = float(math.isqrt(ab)) if math.isqrt(ab) ** 2 == ab else math.sqrt(ab)
         values = (lam,) + (0.0,) * (n - 2) + (-lam,)
-        return Spectrum(values, m)
+        return Spectrum(values)
     if all(s == sizes[0] for s in sizes):
         p = sizes[0]
         values = (float((r - 1) * p),) + (0.0,) * (n - r) + (float(-p),) * (r - 1)
-        return Spectrum(values, m)
+        return Spectrum(values)
     return None
 
 

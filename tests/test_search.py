@@ -32,17 +32,16 @@ from bngap.search import (
     SweepSummary,
     exhaustive_check,
     hill_climb,
-    labeled_graphs,
     partitions_into_parts,
     random_graph,
     random_k4_free,
     sweep,
     zykov_trajectory,
 )
-from bngap.spectra import adjacency_matrix, eigenvalues
+from bngap.spectra import adjacency_matrix
 
-from corpus import cycle_graph, path_graph
-from test_exhaustive_engine import add
+from corpus import cycle_graph, greedy_k4_free, path_graph
+from test_exhaustive_engine import add, labeled_graphs
 from test_graphs import all_partitions
 
 
@@ -200,8 +199,6 @@ class TestExhaustive:
     def test_builtin_cap(self):
         with pytest.raises(ValueError):
             exhaustive_check(7)
-        with pytest.raises(ValueError):
-            list(labeled_graphs(9))
 
     def test_stream_with_k5_and_malformed(self):
         k5 = to_graph6(complete_multipartite(PartSizes((1,) * 5)))
@@ -228,26 +225,17 @@ class TestExhaustive:
 
 
 class TestRandomK4Free:
-    def test_balanced_keep_all_is_turan(self):
-        for seed in (0, 1, 42):
-            g = random_k4_free(6, 1.0, seed=seed, balanced=True)
-            assert g.m == 12 and clique_number(g) == 3
-            assert np.allclose(eigenvalues(g).values, [4, 0, 0, 0, -2, -2],
-                               atol=1e-9)
-
     def test_always_k4_free(self):
-        # 10^4 seeded draws across both methods
+        # 10^4 seeded draws: the library generator and the greedy helper
         for seed in range(5000):
-            assert is_k4_free(random_k4_free(
-                14, 0.6, seed=seed, method="tripartite_subgraph"))
+            assert is_k4_free(random_k4_free(14, 0.6, seed=seed))
         for seed in range(5000):
-            assert is_k4_free(random_k4_free(
-                9, 0.9, seed=seed, method="greedy_insertion"))
+            assert is_k4_free(greedy_k4_free(9, 0.9, seed=seed))
 
     def test_deterministic(self):
-        for method in ("tripartite_subgraph", "greedy_insertion"):
-            a = random_k4_free(12, 0.5, seed=7, method=method)
-            b = random_k4_free(12, 0.5, seed=7, method=method)
+        for generate in (random_k4_free, greedy_k4_free):
+            a = generate(12, 0.5, seed=7)
+            b = generate(12, 0.5, seed=7)
             assert a == b
 
     def test_bad_arguments(self):
@@ -257,13 +245,11 @@ class TestRandomK4Free:
             with pytest.raises(ValueError) as err:
                 random_k4_free(5, density, seed=0)
             assert str(err.value) == f"density must lie in [0, 1], got {density}"
-        with pytest.raises(ValueError):
-            random_k4_free(5, 0.5, seed=0, method="nope")
 
     def test_greedy_best_effort_at_impossible_density(self):
         # A K4-free graph on 9 vertices has at most 27 edges (balanced
         # tripartite), well below the 36 requested here.
-        g = random_k4_free(9, 1.0, seed=3, method="greedy_insertion")
+        g = greedy_k4_free(9, 1.0, seed=3)
         assert is_k4_free(g)
         assert g.m <= 27
 
@@ -506,12 +492,17 @@ class TestHillClimb:
                                             k4_constrained, objective):
         # With an infinite margin only -inf rejections, which are exact,
         # skip a move, so nearly every candidate is solved: the oracle.
+        # With a fresh object as each move's key no key repeats, so no move
+        # is skipped at all, not even an addition known to close a K4.
         solved = {}
 
-        def run(cfg, margin):
-            scored = solved.setdefault(margin, [])
+        def run(cfg, margin, fresh_keys=False):
+            scored = solved.setdefault((margin, fresh_keys), [])
             with monkeypatch.context() as patch:
                 patch.setattr(bngap.search, "_ORBIT_MARGIN", margin)
+                if fresh_keys:
+                    patch.setattr(bngap.search, "_move_key",
+                                  lambda *args: object())
                 self.spy_objective(patch, lambda *args: scored.append(1))
                 return hill_climb(cfg)
 
@@ -522,11 +513,14 @@ class TestHillClimb:
                                    objective=objective, init_density=density)
                 fast = run(cfg, bngap.search._ORBIT_MARGIN)
                 oracle = run(cfg, float("inf"))
+                every_move = run(cfg, float("inf"), fresh_keys=True)
                 # Best rows, report, objective, iterations and accepted.
-                assert fast == oracle
+                assert fast == oracle == every_move
                 assert repr(fast.best_objective) == repr(oracle.best_objective)
+                assert repr(fast.best_objective) == repr(every_move.best_objective)
         # Some candidates were skipped, so the comparison is not vacuous.
-        assert len(solved[bngap.search._ORBIT_MARGIN]) < len(solved[float("inf")])
+        assert (len(solved[bngap.search._ORBIT_MARGIN, False])
+                < len(solved[float("inf"), False]))
 
     def test_benchmark_search_solves_at_most_1000(self, monkeypatch):
         # ``search --n-max 30 --restarts 6 --steps 1000 --seed 0`` solved
@@ -542,6 +536,21 @@ class TestHillClimb:
         res = hill_climb(SearchConfig(seed=0, n=30, max_iters=1000, restarts=6))
         assert res.iterations == 6000
         assert 0 < len(solves) <= 1000
+
+    def test_benchmark_search_tests_closes_k4_at_most_500(self, monkeypatch):
+        # The same run tested 2,004 additions for closing a K4 before the
+        # additions that close one were remembered as rejected.
+        calls = []
+        real_closes_k4 = bngap.search.closes_k4
+
+        def counted(g, u, v):
+            calls.append((u, v))
+            return real_closes_k4(g, u, v)
+
+        monkeypatch.setattr(bngap.search, "closes_k4", counted)
+        res = hill_climb(SearchConfig(seed=0, n=30, max_iters=1000, restarts=6))
+        assert res.iterations == 6000
+        assert 0 < len(calls) <= 500
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_two_vertices_in_one_part_have_no_report(self, seed):

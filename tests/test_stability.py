@@ -15,7 +15,7 @@ from bngap.graphs import (
     turan_graph,
 )
 from bngap.search import random_graph
-from bngap.spectra import adjacency_matrix, eigenvalues, weyl_check
+from bngap.spectra import adjacency_matrix, eigenvalues
 from bngap.stability import (
     EXACT_MAX_N,
     LOCAL_RESTARTS,
@@ -32,6 +32,7 @@ from bngap.stability import (
 )
 
 from corpus import cycle_graph
+from test_spectra import weyl_check
 
 
 def brute_force_edit_distance(g):
