@@ -126,14 +126,6 @@ class SecularSpectrum:
     pole_eigenvalues: tuple[tuple[float, int], ...]
     zero_multiplicity: int
 
-    @property
-    def lambda1(self) -> float:
-        return self.secular_roots[0]
-
-    @property
-    def lambda2(self) -> float:
-        return 0.0 if self.zero_multiplicity >= 1 else -1.0
-
     def flatten(self) -> tuple[float, ...]:
         values = list(self.secular_roots)
         values.extend([0.0] * self.zero_multiplicity)

@@ -11,7 +11,7 @@ as to target the density; K4-free by construction, the hill climb's start)
 set both bits of every pair they keep and skip ``Graph`` validation (see
 ``bngap.graphs``).  Edge codes, the clique table's masks included, come
 from ``bngap.graphs``; ``graph6_pairs`` is read here only as index arrays:
-the labeled chunks' scatter and the pair maps of ``_orbits``.
+the labeled stacks' scatter and the pair maps of ``_orbits``.
 
 Every family is checked by one engine.  A producer turns a chunk of
 graphs into ``gap_terms`` columns, and ``_fold`` summarizes the chunk
@@ -36,17 +36,20 @@ and flags as from ``bn_report``.  There are three producers:
   eigenvalue.
 * the labeled graphs on n vertices, checked one isomorphism class at a
   time, since isomorphic graphs have the same spectrum, m and clique
-  number: ``_orbits`` maps every edge code to its class, one stack solves
-  the classes' least codes, and every code takes its class's columns.
-  Floats of isomorphic graphs still differ by rounding, so a class whose
-  gap lies within ``_ORBIT_MARGIN * max(1, bound)`` of a flag threshold
-  or of the least gap of its n is solved graph by graph in
-  ``_chunk_size(n)`` slices of its members' codes (``_unsure``).  For
-  n <= 6 those are the 4,167 equality graphs, so 4,374 graphs are solved
-  instead of 33,861, with the same summary and violations as a
-  graph-by-graph check.  The columns of all codes are folded as one chunk
-  in code order.  The clique number of an edge code is read off a table
-  of vertex subsets.
+  number: ``_orbits`` maps every edge code to its class (one matmul gives
+  the images of ``_ORBIT_BATCH`` codes, 35 matmuls for the 208 classes of
+  n <= 6), one stack solves the classes' least codes, and every code
+  takes its class's columns.  Floats of isomorphic graphs still differ by
+  rounding, so a class whose gap lies within ``_ORBIT_MARGIN * max(1,
+  bound)`` of a flag threshold or of the least gap of its n is solved
+  graph by graph in ``_chunk_size(n)`` slices of its members' codes
+  (``_unsure``).  For n <= 6 those are the 4,167 equality graphs, so
+  4,374 graphs are solved instead of 33,861, with the same summary and
+  violations as a graph-by-graph check.  Only the adjacency stack is
+  built per member (``_labeled_stack``): m and the clique number are its
+  class's, computed for the least codes (``_labeled_invariants``, the
+  clique number read off a table of vertex subsets).  The columns of all
+  codes are folded as one chunk in code order.
 
 An adjacency stack holds at most ``_CHUNK_ENTRIES`` matrix entries (2^15
 doubles, 256 KiB; 910 graphs at n = 6, one graph at n >= 129), which
@@ -127,6 +130,10 @@ SWEEP_CHUNK = 1024
 # Stability's int8 descent groups are sized by their own budget,
 # ``stability._GROUP_ENTRIES``.
 _CHUNK_ENTRIES = 2 ** 15
+
+# Edge codes whose images ``_orbits`` finds with one matmul: an (n!, B)
+# block, 90 KiB of float64 at n = 6.
+_ORBIT_BATCH = 16
 
 # An isomorphism class of labeled graphs is solved graph by graph when its
 # representative's gap lies within _ORBIT_MARGIN * max(1, bound) of a
@@ -362,37 +369,54 @@ def _clique_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(masks, dtype=np.int64), np.array(sizes, dtype=np.int64)
 
 
-def _labeled_chunk(n: int, codes: np.ndarray, table: tuple[np.ndarray, np.ndarray]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjacency stack, edge counts and clique numbers of the edge codes."""
+def _labeled_stack(n: int, codes: np.ndarray) -> np.ndarray:
+    """The (B, n, n) adjacency stack of the edge codes: built for the
+    classes' least codes and for each member of an unsure class."""
     pairs = np.array(list(graph6_pairs(n)), dtype=np.intp).reshape(-1, 2)
     bits = (codes[:, None] >> np.arange(len(pairs))) & 1
     adj = np.zeros((len(codes), n, n))
     adj[:, pairs[:, 0], pairs[:, 1]] = bits
     adj[:, pairs[:, 1], pairs[:, 0]] = bits
-    masks, sizes = table
-    omega = sizes[((codes[:, None] & masks) == masks).argmax(axis=1)]
-    return adj, bits.sum(axis=1), omega
+    return adj
+
+
+def _labeled_invariants(n: int, codes: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Edge counts and clique numbers of the edge codes.  Both are
+    isomorphism invariants, so ``_labeled_summary`` computes them for the
+    classes' representatives only."""
+    m = ((codes[:, None] >> np.arange(n * (n - 1) // 2)) & 1).sum(axis=1)
+    masks, sizes = _clique_table(n)
+    return m, sizes[((codes[:, None] & masks) == masks).argmax(axis=1)]
 
 
 def _orbits(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The isomorphism classes of the labeled graphs on n vertices: the
     class index of every edge code, and each class's least code, in
-    increasing order.  The least code not yet reached opens a class, and
-    its images under the n! vertex permutations join it."""
+    increasing order.
+
+    The next ``_ORBIT_BATCH`` codes not yet reached get their images under
+    the n! vertex permutations from one float64 matmul, exact since every
+    code is below 2^15.  Walked in increasing order, a code of the batch
+    that is still unreached is the least of its class: it opens the class,
+    and its images join it."""
     pairs = np.array(list(graph6_pairs(n)), dtype=np.intp).reshape(-1, 2)
     index = np.zeros((n, n), dtype=np.int64)
     index[pairs[:, 0], pairs[:, 1]] = index[pairs[:, 1], pairs[:, 0]] = range(len(pairs))
     perms = np.array(list(permutations(range(n))), dtype=np.intp)
-    # weights[p, k] is the bit that pair k moves to under permutation p.
-    weights = 1 << index[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]
-    shifts = np.arange(len(pairs))
+    # weights[p, k] is the bit, as a power of two, that pair k moves to
+    # under permutation p.
+    weights = 2.0 ** index[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]
+    shifts = np.arange(len(pairs))[:, None]
     cls = np.full(1 << len(pairs), -1, dtype=np.int64)
-    reps = []
-    while (unseen := cls < 0).any():
-        code = int(unseen.argmax())
-        cls[weights @ (code >> shifts & 1)] = len(reps)
-        reps.append(code)
+    reps, start = [], 0
+    while (batch := start + np.flatnonzero(cls[start:] < 0)[:_ORBIT_BATCH]).size:
+        images = (weights @ (batch >> shifts & 1)).astype(np.intp)
+        for code, column in zip(batch.tolist(), images.T):
+            if cls[code] < 0:
+                cls[column] = len(reps)
+                reps.append(code)
+        start = batch[-1] + 1  # every code up to here is reached
     return cls, np.array(reps, dtype=np.int64)
 
 
@@ -416,20 +440,22 @@ def _labeled_summary(n: int, on_violation: Callable[[BnReport], None]
     isomorphism class at a time (see the module docstring)."""
     if n < 2:
         return SweepSummary(out_of_domain=1)  # K1 has no edge
-    table = _clique_table(n)
     cls, reps = _orbits(n)
-    adj, m, omega = _labeled_chunk(n, reps, table)
-    bound, _, gap, holds, equality, excluded = _stack_terms(adj, m, omega)
+    m, omega = _labeled_invariants(n, reps)
+    bound, _, gap, holds, equality, excluded = _stack_terms(
+        _labeled_stack(n, reps), m, omega)
     live = m >= 1
     unsure = _unsure(gap, bound, live & ~excluded)
     # Every code takes its class's gap and flags; the members of unsure
-    # classes are then solved graph by graph and keep their own.
+    # classes are then solved graph by graph, with their class's m and
+    # omega, and keep their own.
     flags = [column[cls] for column in (gap, holds, equality, excluded)]
     members = np.flatnonzero(unsure[cls])
     step = _chunk_size(n)
     for lo in range(0, len(members), step):
         codes = members[lo:lo + step]
-        solved = _stack_terms(*_labeled_chunk(n, codes, table))
+        k = cls[codes]
+        solved = _stack_terms(_labeled_stack(n, codes), m[k], omega[k])
         for column, values in zip(flags, solved[2:]):
             column[codes] = values
     summary = SweepSummary()

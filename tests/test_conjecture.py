@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bngap.conjecture import (
@@ -34,7 +34,7 @@ from bngap.graphs import (
     turan_graph,
 )
 
-from bngap.search import _clique_table, _labeled_chunk
+from bngap.search import _labeled_invariants, _labeled_stack
 from bngap.spectra import eigenvalues
 
 from corpus import CORPUS, cycle_graph
@@ -176,9 +176,9 @@ class TestGapTerms:
         count = 1 << n * (n - 1) // 2
         start = data.draw(st.integers(0, count - 1))
         codes = np.arange(start, min(count, start + 256), dtype=np.int64)
-        adj, m, omega = _labeled_chunk(n, codes, _clique_table(n))
+        m, omega = _labeled_invariants(n, codes)
         live = m >= 1
-        vals = np.linalg.eigvalsh(adj[live])
+        vals = np.linalg.eigvalsh(_labeled_stack(n, codes[live]))
         _, _, _, holds, equality, _ = gap_terms(
             n, m[live], omega[live], vals[:, -1], vals[:, -2])
         assert (holds | ~equality).all()

@@ -8,10 +8,11 @@ solved one isomorphism class at a time, so the classes of ``_orbits`` and
 the rule that sends a class back to graph-by-graph solving (``_unsure``)
 are tested on their own too.  ``labeled_graphs``, every labeled graph one
 by one, is the oracle of the class-at-a-time engine here and elsewhere in
-the suite.
+the suite, and ``orbits_one_class_at_a_time`` of the batched ``_orbits``.
 """
 
 from dataclasses import fields
+from itertools import permutations
 from math import comb, factorial
 
 import numpy as np
@@ -30,8 +31,8 @@ from bngap.graphs import (
 )
 from bngap.search import (
     SweepSummary,
-    _clique_table,
-    _labeled_chunk,
+    _labeled_invariants,
+    _labeled_stack,
     _orbits,
     _unsure,
     exhaustive_check,
@@ -46,6 +47,25 @@ def labeled_graphs(n):
     """All 2^C(n,2) labeled graphs on n vertices (no isomorphism reduction)."""
     for code in range(1 << n * (n - 1) // 2):
         yield labeled_tag(n, code), Graph.from_edge_bitset(n, code)
+
+
+def orbits_one_class_at_a_time(n):
+    """``_orbits`` one class per matmul: the least code not yet reached
+    opens a class, and its images under the n! vertex permutations join it."""
+    pairs = np.array(list(graph6_pairs(n)), dtype=np.intp).reshape(-1, 2)
+    index = np.zeros((n, n), dtype=np.int64)
+    index[pairs[:, 0], pairs[:, 1]] = index[pairs[:, 1], pairs[:, 0]] = range(len(pairs))
+    perms = np.array(list(permutations(range(n))), dtype=np.intp)
+    # weights[p, k] is the bit that pair k moves to under permutation p.
+    weights = 1 << index[perms[:, pairs[:, 0]], perms[:, pairs[:, 1]]]
+    shifts = np.arange(len(pairs))
+    cls = np.full(1 << len(pairs), -1, dtype=np.int64)
+    reps = []
+    while (unseen := cls < 0).any():
+        code = int(unseen.argmax())
+        cls[weights @ (code >> shifts & 1)] = len(reps)
+        reps.append(code)
+    return cls, np.array(reps, dtype=np.int64)
 
 
 def add(summary, report):
@@ -135,7 +155,7 @@ def atlas_stream():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_subset_table_clique_number(n):
     codes = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)
-    _, m, omega = _labeled_chunk(n, codes, _clique_table(n))
+    m, omega = _labeled_invariants(n, codes)
     graphs = [g for _, g in labeled_graphs(n)]
     assert omega.tolist() == [clique_number(g) for g in graphs]
     assert m.tolist() == [g.m for g in graphs]
@@ -256,6 +276,14 @@ def test_orbit_class_counts(n, classes):
     assert (reps[cls] <= np.arange(len(cls))).all()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_batched_orbits_match_one_class_at_a_time(n):
+    cls, reps = _orbits(n)
+    want_cls, want_reps = orbits_one_class_at_a_time(n)
+    assert cls.dtype == want_cls.dtype and reps.dtype == want_reps.dtype
+    assert np.array_equal(cls, want_cls) and np.array_equal(reps, want_reps)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_orbit_members_are_isomorphic_to_their_representative(n):
     nx = pytest.importorskip("networkx")
@@ -275,8 +303,10 @@ def test_orbit_members_are_isomorphic_to_their_representative(n):
 def test_member_gaps_spread_by_rounding_only(n):
     cls, reps = _orbits(n)
     codes = np.arange(len(cls))
-    adj, m, omega = _labeled_chunk(n, codes, _clique_table(n))
-    vals = np.linalg.eigvalsh(adj)
+    m, omega = _labeled_invariants(n, codes)
+    # Members take m and omega from their class's representative.
+    assert (m == m[reps][cls]).all() and (omega == omega[reps][cls]).all()
+    vals = np.linalg.eigvalsh(_labeled_stack(n, codes))
     bound, _, gap, *_ = gap_terms(n, m, omega, vals[:, -1], vals[:, -2])
     assert (bound == bound[reps][cls]).all()
     high = np.full(len(reps), -np.inf)
@@ -304,15 +334,15 @@ def test_unsure_rule(bound):
 
 
 def solved_codes(monkeypatch):
-    """The edge codes ``_labeled_chunk`` is called on, in call order."""
+    """The edge codes ``_labeled_stack`` is called on, in call order."""
     codes = []
-    labeled_chunk = bngap.search._labeled_chunk
+    labeled_stack = bngap.search._labeled_stack
 
-    def recorded(n, chunk, table):
+    def recorded(n, chunk):
         codes.extend(chunk.tolist())
-        return labeled_chunk(n, chunk, table)
+        return labeled_stack(n, chunk)
 
-    monkeypatch.setattr(bngap.search, "_labeled_chunk", recorded)
+    monkeypatch.setattr(bngap.search, "_labeled_stack", recorded)
     return codes
 
 

@@ -51,8 +51,9 @@ class TestConstruction:
             total = 0
             for u in range(g.n):
                 assert not g.adj[u] >> u & 1, name
-                for v in g.neighbors(u):
-                    assert g.has_edge(v, u), name
+                for v in range(g.n):
+                    if g.adj[u] >> v & 1:
+                        assert g.has_edge(v, u), name
                 total += g.degree(u)
             assert total == 2 * g.m, name
 
