@@ -9,8 +9,11 @@ conjectured non-negative for every graph other than a complete one.  A
 pair, the bound, the gap, and the holds / equality / excluded flags.  Its
 fields, in order, are its output record: ``dataclasses.asdict`` where it
 nests in another record, and a report line laid out by the one template
-``REPORT_LINE``, which ``BnReport.to_json`` fills for one report and
-``report_lines`` for a chunk of reports given as numpy columns.
+``REPORT_LINE``, which ``BnReport.to_json`` fills for one report.
+``report_lines`` writes a sweep chunk, given as numpy columns, from the
+variants of ``REPORT_LINE`` whose source is the ``multipartite_tag`` of
+``%d`` slots, with or without ``BIPARTITE_NOTE``, one per part count and
+note, so no row's tag is built.
 
 Complete graphs violate the bound by exactly 1 and are excluded by the
 conjecture; their reports are still fully populated so the violation itself
@@ -89,26 +92,47 @@ class BnReport:
 
 # A report line: the fields of ``BnReport`` in order, as ``dumps`` writes
 # them.  A finite float's ``%.17g`` is ``format(x, ".17g")``, the JSON text
-# of ``json_float``.  ``BnReport.to_json`` writes one report with it and
-# ``report_lines`` a chunk of them.
+# of ``json_float``.  ``BnReport.to_json`` writes one report with it, and
+# ``report_lines`` a sweep chunk with its variants (``_source_layout``).
 REPORT_LINE = ('{"n": %d, "m": %d, "omega": %d, "lambda1": %.17g, '
                '"lambda2": %.17g, "lambda_n": %.17g, "bound": %.17g, '
                '"lhs": %.17g, "gap": %.17g, "holds": %s, "equality": %s, '
                '"excluded": %s, "source": %s}')
 _JSON_BOOL = ("false", "true")
 
+# Appended to the source of an unbalanced complete bipartite report with
+# equality: lambda1^2 = ab = m matches the bound for every a and b.
+BIPARTITE_NOTE = "; note: bipartite equality holds for all a,b"
 
-def report_lines(columns, sources: list[str]) -> str:
-    """The lines ``BnReport.to_json`` writes for a chunk of reports, each
-    ended by a newline.  ``columns`` are numpy columns of the fields from n
-    to excluded, in order, and ``sources`` the source tags.  Every float
-    must be finite and no tag may need a JSON escape, as in a sweep chunk."""
+
+def report_lines(columns, parts, note) -> str:
+    """The lines ``BnReport.to_json`` writes for a chunk of multipartite
+    reports, each ended by a newline.  ``columns`` are numpy columns of the
+    fields from n to excluded, in order, ``parts`` the part sizes of each
+    row, and ``note`` a boolean column that marks the rows whose source
+    carries ``BIPARTITE_NOTE``.  Every float must be finite, as in a sweep
+    chunk.  No source tag is built: each row fills the variant of
+    ``REPORT_LINE`` for its part count and note (``_source_layout``), made
+    once per chunk, with its fields and then its part sizes."""
     *numbers, holds, equality, excluded = (c.tolist() for c in columns)
     flags = ([_JSON_BOOL[b] for b in flag] for flag in (holds, equality, excluded))
-    quoted = ['"' + tag + '"' for tag in sources]
-    lines = [REPORT_LINE % row for row in zip(*numbers, *flags, quoted)]
+    keys = [(len(p), b) for p, b in zip(parts, note.tolist())]
+    layouts = {key: _source_layout(*key) for key in set(keys)}
+    lines = [layouts[key] % (row + p)
+             for key, row, p in zip(keys, zip(*numbers, *flags), parts)]
     lines.append("")  # so the join ends the last line too
     return "\n".join(lines)
+
+
+def _source_layout(r: int, noted: bool) -> str:
+    """``REPORT_LINE`` with its source, the last ``%s``, replaced by the
+    quoted ``multipartite_tag`` of r ``%d`` slots, plus ``BIPARTITE_NOTE``
+    if ``noted``: the line of a report with r parts, filled by its fields
+    and then its r part sizes.  Neither the tag nor the note needs a JSON
+    escape."""
+    head, tail = REPORT_LINE.rsplit("%s", 1)
+    source = multipartite_tag(("%d",) * r) + (BIPARTITE_NOTE if noted else "")
+    return head + '"' + source + '"' + tail
 
 
 def gap_terms(n, m, omega, lam1, lam2):
@@ -143,11 +167,6 @@ def bn_report(g: Graph, source: str = "graph") -> BnReport:
         )
     return BnReport.from_eigenvalues(np.linalg.eigvalsh(adjacency_matrix(g)),
                                      m, clique_number(g), source)
-
-
-# Appended to the source of an unbalanced complete bipartite report with
-# equality: lambda1^2 = ab = m matches the bound for every a and b.
-BIPARTITE_NOTE = "; note: bipartite equality holds for all a,b"
 
 
 def bn_report_multipartite(parts: PartSizes) -> BnReport:

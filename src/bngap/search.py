@@ -28,9 +28,13 @@ and flags as from ``bn_report``.  There are three producers:
   chunk becomes one zero-padded array of part sizes, from which numpy
   takes n, m and r, ``secular_root_range`` the largest and smallest
   secular roots (one ``eigvalsh`` per number of distinct sizes), and
-  ``gap_terms`` tests every report at once.  ``conjecture.report_lines``
-  writes the chunk's lines with the report template, and violators are
-  rebuilt through ``bn_report_multipartite``.
+  ``gap_terms`` tests every report at once.  No source tag is built per
+  row: ``conjecture.report_lines`` writes the chunk's lines from one
+  variant of the report template per part count and bipartite note, each
+  filled by a row's fields and part sizes, and ``_fold`` builds the tag
+  (``multipartite_tag``) only for the rows it reads, the chunk's least
+  gap, so ``sweep --n-max 30 --r-max 6`` builds 9 tags instead of 8,516.
+  Violators are rebuilt through ``bn_report_multipartite``.
 * a graph6 stream, checked in runs of consecutive records with the same
   n.  A run of edgeless graphs is only counted, since n = 1 has no second
   eigenvalue.
@@ -184,13 +188,16 @@ def partitions_into_parts(n: int, r_max: int) -> Iterator[tuple[int, ...]]:
 
 
 def _sweep_chunk(parts: list[tuple[int, ...]]
-                 ) -> tuple[tuple[np.ndarray, ...], list[str]]:
-    """The report columns and source tags of the partitions ``parts``
-    (descending tuples, trusted): one zero-padded array of part sizes, one
-    ``secular_root_range`` call and one ``gap_terms`` call on the whole
-    chunk.  The columns are the ``BnReport`` fields from n to excluded, in
-    field order (omega is the part count r): row i is, field for field, the
-    report ``bn_report_multipartite`` gives for ``PartSizes(parts[i])``."""
+                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The report columns and bipartite-note mask of the partitions
+    ``parts`` (descending tuples, trusted): one zero-padded array of part
+    sizes, one ``secular_root_range`` call and one ``gap_terms`` call on
+    the whole chunk.  The columns are the ``BnReport`` fields from n to
+    excluded, in field order (omega is the part count r): row i is, field
+    for field, the report ``bn_report_multipartite`` gives for
+    ``PartSizes(parts[i])``, whose source is ``multipartite_tag(parts[i])``
+    followed by ``BIPARTITE_NOTE`` where the mask is set (two unequal parts
+    with equality).  No source tag is built here."""
     r = np.fromiter(map(len, parts), np.int64, len(parts))
     sizes = np.zeros((len(parts), int(r.max())), np.int64)
     sizes[np.arange(sizes.shape[1]) < r[:, None]] = list(chain.from_iterable(parts))
@@ -204,10 +211,8 @@ def _sweep_chunk(parts: list[tuple[int, ...]]
     lam_n = np.where(n > r, np.minimum(lam_n, 0.0), lam_n)
     lam2 = np.where(n > r, 0.0, -1.0)
     terms = gap_terms(n, m, r, lam1, lam2)
-    sources = [multipartite_tag(p) for p in parts]
-    for i in np.flatnonzero((r == 2) & terms[4] & (p_next != p_max)).tolist():
-        sources[i] += BIPARTITE_NOTE
-    return (n, m, r, lam1, lam2, lam_n, *terms), sources
+    note = (r == 2) & terms[4] & (p_next != p_max)
+    return (n, m, r, lam1, lam2, lam_n, *terms), note
 
 
 def sweep(n_max: int, r_max: int, write: Callable[[str], object],
@@ -218,7 +223,8 @@ def sweep(n_max: int, r_max: int, write: Callable[[str], object],
     The partitions are drawn ``SWEEP_CHUNK`` at a time across n
     boundaries, so memory stays flat however many the sweep covers.  Each
     chunk's report lines go to ``write`` as one string, and each violating
-    partition's ``bn_report_multipartite`` to ``on_violation``.
+    partition's ``bn_report_multipartite`` to ``on_violation``.  A source
+    tag is built only for the rows ``_fold`` reads: the chunk's least gap.
     """
     if n_max > MAX_N:
         raise ValueError(f"total vertex count exceeds {MAX_N}")
@@ -226,9 +232,10 @@ def sweep(n_max: int, r_max: int, write: Callable[[str], object],
                   for parts in partitions_into_parts(n, r_max))
     summary = SweepSummary()
     while chunk := list(islice(partitions, SWEEP_CHUNK)):
-        columns, sources = _sweep_chunk(chunk)
-        write(report_lines(columns, sources))
-        _fold(summary, columns, True, sources.__getitem__,
+        columns, note = _sweep_chunk(chunk)
+        write(report_lines(columns, chunk, note))
+        _fold(summary, columns, True,
+              lambda i: multipartite_tag(chunk[i]) + (BIPARTITE_NOTE if note[i] else ""),
               lambda i: bn_report_multipartite(PartSizes(chunk[i])),
               on_violation)
     return summary

@@ -183,6 +183,23 @@ class TestSweepChunks:
         assert json.loads(lines[0])["source"] == "multipartite[1,1]"
         assert drawn_then == len(lines) == bngap.search.SWEEP_CHUNK
 
+    def test_benchmark_sweep_builds_at_most_9_tags(self, monkeypatch):
+        # ``sweep --n-max 30 --r-max 6`` built all 8,516 source tags before
+        # only the rows the fold reads got one: the least gap of each of
+        # its 9 chunks, and each violator (none).
+        calls = []
+        real_tag = bngap.search.multipartite_tag
+
+        def counted(sizes):
+            calls.append(sizes)
+            return real_tag(sizes)
+
+        monkeypatch.setattr(bngap.search, "multipartite_tag", counted)
+        written = []
+        summary = sweep(30, 6, written.append, no_violation)
+        assert summary.total == 8516 and len(written) == 9
+        assert 0 < len(calls) <= len(written) + summary.violations
+
 
 class TestExhaustive:
     def test_builtin_n4(self):
