@@ -391,13 +391,13 @@ class TestStability:
      "5466934b83a8b0071d8b5e1775b3cbd13d3466e041ec230a879cfaa63e94b581"),
     (("sweep", "--n-max", "30", "--r-max", "6"),
      "6605907e38fe2a9256022327b9dc4c9d7c0c6a04c6b38a0f404312236d213cfe"),
+    (("search", "--n-max", "20", "--restarts", "3", "--steps", "400",
+      "--seed", "5", "--objective", "lambda1"),
+     "86db6076750fd3e05b1016a72abfe98e86a331cf6149a32eeee12bffef6b2230"),
     (("sweep", "--n-max", "45", "--r-max", "8"),
      "db5525bf1aaada361101176e6f192e93afd9443b8ec648d3227ad32f7f1e59f0"),
     (("sweep", "--n-max", "60", "--r-max", "2"),
      "2c5b38f6c103317892606863f9bad98eff87de4fe0ba05fc2e1273f77ae2a0f4"),
-    (("search", "--n-max", "20", "--restarts", "3", "--steps", "400",
-      "--seed", "5", "--objective", "lambda1"),
-     "86db6076750fd3e05b1016a72abfe98e86a331cf6149a32eeee12bffef6b2230"),
 ])
 def test_golden_bytes(argv, digest):
     code, out, _ = run_cli(*argv)
