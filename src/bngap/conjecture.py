@@ -10,10 +10,13 @@ pair, the bound, the gap, and the holds / equality / excluded flags.  Its
 fields, in order, are its output record: ``dataclasses.asdict`` where it
 nests in another record, and a report line laid out by the one template
 ``REPORT_LINE``, which ``BnReport.to_json`` fills for one report.
-``report_lines`` writes a sweep chunk, given as numpy columns, from the
-variants of ``REPORT_LINE`` whose source is the ``multipartite_tag`` of
-``%d`` slots, with or without ``BIPARTITE_NOTE``, one per part count and
-note, so no row's tag is built.
+
+``multipartite_columns`` is the one owner of the complete multipartite
+report: it derives numpy columns of the report fields and the
+bipartite-note mask from part sizes, and ``multipartite_source`` builds
+the source text.  ``bn_report_multipartite`` is its one-row case.
+``report_lines`` writes a sweep chunk of its columns from one variant of
+``REPORT_LINE`` per part count and note, so no row's tag is built.
 
 Complete graphs violate the bound by exactly 1 and are excluded by the
 conjecture; their reports are still fully populated so the violation itself
@@ -23,6 +26,7 @@ stays under test.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 from math import isfinite
 
 import numpy as np
@@ -35,7 +39,7 @@ from .graphs import (
     is_k4_free,
 )
 from .jsonutil import dumps
-from .multipartite import multipartite_edge_count, multipartite_tag, secular_roots
+from .multipartite import multipartite_tag, secular_root_range
 from .spectra import adjacency_matrix, eigenvalues
 
 GAP_TOL = 1e-9
@@ -107,13 +111,12 @@ BIPARTITE_NOTE = "; note: bipartite equality holds for all a,b"
 
 def report_lines(columns, parts, note) -> str:
     """The lines ``BnReport.to_json`` writes for a chunk of multipartite
-    reports, each ended by a newline.  ``columns`` are numpy columns of the
-    fields from n to excluded, in order, ``parts`` the part sizes of each
-    row, and ``note`` a boolean column that marks the rows whose source
-    carries ``BIPARTITE_NOTE``.  Every float must be finite, as in a sweep
-    chunk.  No source tag is built: each row fills the variant of
-    ``REPORT_LINE`` for its part count and note (``_source_layout``), made
-    once per chunk, with its fields and then its part sizes."""
+    reports, each ended by a newline: ``columns`` and ``note`` as
+    ``multipartite_columns(parts)`` returns them.  Every float must be
+    finite, as in a sweep chunk.  No source tag is built: each row fills
+    the variant of ``REPORT_LINE`` for its part count and note
+    (``_source_layout``), made once per chunk, with its fields and then
+    its part sizes."""
     *numbers, holds, equality, excluded = (c.tolist() for c in columns)
     flags = ([_JSON_BOOL[b] for b in flag] for flag in (holds, equality, excluded))
     keys = [(len(p), b) for p, b in zip(parts, note.tolist())]
@@ -126,13 +129,17 @@ def report_lines(columns, parts, note) -> str:
 
 def _source_layout(r: int, noted: bool) -> str:
     """``REPORT_LINE`` with its source, the last ``%s``, replaced by the
-    quoted ``multipartite_tag`` of r ``%d`` slots, plus ``BIPARTITE_NOTE``
-    if ``noted``: the line of a report with r parts, filled by its fields
-    and then its r part sizes.  Neither the tag nor the note needs a JSON
-    escape."""
+    quoted ``multipartite_source`` of r ``%d`` slots and ``noted``: the
+    line of a report with r parts, filled by its fields and then its r part
+    sizes.  Neither the tag nor the note needs a JSON escape."""
     head, tail = REPORT_LINE.rsplit("%s", 1)
-    source = multipartite_tag(("%d",) * r) + (BIPARTITE_NOTE if noted else "")
-    return head + '"' + source + '"' + tail
+    return head + '"' + multipartite_source(("%d",) * r, noted) + '"' + tail
+
+
+def multipartite_source(sizes, noted) -> str:
+    """The source of a complete multipartite report: the
+    ``multipartite_tag`` of ``sizes``, plus ``BIPARTITE_NOTE`` if ``noted``."""
+    return multipartite_tag(sizes) + (BIPARTITE_NOTE if noted else "")
 
 
 def gap_terms(n, m, omega, lam1, lam2):
@@ -169,31 +176,50 @@ def bn_report(g: Graph, source: str = "graph") -> BnReport:
                                      m, clique_number(g), source)
 
 
-def bn_report_multipartite(parts: PartSizes) -> BnReport:
-    """Gap report for a complete multipartite graph via its exact spectrum.
+def multipartite_columns(parts: list[tuple[int, ...]]
+                         ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The report columns and bipartite-note mask of the complete
+    multipartite graphs with part sizes ``parts`` (descending tuples, at
+    least two parts each, trusted): one zero-padded array of part sizes,
+    one ``secular_root_range`` call and one ``gap_terms`` call on all of
+    them.  The columns are the ``BnReport`` fields from n to excluded, in
+    field order (omega is the part count r); row i's source is
+    ``multipartite_source(parts[i], note[i])``.
 
     The eigenvalues are the secular roots, the poles -p (p a size that
-    occurs t >= 2 times) and, when n > r, zero.  The smallest root lies
-    above the largest pole -p_max and below every other pole, so lambda_n is
-    the least of that root, -p_max when p_max occurs twice or more, and
-    zero.  The sweep builds the same reports a chunk at a time as columns
-    (``search.sweep``) and calls this only for its violators.
+    occurs t >= 2 times) and, when n > r, zero.  So lambda1 is the largest
+    root and lambda2 is zero when n > r, else -1.  The smallest root lies
+    above the largest pole -p_max and below every other pole, so lambda_n
+    is the least of that root, -p_max when p_max occurs twice or more, and
+    zero.  The note marks two unequal parts with equality.
     """
-    roots = secular_roots(parts)
-    sizes = parts.sizes
-    n, r = parts.n, parts.r
-    lam_n = roots[-1]
-    if sizes[1] == sizes[0]:
-        lam_n = min(lam_n, float(-sizes[0]))
-    if n > r:
-        lam_n = min(lam_n, 0.0)
-    m = multipartite_edge_count(parts)
-    lam1, lam2 = roots[0], 0.0 if n > r else -1.0
+    r = np.fromiter(map(len, parts), np.int64, len(parts))
+    sizes = np.zeros((len(parts), int(r.max())), np.int64)
+    sizes[np.arange(sizes.shape[1]) < r[:, None]] = list(chain.from_iterable(parts))
+    n = sizes.sum(axis=1)
+    m = (n * n - (sizes * sizes).sum(axis=1)) // 2
+    lam1, smallest = secular_root_range(sizes)
+    p_max, p_next = sizes[:, 0], sizes[:, 1]
+    lam_n = np.where(p_next == p_max, np.minimum(smallest, -p_max), smallest)
+    lam_n = np.where(n > r, np.minimum(lam_n, 0.0), lam_n)
+    lam2 = np.where(n > r, 0.0, -1.0)
     terms = gap_terms(n, m, r, lam1, lam2)
-    source = multipartite_tag(sizes)
-    if r == 2 and terms[4] and sizes[0] != sizes[1]:
-        source += BIPARTITE_NOTE
-    return BnReport(n, m, r, lam1, lam2, lam_n, *terms, source)
+    note = (r == 2) & terms[4] & (p_next != p_max)
+    return (n, m, r, lam1, lam2, lam_n, *terms), note
+
+
+def multipartite_report(columns, note, parts, i: int) -> BnReport:
+    """Row i of the ``columns`` and ``note`` that
+    ``multipartite_columns(parts)`` returned, as a ``BnReport``."""
+    return BnReport(*(c.item(i) for c in columns),
+                    multipartite_source(parts[i], note[i]))
+
+
+def bn_report_multipartite(parts: PartSizes) -> BnReport:
+    """Gap report for a complete multipartite graph via its exact spectrum:
+    the one-row case of ``multipartite_columns``."""
+    rows = [parts.sizes]
+    return multipartite_report(*multipartite_columns(rows), rows, 0)
 
 
 def hoffman_bound(g: Graph) -> float:

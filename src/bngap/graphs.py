@@ -477,8 +477,3 @@ def parse_edge_list_text(text: str) -> Graph:
         edges.append((int(toks[0]), int(toks[1])))
     return from_edge_list(n, edges)
 
-
-def format_edge_list_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"

@@ -23,18 +23,14 @@ Adjacency stacks get their columns from ``_stack_terms``, one batched
 and flags as from ``bn_report``.  There are three producers:
 
 * ``sweep``: the multipartite sweep, ``SWEEP_CHUNK`` partitions at a
-  time (``_sweep_chunk``).  The descending tuples of
-  ``partitions_into_parts`` are trusted, so no ``PartSizes`` is built: a
-  chunk becomes one zero-padded array of part sizes, from which numpy
-  takes n, m and r, ``secular_root_range`` the largest and smallest
-  secular roots (one ``eigvalsh`` per number of distinct sizes), and
-  ``gap_terms`` tests every report at once.  No source tag is built per
-  row: ``conjecture.report_lines`` writes the chunk's lines from one
-  variant of the report template per part count and bipartite note, each
-  filled by a row's fields and part sizes, and ``_fold`` builds the tag
-  (``multipartite_tag``) only for the rows it reads, the chunk's least
-  gap, so ``sweep --n-max 30 --r-max 6`` builds 9 tags instead of 8,516.
-  Violators are rebuilt through ``bn_report_multipartite``.
+  time.  It holds no report rule: each chunk of descending tuples from
+  ``partitions_into_parts`` goes to ``conjecture.multipartite_columns``
+  (one ``secular_root_range`` and one ``gap_terms`` call), its lines are
+  written by ``conjecture.report_lines``, which builds no tag per row, and
+  ``_fold`` builds a source (``multipartite_source``) only for the rows it
+  reads, the chunk's least gap, so ``sweep --n-max 30 --r-max 6`` builds
+  9 tags instead of 8,516.  A violator is its row, read back with
+  ``multipartite_report``.
 * a graph6 stream, checked in runs of consecutive records with the same
   n.  A run of edgeless graphs is only counted, since n = 1 has no second
   eigenvalue.
@@ -92,26 +88,26 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import accumulate, chain, combinations, islice, permutations
+from itertools import accumulate, combinations, islice, permutations
 from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
 from .conjecture import (
-    BIPARTITE_NOTE,
     GAP_TOL,
     BnReport,
     bn_report,
-    bn_report_multipartite,
     gap_flags,
     gap_terms,
+    multipartite_columns,
+    multipartite_report,
+    multipartite_source,
     report_lines,
 )
 from .graphs import (
     MAX_N,
     Graph,
     Graph6Error,
-    PartSizes,
     check_vertex_count,
     clique_number,
     closes_k4,
@@ -120,7 +116,6 @@ from .graphs import (
     parse_graph6,
     zykov,
 )
-from .multipartite import multipartite_tag, secular_root_range
 from .spectra import adjacency_matrix
 
 MAX_ENUM_N = 6
@@ -187,34 +182,6 @@ def partitions_into_parts(n: int, r_max: int) -> Iterator[tuple[int, ...]]:
         del parts[i + 1:]
 
 
-def _sweep_chunk(parts: list[tuple[int, ...]]
-                 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The report columns and bipartite-note mask of the partitions
-    ``parts`` (descending tuples, trusted): one zero-padded array of part
-    sizes, one ``secular_root_range`` call and one ``gap_terms`` call on
-    the whole chunk.  The columns are the ``BnReport`` fields from n to
-    excluded, in field order (omega is the part count r): row i is, field
-    for field, the report ``bn_report_multipartite`` gives for
-    ``PartSizes(parts[i])``, whose source is ``multipartite_tag(parts[i])``
-    followed by ``BIPARTITE_NOTE`` where the mask is set (two unequal parts
-    with equality).  No source tag is built here."""
-    r = np.fromiter(map(len, parts), np.int64, len(parts))
-    sizes = np.zeros((len(parts), int(r.max())), np.int64)
-    sizes[np.arange(sizes.shape[1]) < r[:, None]] = list(chain.from_iterable(parts))
-    n = sizes.sum(axis=1)
-    m = (n * n - (sizes * sizes).sum(axis=1)) // 2
-    lam1, smallest = secular_root_range(sizes)
-    # lambda_n as ``bn_report_multipartite`` takes it: the smallest root,
-    # then -p_max when p_max repeats, then zero when n > r.
-    p_max, p_next = sizes[:, 0], sizes[:, 1]
-    lam_n = np.where(p_next == p_max, np.minimum(smallest, -p_max), smallest)
-    lam_n = np.where(n > r, np.minimum(lam_n, 0.0), lam_n)
-    lam2 = np.where(n > r, 0.0, -1.0)
-    terms = gap_terms(n, m, r, lam1, lam2)
-    note = (r == 2) & terms[4] & (p_next != p_max)
-    return (n, m, r, lam1, lam2, lam_n, *terms), note
-
-
 def sweep(n_max: int, r_max: int, write: Callable[[str], object],
           on_violation: Callable[[BnReport], None]) -> SweepSummary:
     """Check every partition of each n <= n_max into 2..r_max parts, in
@@ -222,9 +189,11 @@ def sweep(n_max: int, r_max: int, write: Callable[[str], object],
 
     The partitions are drawn ``SWEEP_CHUNK`` at a time across n
     boundaries, so memory stays flat however many the sweep covers.  Each
-    chunk's report lines go to ``write`` as one string, and each violating
-    partition's ``bn_report_multipartite`` to ``on_violation``.  A source
-    tag is built only for the rows ``_fold`` reads: the chunk's least gap.
+    chunk's ``multipartite_columns`` are written to ``write`` as one string
+    of report lines, and each violating row, read back with
+    ``multipartite_report``, goes to ``on_violation``.  A source is built
+    only for the rows ``_fold`` reads: the chunk's least gap and the
+    violators.
     """
     if n_max > MAX_N:
         raise ValueError(f"total vertex count exceeds {MAX_N}")
@@ -232,11 +201,11 @@ def sweep(n_max: int, r_max: int, write: Callable[[str], object],
                   for parts in partitions_into_parts(n, r_max))
     summary = SweepSummary()
     while chunk := list(islice(partitions, SWEEP_CHUNK)):
-        columns, note = _sweep_chunk(chunk)
+        columns, note = multipartite_columns(chunk)
         write(report_lines(columns, chunk, note))
         _fold(summary, columns, True,
-              lambda i: multipartite_tag(chunk[i]) + (BIPARTITE_NOTE if note[i] else ""),
-              lambda i: bn_report_multipartite(PartSizes(chunk[i])),
+              lambda i: multipartite_source(chunk[i], note[i]),
+              lambda i: multipartite_report(columns, note, chunk, i),
               on_violation)
     return summary
 

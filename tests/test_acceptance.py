@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from bngap.conjecture import (
-    bn_report,
     bn_report_multipartite,
     hoffman_bound,
     hoffman_ratio_check,

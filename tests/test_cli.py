@@ -13,7 +13,6 @@ import pytest
 import bngap.conjecture
 import bngap.search
 from bngap import cli
-from bngap.conjecture import bn_report_multipartite
 from bngap.graphs import (
     MAX_N,
     PartSizes,
@@ -25,6 +24,7 @@ from bngap.graphs import (
 from bngap.jsonutil import csv_cell, dumps
 from bngap.search import SweepSummary, partitions_into_parts
 from test_exhaustive_engine import add, labeled_graphs, reference
+from test_multipartite import scalar_report_multipartite
 
 K5_LINE = to_graph6(complete_multipartite(PartSizes((1,) * 5)))
 C5_EDGES = "5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n"
@@ -126,7 +126,7 @@ class TestSweep:
     def test_lines_are_the_library_reports(self, capsys):
         assert cli.main(["sweep", "--n-max", "30", "--r-max", "8"]) == 0
         lines = capsys.readouterr().out.splitlines()
-        reports = [bn_report_multipartite(PartSizes(parts)) for n in range(2, 31)
+        reports = [scalar_report_multipartite(PartSizes(parts)) for n in range(2, 31)
                    for parts in partitions_into_parts(n, 8)]
         assert len(lines) == len(reports) > 10000
         assert lines == [r.to_json() for r in reports]
@@ -138,7 +138,7 @@ class TestSweep:
         # reference alike.
         monkeypatch.setattr(bngap.conjecture, "GAP_TOL", -5.0)
         monkeypatch.setattr(bngap.search, "SWEEP_CHUNK", 100)
-        reports = [bn_report_multipartite(PartSizes(parts)) for n in range(2, 17)
+        reports = [scalar_report_multipartite(PartSizes(parts)) for n in range(2, 17)
                    for parts in partitions_into_parts(n, 5)]
         want = SweepSummary()
         for report in reports:
@@ -567,7 +567,7 @@ class TestStreamingRun:
     def test_failed_run_leaves_no_files(self, tmp_path, monkeypatch, exc):
         out = tmp_path / "sweep.jsonl"
 
-        sweep_chunk = bngap.search._sweep_chunk
+        sweep_chunk = bngap.search.multipartite_columns
         chunks = 0
 
         def failing_chunk(parts):
@@ -580,7 +580,7 @@ class TestStreamingRun:
             return sweep_chunk(parts)
 
         monkeypatch.setattr(bngap.search, "SWEEP_CHUNK", 5)
-        monkeypatch.setattr(bngap.search, "_sweep_chunk", failing_chunk)
+        monkeypatch.setattr(bngap.search, "multipartite_columns", failing_chunk)
         argv = ["sweep", "--n-max", "8", "--out", str(out)]
         if exc is KeyboardInterrupt:
             with pytest.raises(KeyboardInterrupt):

@@ -323,10 +323,15 @@ class TestGraph6:
         assert parse_graph6(line) == g
 
 
+def format_edge_list_text(g: Graph) -> str:
+    """The plain edge-list text ``parse_edge_list_text`` reads."""
+    lines = [f"{g.n} {g.m}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
 class TestEdgeListText:
     def test_round_trip(self):
-        from bngap.graphs import format_edge_list_text
-
         g = complete_multipartite(PartSizes((2, 2, 2)))
         assert parse_edge_list_text(format_edge_list_text(g)) == g
 

@@ -1,0 +1,36 @@
+"""Every imported name in the package and the tests is used."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The package's ``__init__`` imports only to re-export.
+SCANNED = sorted(p for p in (ROOT / "src" / "bngap").glob("*.py")
+                 if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by the imports of ``source`` (``__future__`` aside)
+    that no expression of it reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_scanner_finds_an_unused_name():
+    source = "import os, sys\nimport bngap.search\nfrom x import a, b as c\nprint(sys, c, bngap)\n"
+    assert unused_imports(source) == ["os", "a"]
+
+
+def test_no_unused_imports():
+    assert len(SCANNED) > 20
+    found = {p.relative_to(ROOT).as_posix(): names for p in SCANNED
+             if (names := unused_imports(p.read_text(encoding="utf-8")))}
+    assert found == {}

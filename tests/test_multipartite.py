@@ -6,11 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from bngap.conjecture import bn_report_multipartite
+from bngap.conjecture import (
+    BIPARTITE_NOTE,
+    BnReport,
+    bn_report_multipartite,
+    gap_terms,
+)
 from bngap.graphs import PartSizes, complete_multipartite
 from bngap.multipartite import (
     multipartite_edge_count,
     multipartite_spectrum,
+    multipartite_tag,
     secular_root_range,
     secular_roots,
     secular_value,
@@ -92,6 +98,12 @@ def bits(values) -> list[str]:
     return [float(x).hex() for x in values]
 
 
+def report_bits(report: BnReport) -> list[tuple[type, object]]:
+    """Each field of ``report`` with its type, a float as its hex bits."""
+    return [(type(v), float.hex(v) if isinstance(v, float) else v)
+            for v in dataclasses.astuple(report)]
+
+
 def sampled_partitions_of_60(count: int, seed: int = 0) -> list[PartSizes]:
     """Partitions of 60 with at least 2 parts: parts drawn until the rest
     is used up, each size uniform in 1..rest."""
@@ -105,6 +117,35 @@ def sampled_partitions_of_60(count: int, seed: int = 0) -> list[PartSizes]:
         if len(sizes) >= 2:
             out.append(PartSizes(tuple(sizes)))
     return out
+
+
+def scalar_report_multipartite(parts: PartSizes) -> BnReport:
+    """Gap report for a complete multipartite graph via its exact spectrum,
+    one partition at a time with Python scalars.
+
+    The eigenvalues are the secular roots, the poles -p (p a size that
+    occurs t >= 2 times) and, when n > r, zero.  The smallest root lies
+    above the largest pole -p_max and below every other pole, so lambda_n is
+    the least of that root, -p_max when p_max occurs twice or more, and
+    zero.  The library derives the same reports as numpy columns
+    (``multipartite_columns``); these scalar rules are the reference they
+    are held to.
+    """
+    roots = secular_roots(parts)
+    sizes = parts.sizes
+    n, r = parts.n, parts.r
+    lam_n = roots[-1]
+    if sizes[1] == sizes[0]:
+        lam_n = min(lam_n, float(-sizes[0]))
+    if n > r:
+        lam_n = min(lam_n, 0.0)
+    m = multipartite_edge_count(parts)
+    lam1, lam2 = roots[0], 0.0 if n > r else -1.0
+    terms = gap_terms(n, m, r, lam1, lam2)
+    source = multipartite_tag(sizes)
+    if r == 2 and terms[4] and sizes[0] != sizes[1]:
+        source += BIPARTITE_NOTE
+    return BnReport(n, m, r, lam1, lam2, lam_n, *terms, source)
 
 
 # Every partition with n <= 30 and 2..8 parts, in sweep order.
@@ -133,15 +174,31 @@ class TestBatchedSecularRoots:
     def test_direct_lambda_n_matches_flatten(self):
         for ps in SWEEP_30_8 + sampled_partitions_of_60(500, seed=1):
             flat = multipartite_spectrum(ps).flatten()
-            assert bits([bn_report_multipartite(ps).lambda_n]) == bits([flat[-1]])
+            assert bits([scalar_report_multipartite(ps).lambda_n]) == bits([flat[-1]])
 
     def test_sweep_reports_equal_single_path(self):
         notes = 0
         for ps, report in zip(SWEEP_30_8, sweep_reports(30, 8), strict=True):
-            single = dataclasses.asdict(bn_report_multipartite(ps))
+            single = dataclasses.asdict(scalar_report_multipartite(ps))
             assert dataclasses.asdict(report) == single, ps.sizes
             notes += "note" in report.source
         assert notes > 0
+
+    def test_one_row_report_is_the_scalar_report_at_the_vertex_cap(self):
+        # Unequal and equal bipartite, every Turan graph T(2048, r) with
+        # r = 3..8, and the uneven large partitions.
+        turan = []
+        for r in range(3, 9):
+            q, extra = divmod(2048, r)
+            turan.append((q + 1,) * extra + (q,) * (r - extra))
+        cases = [(2047, 1), (1024, 1024), *turan, *LARGE_PARTS]
+        for sizes in cases:
+            ps = PartSizes(sizes)
+            got, want = bn_report_multipartite(ps), scalar_report_multipartite(ps)
+            assert report_bits(got) == report_bits(want), sizes
+            assert got.to_json() == want.to_json(), sizes
+        assert bn_report_multipartite(PartSizes((2047, 1))).source.endswith(
+            BIPARTITE_NOTE)
 
 
 class TestSpectrumAssembly:
