@@ -223,7 +223,7 @@ def _cmd_report(run: _Run) -> int:
             run.emit(dumps({"status": "out-of-domain", "n": g.n, "m": g.m,
                             "source": tag, "detail": str(exc)}))
             continue
-        run.emit(report.to_json())
+        run.emit(dumps(asdict(report)))
         run.check(report, tag)
     _status(f"report: {run.violations} violations / {len(graphs)} graphs")
     return run.finish()
@@ -253,7 +253,7 @@ def _cmd_exhaustive(run: _Run) -> int:
     malformed = 0
 
     def violation(report: BnReport) -> None:
-        run.emit(report.to_json())
+        run.emit(dumps(asdict(report)))
         run.check(report, report.source)
 
     for family in families:

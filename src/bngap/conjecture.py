@@ -7,16 +7,16 @@ The headline quantity for a graph with m edges and clique number w is
 conjectured non-negative for every graph other than a complete one.  A
 ``BnReport`` collects everything a single graph contributes: the eigenvalue
 pair, the bound, the gap, and the holds / equality / excluded flags.  Its
-fields, in order, are its output record: ``dataclasses.asdict`` where it
-nests in another record, and a report line laid out by the one template
-``REPORT_LINE``, which ``BnReport.to_json`` fills for one report.
+fields, in order, are its output record, written by ``jsonutil.dumps`` of
+``dataclasses.asdict``, alone or nested in another record.
 
 ``multipartite_columns`` is the one owner of the complete multipartite
 report: it derives numpy columns of the report fields and the
 bipartite-note mask from part sizes, and ``multipartite_source`` builds
 the source text.  ``bn_report_multipartite`` is its one-row case.
-``report_lines`` writes a sweep chunk of its columns from one variant of
-``REPORT_LINE`` per part count and note, so no row's tag is built.
+``report_lines`` writes a sweep chunk of its columns, with the bytes of
+``dumps``, from one variant of the template ``REPORT_LINE`` per part count
+and note, so no row's tag is built.
 
 Complete graphs violate the bound by exactly 1 and are excluded by the
 conjecture; their reports are still fully populated so the violation itself
@@ -25,9 +25,8 @@ stays under test.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
-from math import isfinite
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .graphs import (
     independence_number,
     is_k4_free,
 )
-from .jsonutil import dumps
 from .multipartite import multipartite_tag, secular_root_range
 from .spectra import adjacency_matrix, eigenvalues
 
@@ -81,23 +79,11 @@ class BnReport:
         """A non-excluded graph breaking the bound: the one cause of exit 1."""
         return not self.excluded and not self.holds
 
-    def to_json(self) -> str:
-        """``dumps(dataclasses.asdict(self))``: the line ``REPORT_LINE`` lays
-        out, or, if a float is not finite (no solver output is), the
-        generic encoder's, which writes it as null."""
-        floats = (self.lambda1, self.lambda2, self.lambda_n, self.bound,
-                  self.lhs, self.gap)
-        if not all(map(isfinite, floats)):
-            return dumps(asdict(self))
-        return REPORT_LINE % (self.n, self.m, self.omega, *floats,
-                              _JSON_BOOL[self.holds], _JSON_BOOL[self.equality],
-                              _JSON_BOOL[self.excluded], dumps(self.source))
-
 
 # A report line: the fields of ``BnReport`` in order, as ``dumps`` writes
 # them.  A finite float's ``%.17g`` is ``format(x, ".17g")``, the JSON text
-# of ``json_float``.  ``BnReport.to_json`` writes one report with it, and
-# ``report_lines`` a sweep chunk with its variants (``_source_layout``).
+# ``dumps`` writes.  ``report_lines`` writes a sweep chunk with its variants
+# (``_source_layout``).
 REPORT_LINE = ('{"n": %d, "m": %d, "omega": %d, "lambda1": %.17g, '
                '"lambda2": %.17g, "lambda_n": %.17g, "bound": %.17g, '
                '"lhs": %.17g, "gap": %.17g, "holds": %s, "equality": %s, '
@@ -110,11 +96,11 @@ BIPARTITE_NOTE = "; note: bipartite equality holds for all a,b"
 
 
 def report_lines(columns, parts, note) -> str:
-    """The lines ``BnReport.to_json`` writes for a chunk of multipartite
-    reports, each ended by a newline: ``columns`` and ``note`` as
-    ``multipartite_columns(parts)`` returns them.  Every float must be
-    finite, as in a sweep chunk.  No source tag is built: each row fills
-    the variant of ``REPORT_LINE`` for its part count and note
+    """The lines ``dumps(dataclasses.asdict(report))`` writes for a chunk
+    of multipartite reports, each ended by a newline: ``columns`` and
+    ``note`` as ``multipartite_columns(parts)`` returns them.  Every float
+    must be finite, as in a sweep chunk.  No source tag is built: each row
+    fills the variant of ``REPORT_LINE`` for its part count and note
     (``_source_layout``), made once per chunk, with its fields and then
     its part sizes."""
     *numbers, holds, equality, excluded = (c.tolist() for c in columns)

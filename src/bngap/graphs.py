@@ -5,16 +5,19 @@ row u is set iff uv is an edge.  Graphs are immutable value objects: every
 mutation-shaped operation returns a new Graph, so instances are safe to share
 across parallel workers.
 
-Rows are validated where they enter from outside: ``Graph(n, adj)``,
-``from_edge_list``, ``parse_graph6`` and ``parse_edge_list_text`` check the
-vertex count, the row range, the zero diagonal and symmetry.  Operations that
-derive a graph from a valid one (``complement``, ``with_edge``,
-``without_edge``, ``zykov``) or build rows symmetric by construction
-(``complete_multipartite``, ``turan_graph``, ``Graph.from_edge_bitset``)
-trust their rows and skip that check; a property test holds them to the full
-validator.  Their vertex arguments stay checked because each one both indexes
-a row and is a shift count: a vertex >= n raises IndexError, a negative one
-ValueError.
+Input is checked once, where it enters from outside.  ``Graph(n, adj)``
+validates rows that a caller passes in: the vertex count, the row range, the
+zero diagonal and symmetry.  The parsers check their input and build valid
+rows: ``from_edge_list`` (and ``parse_edge_list_text`` through it) checks
+the vertex count, each pair's range and self-loops; ``parse_graph6`` checks
+the header, the byte range, the length and the padding.  They, the
+operations that derive a graph from a valid one (``complement``,
+``with_edge``, ``without_edge``, ``zykov``) and those that build rows
+symmetric by construction (``complete_multipartite``, ``turan_graph``,
+``Graph.from_edge_bitset``) trust their rows and skip the row check; a
+property test holds them to the full validator.  Vertex arguments of the
+operations stay checked because each one both indexes a row and is a shift
+count: a vertex >= n raises IndexError, a negative one ValueError.
 
 The edge code of a graph is its upper triangle as one integer: bit k is the
 k-th pair of ``graph6_pairs``.  ``Graph.edge_bitset`` encodes it and
@@ -72,8 +75,8 @@ class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
     ``Graph(n, adj)`` validates its rows.  ``Graph._unchecked(n, adj)`` does
-    not; it is for rows derived from a valid graph or symmetric by
-    construction.
+    not; it is for rows derived from a valid graph, symmetric by
+    construction or built by a parser from checked input.
     """
 
     n: int
@@ -242,7 +245,8 @@ class PartSizes:
 
 
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Graph with exactly the given edges; duplicates are idempotent."""
+    """Graph with exactly the given edges; duplicates are idempotent.  Both
+    bits of each checked pair are set, so the rows are trusted."""
     check_vertex_count(n)
     rows = [0] * n
     for u, v in edges:
@@ -252,7 +256,7 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"self-loop at vertex {u}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, tuple(rows))
 
 
 def complete_multipartite(parts: PartSizes) -> Graph:
@@ -442,7 +446,7 @@ def parse_graph6(line: str) -> Graph:
     code = int("".join(f"{b:06b}" for b in body)[::-1] or "0", 2)
     if code >> npairs:
         raise Graph6Error("nonzero padding bits")
-    return Graph(n, Graph.from_edge_bitset(n, code).adj)
+    return Graph.from_edge_bitset(n, code)
 
 
 def to_graph6(g: Graph) -> str:

@@ -9,11 +9,10 @@ JSON has no NaN or infinity, so ``dumps`` writes non-finite floats as
 ``null`` and its output stays strict JSON.  CSV cells keep the text
 ``NaN``, ``Infinity`` and ``-Infinity``.
 
-A string with nothing to escape (printable, no quote, no backslash) is
-copied as it is; any other is escaped character by character.
-``json_float`` is the float rule on its own.  ``conjecture.REPORT_LINE``
-lays out the report record directly, writing each finite float with
-``%.17g``, the same text.
+A string is escaped character by character: quote, backslash and control
+characters below 0x20; every other character is copied.
+``conjecture.REPORT_LINE`` lays out a sweep's report lines directly,
+writing each finite float with ``%.17g``, the same text.
 """
 
 from __future__ import annotations
@@ -33,11 +32,6 @@ def format_float(x: float) -> str:
     return format(x, _DIGITS)
 
 
-def json_float(x: float) -> str:
-    """A float as a JSON value: 17 significant digits, or null if not finite."""
-    return format(x, _DIGITS) if math.isfinite(x) else "null"
-
-
 def dumps(obj: Any) -> str:
     """Compact one-line JSON with 17-significant-digit floats; NaN and
     infinities become null."""
@@ -50,11 +44,8 @@ def dumps(obj: Any) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return json_float(obj)
+        return format(obj, _DIGITS) if math.isfinite(obj) else "null"
     if isinstance(obj, str):
-        if obj.isprintable() and '"' not in obj and "\\" not in obj:
-            # Nothing to escape: printable text has no control characters.
-            return '"' + obj + '"'
         out = ['"']
         for ch in obj:
             if ch == '"':

@@ -28,9 +28,8 @@ and flags as from ``bn_report``.  There are three producers:
   (one ``secular_root_range`` and one ``gap_terms`` call), its lines are
   written by ``conjecture.report_lines``, which builds no tag per row, and
   ``_fold`` builds a source (``multipartite_source``) only for the rows it
-  reads, the chunk's least gap, so ``sweep --n-max 30 --r-max 6`` builds
-  9 tags instead of 8,516.  A violator is its row, read back with
-  ``multipartite_report``.
+  reads, the chunk's least gap and its violators.  A violator is its row,
+  read back with ``multipartite_report``.
 * a graph6 stream, checked in runs of consecutive records with the same
   n.  A run of edgeless graphs is only counted, since n = 1 has no second
   eigenvalue.
@@ -43,13 +42,13 @@ and flags as from ``bn_report``.  There are three producers:
   rounding, so a class whose gap lies within ``_ORBIT_MARGIN * max(1,
   bound)`` of a flag threshold or of the least gap of its n is solved
   graph by graph in ``_chunk_size(n)`` slices of its members' codes
-  (``_unsure``).  For n <= 6 those are the 4,167 equality graphs, so
-  4,374 graphs are solved instead of 33,861, with the same summary and
-  violations as a graph-by-graph check.  Only the adjacency stack is
-  built per member (``_labeled_stack``): m and the clique number are its
-  class's, computed for the least codes (``_labeled_invariants``, the
-  clique number read off a table of vertex subsets).  The columns of all
-  codes are folded as one chunk in code order.
+  (``_unsure``).  For n <= 6 those are the 4,167 equality graphs.  The
+  summary and violations are those of a graph-by-graph check.  Only the
+  adjacency stack is built per member (``_labeled_stack``): m and the
+  clique number are its class's, computed for the least codes
+  (``_labeled_invariants``, the clique number read off a table of vertex
+  subsets).  The columns of all codes are folded as one chunk in code
+  order.
 
 An adjacency stack holds at most ``_CHUNK_ENTRIES`` matrix entries (2^15
 doubles, 256 KiB; 910 graphs at n = 6, one graph at n >= 129), which
@@ -72,15 +71,12 @@ closing a K4, at -inf or by a clear margin: a restart keeps the
 ``_move_key`` of each such move, the move and the rows of its endpoints,
 and clears them when the state changes.  Vertices with equal rows are
 twins, so moves with equal keys build isomorphic candidates, and a move
-whose key is kept is drawn as before but neither built nor solved.  At
-n = 30 (``search --n-max 30 --restarts 6 --steps 1000 --seed 0``) 895 of
-the 6,000 iterations solve a candidate instead of 2,430, and 456 test
-``closes_k4`` instead of 2,004.  Every K4-constrained search state is
-K4-free, so its clique number comes from ``has_triangle``, and each solved
-candidate costs one eigensolve plus bit operations.  The packed edge
-bitset that breaks ties between equally good states is computed only on a
-tie.  The Zykov walk keeps its exact ``clique_number`` per step, the value
-its monotonicity check reads.
+whose key is kept is drawn as before but neither built nor solved.  Every
+K4-constrained search state is K4-free, so its clique number comes from
+``has_triangle``, and each solved candidate costs one eigensolve plus bit
+operations.  The packed edge bitset that breaks ties between equally good
+states is computed only on a tie.  The Zykov walk keeps its exact
+``clique_number`` per step, the value its monotonicity check reads.
 """
 
 from __future__ import annotations

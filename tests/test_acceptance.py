@@ -14,6 +14,8 @@ from bngap.conjecture import (
     bn_report_multipartite,
     hoffman_bound,
     hoffman_ratio_check,
+    multipartite_columns,
+    multipartite_report,
     obstruction_report,
 )
 from bngap.graphs import (
@@ -85,26 +87,27 @@ def test_criterion_2_sign_structure():
 
 
 def test_criterion_3_multipartite_sweep_30_6():
+    # The rows of one batched call, of which bn_report_multipartite is the
+    # one-row case.
+    rows = [parts for n in range(2, 31) for parts in all_partitions(n)
+            if 2 <= len(parts) <= 6]
+    columns, note = multipartite_columns(rows)
     total = equality = excluded = 0
     min_gap = float("inf")
-    for n in range(2, 31):
-        for parts in all_partitions(n):
-            if not 2 <= len(parts) <= 6:
-                continue
-            ps = PartSizes(parts)
-            r = bn_report_multipartite(ps)
-            total += 1
-            if r.excluded:
-                excluded += 1
-                assert not r.equality
-                continue
-            assert r.gap >= -1e-9, (ps, r.gap)
-            min_gap = min(min_gap, r.gap)
-            balanced = all(s == ps.sizes[0] for s in ps.sizes)
-            expect_equality = ps.r == 2 or balanced
-            assert r.equality == expect_equality, (ps, r.gap)
-            if r.equality:
-                equality += 1
+    for i, parts in enumerate(rows):
+        r = multipartite_report(columns, note, rows, i)
+        total += 1
+        if r.excluded:
+            excluded += 1
+            assert not r.equality
+            continue
+        assert r.gap >= -1e-9, (parts, r.gap)
+        min_gap = min(min_gap, r.gap)
+        balanced = all(s == parts[0] for s in parts)
+        expect_equality = len(parts) == 2 or balanced
+        assert r.equality == expect_equality, (parts, r.gap)
+        if r.equality:
+            equality += 1
     report(f"ACCEPTANCE 3: PASS - sweep(30,6): {total} reports, 0 violations,"
            f" equality at all-bipartite + balanced r>=3 ({equality} cases,"
            f" {excluded} excluded, min gap {min_gap:.2e})")

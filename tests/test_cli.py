@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 
 import pytest
 
@@ -129,7 +130,7 @@ class TestSweep:
         reports = [scalar_report_multipartite(PartSizes(parts)) for n in range(2, 31)
                    for parts in partitions_into_parts(n, 8)]
         assert len(lines) == len(reports) > 10000
-        assert lines == [r.to_json() for r in reports]
+        assert lines == [dumps(asdict(r)) for r in reports]
 
     def test_violations_match_the_per_report_reference(self, tmp_path,
                                                        monkeypatch, capsys):
@@ -151,7 +152,7 @@ class TestSweep:
         assert [line for line in err if "VIOLATION" in line] == [
             f"bngap: VIOLATION: {r.source} gap={r.gap!r}"
             for r in reports if r.violation]
-        assert out.read_text().splitlines() == [r.to_json() for r in reports]
+        assert out.read_text().splitlines() == [dumps(asdict(r)) for r in reports]
         with open(tmp_path / "sweep.jsonl.summary.csv", newline="",
                   encoding="utf-8") as fh:
             head, row = csv.reader(fh)
@@ -236,7 +237,7 @@ class TestExhaustive:
         assert [line for line in err if "VIOLATION" in line] == [
             f"bngap: VIOLATION: {r.source} gap={r.gap!r}" for r in violations]
         assert out.read_text().splitlines() == [
-            r.to_json() for r in violations] + [dumps(
+            dumps(asdict(r)) for r in violations] + [dumps(
                 {"summary": summary.as_dict(), "malformed": len(malformed)})]
 
     def test_memory_does_not_grow_with_the_violations(self, tmp_path,

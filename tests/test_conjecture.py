@@ -22,8 +22,6 @@ from bngap.conjecture import (
     gap_terms,
     hoffman_bound,
     hoffman_ratio_check,
-    multipartite_columns,
-    multipartite_report,
     obstruction_report,
 )
 from bngap.graphs import (
@@ -222,22 +220,6 @@ class TestBnReportMultipartite:
                               "lhs", "gap"):
                     assert getattr(exact, field) == pytest.approx(
                         getattr(numeric, field), abs=1e-8), (ps, field)
-
-    def test_thm_equality_biconditional(self):
-        # The rows of one batched call: acceptance 3 makes the same checks
-        # on bn_report_multipartite, one partition at a time.
-        rows = [parts for n in range(2, 31) for parts in all_partitions(n)
-                if 2 <= len(parts) <= 6]
-        columns, note = multipartite_columns(rows)
-        for i, parts in enumerate(rows):
-            ps = PartSizes(parts)
-            r = multipartite_report(columns, note, rows, i)
-            if r.excluded:
-                assert not r.equality
-                continue
-            assert r.gap >= -1e-9
-            balanced = all(s == ps.sizes[0] for s in ps.sizes)
-            assert r.equality == (ps.r == 2 or balanced), ps
 
 
 class TestSpectralTuran:

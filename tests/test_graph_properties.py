@@ -1,9 +1,11 @@
-"""Every graph an internal operation builds passes the full validator.
+"""Every graph an internal operation or a parser builds passes the full
+validator.
 
-Derived graphs skip ``Graph.__post_init__``: their rows come from a valid
-graph or are symmetric by construction.  These properties stand in for that
-per-call check: rebuilding each output through ``Graph(n, adj)`` must succeed
-and give the same graph.  Vertex arguments outside 0..n-1 must still raise
+Derived and parsed graphs skip ``Graph.__post_init__``: their rows come from
+a valid graph, are symmetric by construction or are built by a parser from
+checked input.  These properties stand in for that per-call check:
+rebuilding each output through ``Graph(n, adj)`` must succeed and give the
+same graph.  Vertex arguments outside 0..n-1 must still raise
 instead of producing a graph.
 """
 
@@ -17,6 +19,8 @@ from bngap.graphs import (
     PartSizes,
     complete_multipartite,
     from_edge_list,
+    parse_graph6,
+    to_graph6,
     turan_graph,
     zykov,
 )
@@ -121,6 +125,24 @@ class TestDerivedGraphsAreValid:
         g = Graph.from_edge_bitset(n, code)
         assert_valid(g)
         assert g.edge_bitset() == code
+
+    @no_deadline
+    @given(st.integers(1, MAX_TEST_N), st.data())
+    def test_from_edge_list(self, n, data):
+        # Pairs may repeat and come in either order.
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        pairs = [p for p in data.draw(st.lists(pair, max_size=3 * n))
+                 if p[0] != p[1]]
+        g = from_edge_list(n, pairs)
+        assert_valid(g)
+        assert set(g.edges()) == {(min(p), max(p)) for p in pairs}
+
+    @no_deadline
+    @given(graphs())
+    def test_parse_graph6(self, g):
+        h = parse_graph6(to_graph6(g))
+        assert_valid(h)
+        assert h == g
 
     def test_edge_bitset_round_trip(self):
         rng = np.random.default_rng(9)
