@@ -377,8 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     family.add_argument("--graph6", help="graph6 file, '-' for stdin")
 
     p = add("search", _cmd_search, "hill-climb for gap violations")
-    p.add_argument("--n-max", type=_int_at_least(2), required=True,
-                   help="vertex count, at least 2")
+    p.add_argument("--n-max", type=_int_at_least(2, MAX_N), required=True,
+                   help=f"vertex count, 2 to {MAX_N}")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--restarts", type=_int_at_least(1), default=10)
     p.add_argument("--steps", type=_int_at_least(0), default=1000,
@@ -394,8 +394,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("stability", _cmd_stability,
             "edge-deletion experiment around the balanced tripartite graph")
-    p.add_argument("--n-max", type=_int_at_least(3), required=True,
-                   help="vertex count, at least 3")
+    p.add_argument("--n-max", type=_int_at_least(3, MAX_N), required=True,
+                   help=f"vertex count, 3 to {MAX_N}")
     p.add_argument("--grid", default="0,1,2,3,4,5",
                    help="comma-separated deletion counts")
     p.add_argument("--samples", type=_int_at_least(1), default=20)

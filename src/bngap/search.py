@@ -14,10 +14,11 @@ from ``bngap.graphs``; ``graph6_pairs`` is read here only as index arrays:
 the labeled stacks' scatter and the pair maps of ``_orbits``.
 
 Every family is checked by one engine.  A producer turns a chunk of
-graphs into ``gap_terms`` columns, and ``_fold`` summarizes the chunk
-with ``SweepSummary.from_columns``, merges it into the running summary
-and rebuilds only the violating rows as ``BnReport``s, each passed to the
-caller's ``on_violation`` in family order, so no list of them is kept.
+graphs into ``gap_terms`` columns, and ``_fold`` adds the chunk's counts
+straight to the running ``SweepSummary``, takes its least gap only when
+strictly lower than the summary's, and rebuilds only the violating rows
+as ``BnReport``s, each passed to the caller's ``on_violation`` in family
+order, so no list of them is kept.
 Adjacency stacks get their columns from ``_stack_terms``, one batched
 ``eigvalsh`` on a ``(B, n, n)`` array, so each graph gets the same floats
 and flags as from ``bn_report``.  There are three producers:
@@ -27,9 +28,9 @@ and flags as from ``bn_report``.  There are three producers:
   ``partitions_into_parts`` goes to ``conjecture.multipartite_columns``
   (one ``secular_root_range`` and one ``gap_terms`` call), its lines are
   written by ``conjecture.report_lines``, which builds no tag per row, and
-  ``_fold`` builds a source (``multipartite_source``) only for the rows it
-  reads, the chunk's least gap and its violators.  A violator is its row,
-  read back with ``multipartite_report``.
+  a source (``multipartite_source``) is built only for the rows ``_fold``
+  reads: a chunk's least gap that lowers the running one, and each
+  violator, its row read back with ``multipartite_report``.
 * a graph6 stream, checked in runs of consecutive records with the same
   n.  A run of edgeless graphs is only counted, since n = 1 has no second
   eigenvalue.
@@ -188,8 +189,8 @@ def sweep(n_max: int, r_max: int, write: Callable[[str], object],
     chunk's ``multipartite_columns`` are written to ``write`` as one string
     of report lines, and each violating row, read back with
     ``multipartite_report``, goes to ``on_violation``.  A source is built
-    only for the rows ``_fold`` reads: the chunk's least gap and the
-    violators.
+    only for the rows ``_fold`` reads: a chunk's least gap that lowers the
+    summary's, and the violators.
     """
     if n_max > MAX_N:
         raise ValueError(f"total vertex count exceeds {MAX_N}")
@@ -217,33 +218,6 @@ class SweepSummary:
     min_gap: float = float("inf")
     argmin_source: str = ""
 
-    @classmethod
-    def from_columns(cls, gap: np.ndarray, holds: np.ndarray,
-                     equality: np.ndarray, excluded: np.ndarray,
-                     source: Callable[[int], str],
-                     live: np.ndarray | bool = True) -> SweepSummary:
-        """The summary of a chunk of reports given as ``gap_terms`` columns.
-
-        ``live`` marks the graphs the bound applies to (at least one edge);
-        the others count as out of domain and their entries are ignored.
-        ``source(i)`` names report i.  Of equal minima the first is kept
-        (``np.argmin``), as in ``merge``.
-        """
-        live = np.broadcast_to(live, gap.shape)
-        applicable = live & ~excluded
-        summary = cls(
-            total=int(np.count_nonzero(live)),
-            holds=int(np.count_nonzero(applicable & holds)),
-            equality=int(np.count_nonzero(applicable & equality)),
-            excluded=int(np.count_nonzero(live & excluded)),
-            violations=int(np.count_nonzero(applicable & ~holds)),
-            out_of_domain=int(np.count_nonzero(~live)),
-        )
-        if applicable.any():
-            i = int(np.argmin(np.where(applicable, gap, np.inf)))
-            summary.min_gap, summary.argmin_source = float(gap[i]), source(i)
-        return summary
-
     def merge(self, other: SweepSummary) -> None:
         """Add ``other``'s counts; of equal minima the first is kept."""
         self.total += other.total
@@ -267,19 +241,33 @@ def _fold(summary: SweepSummary, terms: Iterable[np.ndarray],
           live: np.ndarray | bool, source: Callable[[int], str],
           rebuild: Callable[[int], BnReport],
           on_violation: Callable[[BnReport], None]) -> None:
-    """Fold a chunk of reports into ``summary``: the one engine every
+    """Add a chunk of reports to ``summary`` in place: the one engine every
     family runs through.  ``terms`` are report columns that end with the
     ``gap_terms`` columns gap, holds, equality and excluded, the four read.
 
-    ``live`` marks the graphs the bound applies to, as in
-    ``SweepSummary.from_columns``, and ``source(i)`` names report i.  Each
-    violating report is rebuilt as ``rebuild(i)`` and passed to
-    ``on_violation`` in row order, so only violators become ``BnReport``s.
+    ``live`` marks the graphs the bound applies to (at least one edge); the
+    others count as out of domain and their entries are ignored.  The
+    chunk's least applicable gap (the first of equal minima, ``np.argmin``)
+    replaces the summary's only when strictly lower, and only then is it
+    named, as ``source(i)``.  Each violating report is rebuilt as
+    ``rebuild(i)`` and passed to ``on_violation`` in row order, so only
+    violators become ``BnReport``s.
     """
     *_, gap, holds, equality, excluded = terms
-    summary.merge(SweepSummary.from_columns(gap, holds, equality, excluded,
-                                            source, live))
-    for i in np.flatnonzero(live & ~excluded & ~holds).tolist():
+    live = np.broadcast_to(live, gap.shape)
+    applicable = live & ~excluded
+    violators = np.flatnonzero(applicable & ~holds).tolist()
+    summary.total += int(np.count_nonzero(live))
+    summary.holds += int(np.count_nonzero(applicable & holds))
+    summary.equality += int(np.count_nonzero(applicable & equality))
+    summary.excluded += int(np.count_nonzero(live & excluded))
+    summary.violations += len(violators)
+    summary.out_of_domain += int(np.count_nonzero(~live))
+    if applicable.any():
+        i = int(np.argmin(np.where(applicable, gap, np.inf)))
+        if gap[i] < summary.min_gap:
+            summary.min_gap, summary.argmin_source = float(gap[i]), source(i)
+    for i in violators:
         on_violation(rebuild(i))
 
 
@@ -484,7 +472,7 @@ def exhaustive_check(
                   lambda i: bn_report(graphs[i], source=graph6_tag(chunk[i][0])),
                   on_violation)
         else:
-            res.summary.merge(SweepSummary(out_of_domain=len(m)))
+            res.summary.out_of_domain += len(m)
         chunk.clear()
 
     for lineno, line in graph6_records(source):
@@ -680,36 +668,29 @@ def _objective(cfg: SearchConfig, g: Graph, a: np.ndarray,
 @dataclass
 class _Best:
     """The best search state so far: higher objective, then smaller packed
-    edge bitset.  Only a strictly better state replaces it, as in ``max``.
-    ``code`` caches the best state's edge bitset; bitsets are computed only
-    when an offered objective ties the best one."""
+    edge bitset.  Only a strictly better state replaces it, as in ``max``,
+    so of equal states the first offered is kept.  ``code`` caches the best
+    state's edge bitset; bitsets are computed only when an offered
+    objective ties the best one."""
 
     objective: float = float("-inf")
     graph: Graph | None = None
     report: BnReport | None = None
     code: int | None = None
 
-    def offer(self, obj: float, g: Graph, report: BnReport | None,
-              code: int | None = None) -> None:
+    def offer(self, obj: float, g: Graph, report: BnReport | None) -> None:
         if report is None:
             return
+        code = None
         if self.report is not None and obj <= self.objective:
             if obj < self.objective:
                 return
             if self.code is None:
                 self.code = self.graph.edge_bitset()
-            if code is None:
-                code = g.edge_bitset()
+            code = g.edge_bitset()
             if code >= self.code:
                 return
         self.objective, self.graph, self.report, self.code = obj, g, report, code
-
-
-@dataclass
-class _RestartOutcome:
-    best: _Best
-    iterations: int
-    accepted: int
 
 
 # The hill-climb moves (add an edge, delete an edge, replace a neighbourhood)
@@ -737,7 +718,10 @@ def _move_key(rows: tuple[int, ...], move: int, u: int, v: int) -> tuple:
     return (move, ru, rv) if ru <= rv else (move, rv, ru)
 
 
-def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOutcome:
+def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence,
+                 best: _Best) -> tuple[int, int]:
+    """One restart on the seed stream ``child``: offer its start and each
+    accepted state to ``best``, and return (iterations, accepted)."""
     rng = np.random.default_rng(np.random.PCG64(child))
     # Under k4_constrained the start is tripartite, an addition that closes
     # a K4 is skipped, and neither a deletion nor a Zykov replacement can
@@ -751,15 +735,15 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOu
     # entries set, the same bytes ``adjacency_matrix`` packs for it.
     a, m = adjacency_matrix(current), current.m
     pairs = cfg.n * (cfg.n - 1) // 2
-    out = _RestartOutcome(_Best(), 0, 0)
+    iterations = accepted = 0
     cur_obj, cur_report = _objective(cfg, current, a, m)
-    out.best.offer(cur_obj, current, cur_report)
+    best.offer(cur_obj, current, cur_report)
     sideways = 0
     # Keys (``_move_key``) of the moves the current state surely rejects.
     # A move with such a key is drawn as before but neither built nor solved.
     rejected: set[tuple] = set()
     for _ in range(cfg.max_iters):
-        out.iterations += 1
+        iterations += 1
         move = bisect_right(_MOVE_CDF, rng.random())
         # Move 1 deletes an edge; moves 0 and 2 act on a non-adjacent pair.
         count = m if move == 1 else pairs - m
@@ -817,9 +801,9 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence) -> _RestartOu
         if candidate is not current:
             rejected.clear()
         current, a, m, cur_obj = candidate, b, cand_m, cand_obj
-        out.accepted += 1
-        out.best.offer(cur_obj, current, cand_report)
-    return out
+        accepted += 1
+        best.offer(cur_obj, current, cand_report)
+    return iterations, accepted
 
 
 def hill_climb(cfg: SearchConfig) -> HillClimbResult:
@@ -831,16 +815,16 @@ def hill_climb(cfg: SearchConfig) -> HillClimbResult:
     before the restart ends.  Ties between equally good states across the
     whole run go to the lexicographically smallest packed edge bitset.
 
-    Restarts run on independent spawned seed streams.
+    Restarts run in order on independent spawned seed streams, and each
+    one's start and accepted states are offered to one ``_Best``.
     """
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    outcomes = [_run_restart(cfg, child) for child in children]
-    iterations = sum(out.iterations for out in outcomes)
-    accepted = sum(out.accepted for out in outcomes)
     best = _Best()
-    for out in outcomes:
-        best.offer(out.best.objective, out.best.graph, out.best.report,
-                   out.best.code)
+    iterations = accepted = 0
+    for child in children:
+        its, acc = _run_restart(cfg, child, best)
+        iterations += its
+        accepted += acc
     if best.report is None:
         # No restart left the edgeless graphs: each started edgeless (at
         # density 0, or by its draw, as a K4-constrained start on n = 2

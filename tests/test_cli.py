@@ -501,6 +501,9 @@ class TestUsage:
         ("stability", "--n-max", "13", "--grid", "0", "--samples", "1",
          "--seed", "-1"): "argument --seed: need at least 0",
         ("zykov", "--edges", "-", "--seed", "-1"): "argument --seed: need at least 0",
+        ("search", "--n-max", "2049"): "argument --n-max: need at most 2048, got 2049",
+        ("stability", "--n-max", "2049"):
+            "argument --n-max: need at most 2048, got 2049",
     }
 
     @pytest.mark.parametrize("argv", [
@@ -533,14 +536,16 @@ class TestUsage:
         ("search", "--n-max", "5", "--method", "free", "--density", "2"),
         ("search", "--n-max", "5", "--method", "free", "--density", "nan"),
         ("search", "--n-max", "5", "--method", "free", "--density", "-0.5"),
+        ("search", "--n-max", "2049"),
+        ("stability", "--n-max", "2049"),
     ])
     def test_out_of_range_value_is_usage_error(self, argv, tmp_path):
         (tmp_path / "k5.g6").write_text(K5_LINE + "\n")
         (tmp_path / "dir").mkdir()
         named = self.NAMED_FLAG.get(argv, "error:")
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-        code, _, err = run_cli(*argv, stdin=C5_EDGES)
-        assert code == 2 and "error:" in err and named in err
+        code, out, err = run_cli(*argv, stdin=C5_EDGES)
+        assert code == 2 and out == "" and "error:" in err and named in err
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("*.tmp"))
 

@@ -70,7 +70,7 @@ def orbits_one_class_at_a_time(n):
 
 def add(summary, report):
     """Fold one report into ``summary``: the per-report reference for
-    ``SweepSummary.from_columns``, whose chunks ``merge`` folds."""
+    ``search._fold``, which adds a chunk of columns in place."""
     summary.total += 1
     if report.excluded:
         summary.excluded += 1

@@ -26,7 +26,7 @@ from bngap.search import (
     _MOVE_P,
     SearchConfig,
     _Best,
-    _RestartOutcome,
+    _fold,
     _move_key,
     _objective,
     SweepSummary,
@@ -118,7 +118,15 @@ class TestSweep:
         assert written == []
 
 
-class TestSummaryFromColumns:
+def fold_columns(gap, holds, equality, excluded, source, live):
+    """The summary ``_fold`` gives one chunk of columns on a fresh summary."""
+    summary = SweepSummary()
+    _fold(summary, (gap, holds, equality, excluded), live, source,
+          lambda i: None, lambda report: None)
+    return summary
+
+
+class TestFoldColumns:
     def test_equals_the_per_report_fold(self):
         rng = np.random.default_rng(3)
         for size in (1, 2, 7, 200):
@@ -128,8 +136,8 @@ class TestSummaryFromColumns:
             holds, equality = gap >= 0, gap == 0
             excluded = rng.random(size) < 0.2
             live = rng.random(size) < 0.8
-            got = SweepSummary.from_columns(gap, holds, equality, excluded,
-                                            lambda i: f"row {i}", live)
+            got = fold_columns(gap, holds, equality, excluded,
+                               lambda i: f"row {i}", live)
             want = SweepSummary(out_of_domain=int((~live).sum()))
             for i in np.flatnonzero(live).tolist():
                 add(want, BnReport(3, 2, 2, 0.0, 0.0, 0.0, 0.0, 0.0,
@@ -139,9 +147,8 @@ class TestSummaryFromColumns:
             assert got == want, size
 
     def test_no_live_report(self):
-        got = SweepSummary.from_columns(np.zeros(3), np.ones(3, bool),
-                                        np.ones(3, bool), np.zeros(3, bool),
-                                        str, np.zeros(3, bool))
+        got = fold_columns(np.zeros(3), np.ones(3, bool), np.ones(3, bool),
+                           np.zeros(3, bool), str, np.zeros(3, bool))
         assert got == SweepSummary(out_of_domain=3)
 
 
@@ -183,10 +190,10 @@ class TestSweepChunks:
         assert json.loads(lines[0])["source"] == "multipartite[1,1]"
         assert drawn_then == len(lines) == bngap.search.SWEEP_CHUNK
 
-    def test_benchmark_sweep_builds_at_most_9_tags(self, monkeypatch):
-        # ``sweep --n-max 30 --r-max 6`` built all 8,516 source tags before
-        # only the rows the fold reads got one: the least gap of each of
-        # its 9 chunks, and each violator (none).
+    def test_benchmark_sweep_builds_2_tags(self, monkeypatch):
+        # ``sweep --n-max 30 --r-max 6`` builds a row's source tag only when
+        # the row lowers the running least gap (2 of its 9 chunks' least
+        # gaps) or violates the bound (none).
         calls = []
         real_tag = bngap.conjecture.multipartite_tag
 
@@ -199,7 +206,8 @@ class TestSweepChunks:
         written = []
         summary = sweep(30, 6, written.append, no_violation)
         assert summary.total == 8516 and len(written) == 9
-        assert 0 < len(calls) <= len(written) + summary.violations
+        assert summary.violations == 0 and len(calls) == 2
+        assert summary.argmin_source.startswith(real_tag(calls[-1]))
 
 
 class TestExhaustive:
@@ -349,20 +357,17 @@ class TestHillClimb:
             best.offer(obj, g, bn_report(g, source))
         assert best.report.source == "first p4" and best.objective == 1.0
 
-        def outcome(obj, g, source):
-            best = _Best()
-            best.offer(obj, g, bn_report(g, source))
-            return _RestartOutcome(best, 1, 1)
+        # Each restart offers its states to the one best of the run.
+        restarts = iter([[], [(1.0, c4, "c4")], [(1.0, p4, "first p4")],
+                         [(1.0, p4, "second p4")], [(0.5, p4, "lower")]])
 
-        outcomes = iter([
-            _RestartOutcome(_Best(), 1, 0),
-            outcome(1.0, c4, "c4"),
-            outcome(1.0, p4, "first p4"),
-            outcome(1.0, p4, "second p4"),
-            outcome(0.5, p4, "lower"),
-        ])
-        monkeypatch.setattr(bngap.search, "_run_restart",
-                            lambda cfg, child: next(outcomes))
+        def run_restart(cfg, child, best):
+            states = next(restarts)
+            for obj, g, source in states:
+                best.offer(obj, g, bn_report(g, source))
+            return 1, len(states)
+
+        monkeypatch.setattr(bngap.search, "_run_restart", run_restart)
         res = hill_climb(SearchConfig(seed=0, n=4, restarts=5))
         assert res.best_report.source == "first p4" and res.best_graph == p4
         assert res.best_objective == 1.0
