@@ -58,6 +58,17 @@ class TestSpectrum:
         code, _, err = run_cli("spectrum", "--parts", "2,zebra")
         assert code == 2 and "error" in err
 
+    def test_every_partition_up_to_20_golden_bytes(self, capsys):
+        # The stdout of all 2,693 partitions of n = 2..20 into any number
+        # of parts, one run each, in order.
+        runs = [",".join(map(str, parts)) for n in range(2, 21)
+                for parts in partitions_into_parts(n, n)]
+        assert len(runs) == 2693
+        assert all(cli.main(["spectrum", "--parts", p]) == 0 for p in runs)
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c3392b65c9668206fe3ba0035574a21135db181ff735bf80da676184f13a96a0")
+
 
 class TestReport:
     def test_k5_stdin_excluded(self):
