@@ -17,13 +17,8 @@ from .graphs import (
     turan_graph,
     zykov,
 )
-from .spectra import Spectrum, eigenvalues
-from .multipartite import (
-    SecularSpectrum,
-    multipartite_spectrum,
-    secular_roots,
-    secular_value,
-)
+from .spectra import eigenvalues
+from .multipartite import multipartite_spectrum, secular_roots, secular_value
 from .conjecture import (
     BnReport,
     OutOfDomainError,

@@ -39,11 +39,7 @@ from .graphs import (
     parse_graph6,
 )
 from .jsonutil import csv_cell, dumps
-from .multipartite import (
-    multipartite_edge_count,
-    multipartite_spectrum,
-    multipartite_tag,
-)
+from .multipartite import multipartite_spectrum
 from .search import (
     MAX_ENUM_N,
     SearchConfig,
@@ -193,24 +189,11 @@ def _load_graphs(run: _Run) -> list[tuple[str, Graph]]:
 def _cmd_spectrum(run: _Run) -> int:
     args = run.args
     if args.parts is not None:
-        parts = _parse_parts(args.parts)
-        spec = multipartite_spectrum(parts)
-        run.emit(dumps({
-            "source": multipartite_tag(parts.sizes),
-            "n": parts.n,
-            "m": multipartite_edge_count(parts),
-            "values": list(spec.flatten()),
-            "secular_roots": list(spec.secular_roots),
-            "pole_eigenvalues": [list(p) for p in spec.pole_eigenvalues],
-            "zero_multiplicity": spec.zero_multiplicity,
-        }))
+        run.emit(dumps(vars(multipartite_spectrum(_parse_parts(args.parts)))))
     else:
         for tag, g in _load_graphs(run):
-            spec = eigenvalues(g)
-            run.emit(dumps({
-                "source": tag, "n": g.n, "m": g.m,
-                "values": list(spec.values),
-            }))
+            run.emit(dumps({"source": tag, "n": g.n, "m": g.m,
+                            "values": eigenvalues(g)[::-1].tolist()}))
     return run.finish()
 
 
@@ -223,7 +206,7 @@ def _cmd_report(run: _Run) -> int:
             run.emit(dumps({"status": "out-of-domain", "n": g.n, "m": g.m,
                             "source": tag, "detail": str(exc)}))
             continue
-        run.emit(dumps(asdict(report)))
+        run.emit(dumps(vars(report)))
         run.check(report, tag)
     _status(f"report: {run.violations} violations / {len(graphs)} graphs")
     return run.finish()
@@ -253,7 +236,7 @@ def _cmd_exhaustive(run: _Run) -> int:
     malformed = 0
 
     def violation(report: BnReport) -> None:
-        run.emit(dumps(asdict(report)))
+        run.emit(dumps(vars(report)))
         run.check(report, report.source)
 
     for family in families:
@@ -281,7 +264,7 @@ def _cmd_search(run: _Run) -> int:
     run.emit(dumps({
         "config": asdict(cfg),
         "best_objective": result.best_objective,
-        "best_report": asdict(result.best_report) if result.best_report else None,
+        "best_report": vars(result.best_report) if result.best_report else None,
         "found_violation": result.found_violation,
         "iterations": result.iterations,
         "accepted": result.accepted,

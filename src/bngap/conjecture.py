@@ -7,8 +7,9 @@ The headline quantity for a graph with m edges and clique number w is
 conjectured non-negative for every graph other than a complete one.  A
 ``BnReport`` collects everything a single graph contributes: the eigenvalue
 pair, the bound, the gap, and the holds / equality / excluded flags.  Its
-fields, in order, are its output record, written by ``jsonutil.dumps`` of
-``dataclasses.asdict``, alone or nested in another record.
+fields, in order, are its output record: ``jsonutil.dumps`` of ``vars``
+writes it alone (the fields are flat), and of ``dataclasses.asdict`` nested
+in another record.
 
 ``multipartite_columns`` is the one owner of the complete multipartite
 report: it derives numpy columns of the report fields and the
@@ -38,7 +39,7 @@ from .graphs import (
     is_k4_free,
 )
 from .multipartite import multipartite_tag, secular_root_range
-from .spectra import adjacency_matrix, eigenvalues
+from .spectra import eigenvalues
 
 GAP_TOL = 1e-9
 
@@ -96,7 +97,7 @@ BIPARTITE_NOTE = "; note: bipartite equality holds for all a,b"
 
 
 def report_lines(columns, parts, note) -> str:
-    """The lines ``dumps(dataclasses.asdict(report))`` writes for a chunk
+    """The lines ``dumps(vars(report))`` writes for a chunk
     of multipartite reports, each ended by a newline: ``columns`` and
     ``note`` as ``multipartite_columns(parts)`` returns them.  Every float
     must be finite, as in a sweep chunk.  No source tag is built: each row
@@ -158,8 +159,8 @@ def bn_report(g: Graph, source: str = "graph") -> BnReport:
         raise OutOfDomainError(
             f"graph with n={g.n}, m={m} has clique number below 2"
         )
-    return BnReport.from_eigenvalues(np.linalg.eigvalsh(adjacency_matrix(g)),
-                                     m, clique_number(g), source)
+    return BnReport.from_eigenvalues(eigenvalues(g), m, clique_number(g),
+                                     source)
 
 
 def multipartite_columns(parts: list[tuple[int, ...]]
@@ -217,8 +218,9 @@ def hoffman_bound(g: Graph) -> float:
     """
     if g.m < 1:
         raise ValueError("Hoffman bound needs at least one edge")
-    spec = eigenvalues(g)
-    return -g.n * spec.lambda_n / (spec.lambda1 - spec.lambda_n)
+    vals = eigenvalues(g).tolist()
+    lam1, lam_n = vals[-1], vals[0]
+    return -g.n * lam_n / (lam1 - lam_n)
 
 
 @dataclass(frozen=True)
@@ -237,8 +239,8 @@ def hoffman_ratio_check(g: Graph) -> HoffmanRatioCheck:
         return HoffmanRatioCheck(False, "graph contains a K4", None, None)
     if 3 * independence_number(g) < g.n:
         return HoffmanRatioCheck(False, "independence number below n/3", None, None)
-    spec = eigenvalues(g)
-    ratio = abs(spec.lambda_n) / spec.lambda1
+    vals = eigenvalues(g).tolist()
+    ratio = abs(vals[0]) / vals[-1]
     return HoffmanRatioCheck(True, "", ratio, ratio >= 0.5 - GAP_TOL)
 
 
@@ -279,9 +281,9 @@ def obstruction_report(g: Graph) -> ObstructionReport:
         return not_applicable("graph contains a K4")
     if 3 * independence_number(g) < g.n:
         return not_applicable("independence number below n/3")
-    spec = eigenvalues(g)
-    lam1 = spec.lambda1
-    lhs = lam1 * lam1 + spec.lambda2 ** 2
+    vals = eigenvalues(g).tolist()
+    lam1 = vals[-1]
+    lhs = lam1 * lam1 + vals[-2] ** 2
     b = 2.0 * g.m - lam1 * lam1 / 4.0
     return ObstructionReport(
         True, "", g.m, lam1, lhs, b,

@@ -288,45 +288,46 @@ def clique_number(g: Graph) -> int:
     """Exact clique number via branch and bound with greedy-colouring bounds.
 
     Vertices are always scanned in ascending index order, so the search is
-    deterministic.
+    deterministic.  A single vertex is always a clique, since n >= 1.
     """
-    adj = g.adj
-    best = 1  # n >= 1, so a single vertex is always a clique
+    return _expand(g.adj, (1 << g.n) - 1, 0, 1)
 
-    def color_sort(cand: int) -> tuple[list[int], list[int]]:
-        # Greedy colouring of the candidate set; 'bounds[i]' is the colour
-        # class index of order[i], an upper bound on any clique inside
-        # {order[0..i]}.
-        order: list[int] = []
-        bounds: list[int] = []
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append(v)
-                bounds.append(color)
-                avail &= ~adj[v] & ~(1 << v)
-                rest &= ~(1 << v)
-        return order, bounds
 
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        order, bounds = color_sort(cand)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bounds[i] <= best:
-                return
-            v = order[i]
-            sub = cand & adj[v]
-            if sub:
-                expand(sub, size + 1)
-            elif size + 1 > best:
-                best = size + 1
-            cand &= ~(1 << v)
+def _color_sort(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:
+    """Greedy colouring of the candidate set ``cand``: ``bounds[i]`` is the
+    colour class index of ``order[i]``, an upper bound on any clique inside
+    {order[0..i]}."""
+    order: list[int] = []
+    bounds: list[int] = []
+    color = 0
+    rest = cand
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            order.append(v)
+            bounds.append(color)
+            avail &= ~adj[v] & ~(1 << v)
+            rest &= ~(1 << v)
+    return order, bounds
 
-    expand((1 << g.n) - 1, 0)
+
+def _expand(adj: tuple[int, ...], cand: int, size: int, best: int) -> int:
+    """The larger of ``best`` and ``size`` plus the clique number of the
+    subgraph on ``cand``; a branch whose colour bound cannot beat the
+    incumbent is cut."""
+    order, bounds = _color_sort(adj, cand)
+    for i in range(len(order) - 1, -1, -1):
+        if size + bounds[i] <= best:
+            return best
+        v = order[i]
+        sub = cand & adj[v]
+        if sub:
+            best = _expand(adj, sub, size + 1, best)
+        elif size + 1 > best:
+            best = size + 1
+        cand &= ~(1 << v)
     return best
 
 

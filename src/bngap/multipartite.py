@@ -25,9 +25,11 @@ of partitions at once: it takes the chunk as one zero-padded array of part
 sizes, finds the distinct sizes with numpy, stacks the matrices of equal s
 into one (k, s, s) array, makes one batched ``eigvalsh`` call per s and
 returns only the largest and the smallest root of each partition: lambda1,
-and with the largest pole lambda_n, without assembling the full spectrum
-(``flatten``).  numpy solves each matrix of a stack with the same LAPACK
-call as a single solve, so a root is the same float either way.
+and with the largest pole lambda_n, without assembling the full spectrum.
+numpy solves each matrix of a stack with the same LAPACK call as a single
+solve, so a root is the same float either way.  ``multipartite_spectrum``
+assembles the full spectrum of one partition as a ``SecularSpectrum``, the
+``spectrum --parts`` record.
 """
 
 from __future__ import annotations
@@ -44,11 +46,6 @@ def multipartite_tag(sizes: Sequence[int]) -> str:
     """The source tag of the reports and spectra of the part sizes ``sizes``
     (descending): ``multipartite[3,2,1]``."""
     return "multipartite[" + ",".join(map(str, sizes)) + "]"
-
-
-def multipartite_edge_count(parts: PartSizes) -> int:
-    n = parts.n
-    return (n * n - sum(s * s for s in parts.sizes)) // 2
 
 
 def secular_value(parts: PartSizes, lam: float) -> float:
@@ -120,25 +117,30 @@ def secular_roots(parts: PartSizes) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SecularSpectrum:
-    """Structured exact spectrum of a complete multipartite graph."""
+    """Exact spectrum of a complete multipartite graph: its fields, in
+    order, are the ``spectrum --parts`` output record.  ``values`` is the
+    whole spectrum, sorted non-increasing; the other three fields are its
+    parts, each pole ``(-p, t - 1)`` for a size p that occurs t >= 2
+    times."""
 
+    source: str
+    n: int
+    m: int
+    values: tuple[float, ...]
     secular_roots: tuple[float, ...]
     pole_eigenvalues: tuple[tuple[float, int], ...]
     zero_multiplicity: int
 
-    def flatten(self) -> tuple[float, ...]:
-        values = list(self.secular_roots)
-        values.extend([0.0] * self.zero_multiplicity)
-        for val, mult in self.pole_eigenvalues:
-            values.extend([val] * mult)
-        values.sort(reverse=True)
-        return tuple(values)
-
 
 def multipartite_spectrum(parts: PartSizes) -> SecularSpectrum:
+    n, zeros = parts.n, parts.n - parts.r
+    roots = secular_roots(parts)
     poles = tuple((float(-p), t - 1) for p, t in parts.distinct() if t >= 2)
+    values = [*roots, *[0.0] * zeros]
+    for val, mult in poles:
+        values.extend([val] * mult)
+    values.sort(reverse=True)
     return SecularSpectrum(
-        secular_roots=secular_roots(parts),
-        pole_eigenvalues=poles,
-        zero_multiplicity=parts.n - parts.r,
-    )
+        multipartite_tag(parts.sizes), n,
+        (n * n - sum(s * s for s in parts.sizes)) // 2,
+        tuple(values), roots, poles, zeros)

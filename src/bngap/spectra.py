@@ -1,47 +1,18 @@
 """Dense adjacency spectra: the packed adjacency matrix and its eigenvalues.
 
 ``adjacency_matrix`` unpacks a graph's bitset rows into a float64 matrix,
-and ``eigenvalues`` solves it with one ``eigvalsh`` call.  The checks that
-hold these spectra to the trace identities and to Weyl's perturbation bound
-are oracles in the tests (acceptance criteria 8 and 9).
+and ``eigenvalues`` solves it with one ``eigvalsh`` call: the ascending
+array that every reader takes lambda1 (``[-1]``), lambda2 (``[-2]``) and
+lambda_n (``[0]``) from.  The checks that hold these spectra to the trace
+identities and to Weyl's perturbation bound are oracles in the tests
+(acceptance criteria 8 and 9).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graphs import Graph
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted non-increasing."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise ValueError("spectrum must hold at least one value")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    @property
-    def lambda1(self) -> float:
-        return self.values[0]
-
-    @property
-    def lambda2(self) -> float:
-        if len(self.values) < 2:
-            raise ValueError("no second eigenvalue on one vertex")
-        return self.values[1]
-
-    @property
-    def lambda_n(self) -> float:
-        return self.values[-1]
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -52,12 +23,11 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return bits[:, : g.n].astype(np.float64)
 
 
-def eigenvalues(g: Graph) -> Spectrum:
-    """Full adjacency spectrum, sorted non-increasing.
+def eigenvalues(g: Graph) -> np.ndarray:
+    """Full adjacency spectrum, sorted ascending (``eigvalsh`` output).
 
     Backed by a dense symmetric eigensolver (tridiagonalization plus
     implicit-shift iteration under the hood); accuracy is far inside the
     1e-9 relative contract for n <= 2048.
     """
-    vals = np.linalg.eigvalsh(adjacency_matrix(g))
-    return Spectrum(tuple(vals[::-1].tolist()))
+    return np.linalg.eigvalsh(adjacency_matrix(g))

@@ -82,37 +82,37 @@ def edit_distance_exact(g: Graph) -> EditResult:
     """
     if g.n > EXACT_MAX_N:
         raise ValueError(f"exact enumeration capped at n <= {EXACT_MAX_N}")
-    n = g.n
-    adj = g.adj
-    best_cost = g.m + 1  # assignment (0,...,0) costs m, so this is beaten
-    best_assignment: tuple[int, ...] | None = None
-    assignment = [0] * n
-
-    def descend(v: int, masks: tuple[int, int, int], assigned: int,
-                used: int, cost: int) -> None:
-        nonlocal best_cost, best_assignment
-        if v == n:
-            if cost < best_cost:
-                best_cost = cost
-                best_assignment = tuple(assignment)
-            return
-        row = adj[v]
-        for part in range(min(used + 1, 3)):
-            inside = (row & masks[part]).bit_count()
-            other = assigned & ~masks[part]
-            missing = other.bit_count() - (row & other).bit_count()
-            new_cost = cost + inside + missing
-            if new_cost >= best_cost:
-                continue
-            assignment[v] = part
-            new_masks = list(masks)
-            new_masks[part] |= 1 << v
-            descend(v + 1, tuple(new_masks), assigned | 1 << v,
-                    max(used, part + 1), new_cost)
-
-    descend(0, (0, 0, 0), 0, 0, 0)
+    # Assignment (0,...,0) costs m, so the incumbent cost m + 1 is beaten.
+    best_cost, best_assignment = _exact_search(g.adj, [0] * g.n, 0, (0, 0, 0),
+                                               0, 0, 0, (g.m + 1, None))
     assert best_assignment is not None
-    return EditResult(best_assignment, best_cost, best_cost / n ** 2, "exact")
+    return EditResult(best_assignment, best_cost, best_cost / g.n ** 2, "exact")
+
+
+def _exact_search(adj: tuple[int, ...], assignment: list[int], v: int,
+                  masks: tuple[int, int, int], assigned: int, used: int,
+                  cost: int, best: tuple[int, tuple[int, ...] | None]
+                  ) -> tuple[int, tuple[int, ...] | None]:
+    """Extend ``assignment[:v]`` (parts ``masks``, vertex set ``assigned``,
+    ``used`` parts in first-use order, ``cost`` so far) over vertices v..n-1:
+    the ``(cost, assignment)`` pair ``best`` or a cheaper one found below."""
+    if v == len(adj):
+        return (cost, tuple(assignment)) if cost < best[0] else best
+    row = adj[v]
+    for part in range(min(used + 1, 3)):
+        inside = (row & masks[part]).bit_count()
+        other = assigned & ~masks[part]
+        missing = other.bit_count() - (row & other).bit_count()
+        new_cost = cost + inside + missing
+        if new_cost >= best[0]:
+            continue
+        assignment[v] = part
+        new_masks = list(masks)
+        new_masks[part] |= 1 << v
+        best = _exact_search(adj, assignment, v + 1, tuple(new_masks),
+                             assigned | 1 << v, max(used, part + 1), new_cost,
+                             best)
+    return best
 
 
 def _greedy_starts(adj: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ def spectral_turan_check(g: Graph) -> TuranCheck:
     """Check lambda1 <= sqrt(2 (1 - 1/omega) m) and report the slack."""
     if g.n < 2 or g.m < 1:
         raise OutOfDomainError("spectral bound needs omega >= 2")
-    lam1 = eigenvalues(g).lambda1
+    lam1 = eigenvalues(g)[-1]
     bound = math.sqrt(2.0 * (1.0 - 1.0 / clique_number(g)) * g.m)
     return TuranCheck(lam1, bound, bound - lam1, lam1 <= bound + GAP_TOL)
 

@@ -1,5 +1,6 @@
 """Graph representation, parameters, the Zykov operation, and serialization."""
 
+import gc
 import itertools
 
 import numpy as np
@@ -25,6 +26,18 @@ from bngap.graphs import (
 from bngap.search import random_graph
 
 from corpus import CORPUS, cycle_graph, path_graph, petersen
+
+
+def garbage_left_by(call):
+    """The count of objects that ``gc.collect()`` frees after ``call()``
+    runs with the cyclic collector disabled: the reference cycles it left."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def all_partitions(n, smallest_max=None):
@@ -114,6 +127,10 @@ class TestParameters:
         assert clique_number(complete_multipartite(PartSizes((2, 2, 2)))) == 3
         assert clique_number(cycle_graph(5)) == 2
         assert clique_number(complete_multipartite(PartSizes((1,) * 5))) == 5
+
+    def test_clique_number_leaves_no_reference_cycle(self):
+        g = complete_multipartite(PartSizes((3, 2, 2, 1)))
+        assert garbage_left_by(lambda: clique_number(g)) == 0
 
     def test_independence_examples(self):
         assert independence_number(complete_multipartite(PartSizes((2, 2, 2)))) == 2

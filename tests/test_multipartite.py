@@ -15,14 +15,13 @@ from bngap.conjecture import (
 from bngap.graphs import PartSizes, complete_multipartite
 from bngap.jsonutil import dumps
 from bngap.multipartite import (
-    multipartite_edge_count,
     multipartite_spectrum,
     multipartite_tag,
     secular_root_range,
     secular_roots,
     secular_value,
 )
-from bngap.spectra import Spectrum, adjacency_matrix, eigenvalues
+from bngap.spectra import adjacency_matrix, eigenvalues
 
 from test_graphs import all_partitions
 from test_search import sweep_reports
@@ -140,7 +139,7 @@ def scalar_report_multipartite(parts: PartSizes) -> BnReport:
         lam_n = min(lam_n, float(-sizes[0]))
     if n > r:
         lam_n = min(lam_n, 0.0)
-    m = multipartite_edge_count(parts)
+    m = (n * n - sum(s * s for s in sizes)) // 2
     lam1, lam2 = roots[0], 0.0 if n > r else -1.0
     terms = gap_terms(n, m, r, lam1, lam2)
     source = multipartite_tag(sizes)
@@ -172,9 +171,9 @@ class TestBatchedSecularRoots:
             roots = single_solve(ps)
             assert bits([hi, lo]) == bits([roots[0], roots[-1]]), ps.sizes
 
-    def test_direct_lambda_n_matches_flatten(self):
+    def test_direct_lambda_n_matches_values(self):
         for ps in SWEEP_30_8 + sampled_partitions_of_60(500, seed=1):
-            flat = multipartite_spectrum(ps).flatten()
+            flat = multipartite_spectrum(ps).values
             assert bits([scalar_report_multipartite(ps).lambda_n]) == bits([flat[-1]])
 
     def test_sweep_reports_equal_single_path(self):
@@ -205,16 +204,17 @@ class TestBatchedSecularRoots:
 
 class TestSpectrumAssembly:
     def test_examples(self):
-        flat = multipartite_spectrum(PartSizes((2, 2, 2))).flatten()
+        flat = multipartite_spectrum(PartSizes((2, 2, 2))).values
         assert flat == pytest.approx((4, 0, 0, 0, -2, -2), abs=1e-12)
-        flat = multipartite_spectrum(PartSizes((1, 2, 2))).flatten()
+        flat = multipartite_spectrum(PartSizes((1, 2, 2))).values
         assert flat == pytest.approx((GOLDEN, 0, 0, 2 - GOLDEN, -2), abs=1e-12)
-        flat = multipartite_spectrum(PartSizes((1, 1, 1, 1))).flatten()
+        flat = multipartite_spectrum(PartSizes((1, 1, 1, 1))).values
         assert flat == pytest.approx((3, -1, -1, -1), abs=1e-12)
 
     def test_multiplicity_accounting(self):
         for ps in part_sizes_upto(12):
             spec = multipartite_spectrum(ps)
+            assert (spec.n, spec.m) == (ps.n, complete_multipartite(ps).m)
             s = len(spec.secular_roots)
             pole_total = sum(mult for _, mult in spec.pole_eigenvalues)
             assert s + pole_total + spec.zero_multiplicity == ps.n
@@ -222,15 +222,15 @@ class TestSpectrumAssembly:
 
     def test_oracle_equivalence_n12(self):
         for ps in part_sizes_upto(12):
-            flat = np.asarray(multipartite_spectrum(ps).flatten())
-            dense = np.asarray(eigenvalues(complete_multipartite(ps)).values)
+            flat = np.asarray(multipartite_spectrum(ps).values)
+            dense = eigenvalues(complete_multipartite(ps))[::-1]
             scale = max(1.0, float(abs(dense).max()))
             assert float(np.max(np.abs(flat - dense))) <= 1e-9 * scale, ps
         for sizes in LARGE_PARTS:
             ps = PartSizes(sizes)
             spec = multipartite_spectrum(ps)
-            flat = np.asarray(spec.flatten())
-            dense = np.asarray(eigenvalues(complete_multipartite(ps)).values)
+            flat = np.asarray(spec.values)
+            dense = eigenvalues(complete_multipartite(ps))[::-1]
             radius = float(abs(dense).max())
             assert float(np.max(np.abs(flat - dense))) <= 1e-12 * radius, sizes
             # Strict interlacing: pole_0 < root_0 < pole_1 < ... < root_{s-1},
@@ -243,8 +243,8 @@ class TestSpectrumAssembly:
 
     def test_trace_identities_exact_path(self):
         for ps in part_sizes_upto(12):
-            flat = np.asarray(multipartite_spectrum(ps).flatten())
-            m = multipartite_edge_count(ps)
+            spec = multipartite_spectrum(ps)
+            flat, m = np.asarray(spec.values), spec.m
             assert abs(flat.sum()) <= 1e-9 * max(1.0, 2.0 * m)
             assert abs((flat ** 2).sum() - 2 * m) <= 1e-9 * max(1.0, 2.0 * m)
 
@@ -253,7 +253,7 @@ class TestSpectrumAssembly:
         assert bn_report_multipartite(PartSizes((1, 1, 1))).lambda2 == -1.0
         assert bn_report_multipartite(PartSizes((5, 5))).lambda2 == 0.0
         for ps in part_sizes_upto(11):
-            flat = multipartite_spectrum(ps).flatten()
+            flat = multipartite_spectrum(ps).values
             assert flat[1] == pytest.approx(bn_report_multipartite(ps).lambda2,
                                             abs=1e-10)
 
@@ -368,8 +368,9 @@ class TestQuotientEigenvector:
                 assert float(np.dot(ps.sizes, coeffs)) == pytest.approx(1.0)
 
 
-def closed_forms(parts: PartSizes) -> Spectrum | None:
-    """Exact spectrum for the closed-form families, without root finding.
+def closed_forms(parts: PartSizes) -> np.ndarray | None:
+    """Exact spectrum for the closed-form families, without root finding,
+    sorted non-increasing.
 
     Covers complete bipartite graphs (+-sqrt(ab) and zeros), complete graphs
     (r-1 and -1 repeated), and balanced r-partite graphs ((r-1)p, zeros, -p
@@ -382,22 +383,21 @@ def closed_forms(parts: PartSizes) -> Spectrum | None:
         a, b = sizes
         ab = a * b
         lam = float(math.isqrt(ab)) if math.isqrt(ab) ** 2 == ab else math.sqrt(ab)
-        values = (lam,) + (0.0,) * (n - 2) + (-lam,)
-        return Spectrum(values)
+        return np.array((lam,) + (0.0,) * (n - 2) + (-lam,))
     if all(s == sizes[0] for s in sizes):
         p = sizes[0]
-        values = (float((r - 1) * p),) + (0.0,) * (n - r) + (float(-p),) * (r - 1)
-        return Spectrum(values)
+        return np.array((float((r - 1) * p),) + (0.0,) * (n - r)
+                        + (float(-p),) * (r - 1))
     return None
 
 
 class TestClosedForms:
     def test_examples(self):
-        assert closed_forms(PartSizes((4, 4))).values == pytest.approx(
+        assert closed_forms(PartSizes((4, 4))) == pytest.approx(
             (4,) + (0,) * 6 + (-4,))
-        assert closed_forms(PartSizes((1, 1, 1, 1, 1))).values == pytest.approx(
+        assert closed_forms(PartSizes((1, 1, 1, 1, 1))) == pytest.approx(
             (4, -1, -1, -1, -1))
-        assert closed_forms(PartSizes((3, 3, 3))).values == pytest.approx(
+        assert closed_forms(PartSizes((3, 3, 3))) == pytest.approx(
             (6,) + (0,) * 6 + (-3, -3))
         assert closed_forms(PartSizes((1, 2, 2))) is None
 
@@ -407,6 +407,6 @@ class TestClosedForms:
             if cf is None:
                 continue
             spec = multipartite_spectrum(ps)
-            assert np.max(np.abs(np.asarray(cf.values) - spec.flatten())) <= 1e-12
+            assert np.max(np.abs(cf - spec.values)) <= 1e-12
             # secular_roots builds these families' matrices exactly.
-            assert spec.secular_roots[0] == cf.values[0], ps
+            assert spec.secular_roots[0] == cf[0], ps

@@ -32,6 +32,7 @@ from bngap.stability import (
 )
 
 from corpus import cycle_graph
+from test_graphs import garbage_left_by
 from test_spectra import weyl_check
 
 
@@ -189,6 +190,10 @@ class TestExact:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             edit_distance_exact(Graph(13, (0,) * 13))
+
+    def test_leaves_no_reference_cycle(self):
+        g = cycle_graph(7)
+        assert garbage_left_by(lambda: edit_distance_exact(g)) == 0
 
     def test_monotone_upper_bound(self):
         rng = np.random.default_rng(10)
@@ -348,7 +353,7 @@ class TestWeylCrossCheck:
                 g = g.without_edge(*edges[int(idx)])
             k_eff = base.m - g.m
             r = weyl_check(g, base)
-            lam2 = eigenvalues(g).lambda2
+            lam2 = eigenvalues(g)[-2]
             assert abs(lam2) <= r.spectral_norm + 1e-9
             assert r.spectral_norm <= math.sqrt(2 * k_eff) + 1e-9
             assert abs(lam2) <= math.sqrt(2 * k_eff) + 1e-9
