@@ -26,12 +26,23 @@ table.
 adjacency stack holds at most ``_GROUP_ENTRIES`` entries (2^18, 256 KiB:
 all 60 rows at n = 60, 26 at n = 100).  A row's matrix is the int8
 adjacency of T(n, 3) with its drawn pairs zeroed, so no ``Graph`` is built
-or packed per row, and its edge count is m(T(n, 3)) - k.  The greedy starts
-run once per group on the int8 stack.  The float64 matrices are made one
-sub-chunk of at most ``search._CHUNK_ENTRIES`` entries (2^15, 256 KiB) at a
-time, for the batched ``eigvalsh`` that gives lambda1 and for the matmul
-that fills the cost tables.  ``edit_distance_local`` runs the same search
-on a one-graph stack.
+or packed per row, and its edge count is m(T(n, 3)) - k.  Rows that drew
+the same pairs share one lambda1.  The float64 matrices of the distinct
+rows are made one sub-chunk of at most ``search._CHUNK_ENTRIES`` entries
+(2^15, 256 KiB) at a time, for the batched ``eigvalsh`` that gives lambda1,
+and likewise for the matmul that fills the cost tables.
+
+Above EXACT_MAX_N a row's edits are those of ``edit_distance_local``, the
+least cost over its LOCAL_RESTARTS starts, but the rows first descend from
+their greedy starts alone.  A greedy cost c is optimal when c = 0 or when
+c pair-disjoint conflict triples, each inducing exactly one edge, pass
+through the c defect pairs of the greedy assignment: no complete
+multipartite graph has such a triple, so each needs an edit of its own
+(the packing bound for cluster editing, on the complement).  Only rows
+without that certificate descend from their random starts.  On the
+benchmark run (n = 60, k in 0, 10, 50) every row is certified.
+``edit_distance_local`` always descends from every start; it is the
+oracle for the rows.
 """
 
 from __future__ import annotations
@@ -238,32 +249,141 @@ def _step(cost: np.ndarray, a: np.ndarray, sign: np.ndarray,
     return found, v, new, own
 
 
-def _local_search(adj: np.ndarray, seeds: list[int],
-                  restarts: int) -> list[EditResult]:
-    """Per graph of the (B, n, n) int8 stack, the least (cost, assignment)
-    over the descents from one greedy start and restarts - 1 random starts
-    drawn from the graph's seed."""
-    n = adj.shape[1]
-    starts = np.empty((len(seeds), restarts, n), dtype=np.int64)
-    starts[:, 0] = _greedy_starts(adj)
-    for row, seed in zip(starts, seeds):
-        rng = np.random.default_rng(np.random.PCG64(seed))
-        row[1:] = rng.integers(0, 3, size=(restarts - 1, n))
-    costs = _descend(adj, starts)
-    results = []
-    for cost_row, start_row in zip(costs.tolist(), starts.tolist()):
-        cost, assignment = min(zip(cost_row, map(tuple, start_row)))
-        results.append(EditResult(assignment, cost, cost / n ** 2,
-                                  "local_search"))
-    return results
+def _random_starts(seed: int, count: int, n: int) -> np.ndarray:
+    """``count`` uniform assignments of n vertices drawn from ``seed``,
+    shape (count, n)."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    return rng.integers(0, 3, size=(count, n))
 
 
 def edit_distance_local(g: Graph, restarts: int, seed: int) -> EditResult:
-    """Best local optimum over one greedy start plus seeded random starts."""
+    """Best local optimum over one greedy start plus seeded random starts:
+    the least (cost, assignment) over the descents from all of them."""
     if restarts < 1:
         raise ValueError("need at least one restart")
-    adj = adjacency_matrix(g).astype(np.int8)
-    return _local_search(adj[None], [seed], restarts)[0]
+    adj = adjacency_matrix(g).astype(np.int8)[None]
+    starts = np.empty((1, restarts, g.n), dtype=np.int64)
+    starts[:, 0] = _greedy_starts(adj)
+    starts[0, 1:] = _random_starts(seed, restarts - 1, g.n)
+    costs = _descend(adj, starts)
+    cost, assignment = min(zip(costs[0].tolist(),
+                               map(tuple, starts[0].tolist())))
+    return EditResult(assignment, cost, cost / g.n ** 2, "local_search")
+
+
+def _bitset_rows(adj: np.ndarray) -> list[tuple[int, ...]]:
+    """Per matrix of the (B, n, n) 0/1 stack, its n rows as ints, bit w of
+    row v set when entry (v, w) is; any n, since the ints are unbounded.
+
+    Each row is packed into 64-bit words, and row v is the sum of its
+    words shifted into place.
+    """
+    b, n, _ = adj.shape
+    words = -(-n // 64)
+    packed = np.zeros((b, n, 8 * words), dtype=np.uint8)
+    packed[..., :(n + 7) // 8] = np.packbits(adj, axis=2, bitorder="little")
+    word = packed.view("<u8").reshape(b * n, words)
+    rows = word[:, 0].tolist()
+    for j in range(1, words):
+        rows = [row | high << 64 * j
+                for row, high in zip(rows, word[:, j].tolist())]
+    return [tuple(rows[at:at + n]) for at in range(0, b * n, n)]
+
+
+def _conflict_packing(adj: np.ndarray, assignments: np.ndarray) -> list[int]:
+    """Per graph of the (B, n, n) int8 stack, how many pair-disjoint
+    conflict triples a greedy pass packs, one through each defect pair of
+    its assignment (a row of the (B, n) ``assignments``), before the first
+    defect pair it cannot cover.
+
+    A defect pair is an edge inside a part or a missing pair across parts,
+    and a conflict triple induces exactly one edge: through an edge uv the
+    third vertex w is adjacent to neither end, through a missing pair to
+    exactly one.  In a complete multipartite graph non-adjacency is an
+    equivalence relation, so none has a conflict triple, and each packed
+    triple needs an edit on a pair of its own.  The count is therefore a
+    lower bound on the edit distance (the cluster-editing bound of Gramm,
+    Guo, Hueffner and Niedermeier, Theory Comput. Syst. 2005, on the
+    complement).
+    """
+    n = adj.shape[1]
+    defect = adj == (assignments[:, :, None] == assignments[:, None, :])
+    defect[:, np.arange(n), np.arange(n)] = False
+    return [_pack_triples(rows, defects) for rows, defects
+            in zip(_bitset_rows(adj), _bitset_rows(defect))]
+
+
+def _pack_triples(rows: tuple[int, ...], defect: tuple[int, ...]) -> int:
+    """``_conflict_packing`` of one graph, from its bitset rows and the
+    bitset rows of its defect pairs.
+
+    Defect pairs uv, u < v, are taken in order of u, then v, each with the
+    lowest w whose pairs uw and vw are neither defect pairs nor in a packed
+    triple: a triple never takes a defect pair as a side pair, so that
+    each defect pair is left for a triple of its own.
+    """
+    everyone = (1 << len(rows)) - 1
+    blocked = list(defect)  # bit w of blocked[u]: uw is a defect or taken
+    packed = 0
+    for u, row in enumerate(rows):
+        later = defect[u] >> (u + 1) << (u + 1)
+        while later:
+            low = later & -later
+            later ^= low
+            v = low.bit_length() - 1
+            # Both ends are in row | rows[v] when uv is an edge, and in
+            # neither side of row ^ rows[v] when it is not.
+            free = ((everyone ^ (row | rows[v]) if row & low
+                     else row ^ rows[v]) & ~(blocked[u] | blocked[v]))
+            if not free:
+                return packed
+            w = free & -free
+            blocked[u] |= w
+            blocked[v] |= w
+            blocked[w.bit_length() - 1] |= 1 << u | low
+            packed += 1
+    return packed
+
+
+def _local_edits(adj: np.ndarray, ks: list[int],
+                 seeds: list[int]) -> list[int]:
+    """Per graph of the (B, n, n) int8 stack, T(n, 3) less ``ks[i]`` edges,
+    the edits of ``edit_distance_local(g, LOCAL_RESTARTS, seeds[i])``.
+
+    The greedy starts descend first, in one lockstep call.  A greedy cost c
+    is optimal, and so the least over all starts, when c = 0 or when
+    ``_conflict_packing`` packs c triples; none is tried when c > k, since
+    the base tripartition costs k.  Only the other graphs descend from
+    their LOCAL_RESTARTS - 1 random starts, in one more lockstep call.
+    """
+    n = adj.shape[1]
+    starts = _greedy_starts(adj)[:, None]
+    costs = _descend(adj, starts)[:, 0].tolist()
+    tried = [i for i, (c, k) in enumerate(zip(costs, ks)) if 0 < c <= k]
+    packed = dict(zip(tried, _conflict_packing(adj[tried], starts[tried, 0])))
+    searched = [i for i, c in enumerate(costs) if c and packed.get(i) != c]
+    if searched:
+        randoms = np.stack([_random_starts(seeds[i], LOCAL_RESTARTS - 1, n)
+                            for i in searched])
+        best = _descend(adj[searched], randoms).min(axis=1).tolist()
+        for i, c in zip(searched, best):
+            costs[i] = min(costs[i], c)
+    return costs
+
+
+def _lambda1(adj: np.ndarray, keys: list[bytes]) -> list[float]:
+    """lambda1 of each graph of the (B, n, n) int8 stack, graphs with equal
+    ``keys`` being equal: one batched eigensolve per float sub-stack of the
+    first graph of each key."""
+    first: dict[bytes, int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    solved = np.concatenate([
+        np.linalg.eigvalsh(sub)[:, -1]
+        for _, sub in _float_chunks(adj[list(first.values())])
+    ]).tolist()
+    lam1 = dict(zip(first, solved))
+    return [lam1[key] for key in keys]
 
 
 def _stability_group(base: np.ndarray, pairs: np.ndarray,
@@ -274,8 +394,11 @@ def _stability_group(base: np.ndarray, pairs: np.ndarray,
     ``base`` is the int8 adjacency of T(n, 3) and ``pairs`` its edges.
     Each cell draws its deleted edges and then, above EXACT_MAX_N, the seed
     of its local-search starts.  Row i of the int8 stack is ``base`` with
-    cell i's drawn pairs zeroed; lambda1 comes from one batched eigensolve
-    per float sub-stack and the local searches from one batched descent.
+    cell i's drawn pairs zeroed.  Cells that drew the same pairs share one
+    lambda1, from one batched eigensolve per float sub-stack of the
+    distinct rows.  Above EXACT_MAX_N the edits come from ``_local_edits``:
+    one lockstep descent of the greedy starts, then one of the random
+    starts of the rows whose greedy cost is not certified optimal.
     """
     n = len(base)
     ks = [k for k, _ in cells]
@@ -289,20 +412,19 @@ def _stability_group(base: np.ndarray, pairs: np.ndarray,
     u, v = pairs[np.concatenate(drawn)].T
     adj = np.repeat(base[None], len(cells), axis=0)
     adj[i, u, v] = adj[i, v, u] = 0
-    lam1 = np.concatenate([np.linalg.eigvalsh(sub)[:, -1]
-                           for _, sub in _float_chunks(adj)]).tolist()
+    lam1 = _lambda1(adj, [np.sort(d).tobytes() for d in drawn])
     if seeds:
-        results = _local_search(adj, seeds, LOCAL_RESTARTS)
+        edits, method = _local_edits(adj, ks, seeds), "local_search"
     else:
-        masks = (adj.astype(np.int64) << np.arange(n)).sum(axis=2).tolist()
-        results = [edit_distance_exact(Graph._unchecked(n, tuple(row)))
-                   for row in masks]
+        edits = [edit_distance_exact(Graph._unchecked(n, rows)).edits
+                 for rows in _bitset_rows(adj)]
+        method = "exact"
     rows = []
-    for (k, sample), lam, res in zip(cells, lam1, results):
+    for (k, sample), lam, e in zip(cells, lam1, edits):
         m = len(pairs) - k
         rows.append(dict(zip(STABILITY_CSV_COLUMNS, (
-            n, k, sample, m, lam * lam / m if m else 0.0, res.edits,
-            res.normalized, res.method,
+            n, k, sample, m, lam * lam / m if m else 0.0, e, e / n ** 2,
+            method,
         ))))
     return rows
 
@@ -321,12 +443,11 @@ def stability_experiment(n: int, deletion_grid: list[int], samples: int,
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
-    turan = turan_graph(n, 3)
-    pairs = np.array(turan.edges(), dtype=np.intp).reshape(-1, 2)
+    base = adjacency_matrix(turan_graph(n, 3)).astype(np.int8)
+    pairs = np.argwhere(np.triu(base))  # the edges (u, v), u < v, in order
     for k in deletion_grid:
         if not 0 <= k <= len(pairs):
             raise ValueError(f"cannot delete {k} of {len(pairs)} edges")
-    base = adjacency_matrix(turan).astype(np.int8)
     cells = [(k, sample) for k in deletion_grid for sample in range(samples)]
     children = np.random.SeedSequence(seed).spawn(len(cells))
     step = max(1, _GROUP_ENTRIES // (n * n))

@@ -369,8 +369,10 @@ class TestStability:
         assert code == 0 and len(out.strip().splitlines()) == 5
 
     # n > EXACT_MAX_N, so every row takes the local-search edit distance.
-    # At k = 40 of 75 edges the local optima fall below k.  The n = 100 run
-    # spans two descent groups and many float sub-chunks.
+    # At k = 40 of 75 edges the local optima fall below k.  Every row of the
+    # n = 60 and n = 100 runs, and 10 of the 15 of the n = 15 run, has a
+    # greedy cost certified optimal.  The n = 100 run spans two descent
+    # groups and many float sub-chunks.
     @pytest.mark.parametrize("argv, digest", [
         (("--n-max", "60", "--grid", "0,10,50", "--samples", "20", "--seed", "0"),
          "b26ebb79684c6eff96e303e66c4620158f5273a2833a989b3290ef42a5fb98d5"),

@@ -20,9 +20,12 @@ from bngap.stability import (
     EXACT_MAX_N,
     LOCAL_RESTARTS,
     STABILITY_CSV_COLUMNS,
+    _bitset_rows,
+    _conflict_packing,
     _cost_table,
     _descend,
     _greedy_starts,
+    _local_edits,
     _move_signs,
     _step,
     dense_case_check,
@@ -339,6 +342,59 @@ class TestGainTableDescent:
             assert (res.edits, res.assignment) == best
 
 
+class TestConflictPacking:
+    """The packing is a lower bound, so a certified greedy cost is exact."""
+
+    def graphs(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(3, EXACT_MAX_N + 1))
+            yield random_graph(n, float(rng.random()), rng)
+            yield _deleted_turan(n, int(rng.integers(0, n + 1)), rng)
+
+    def test_bitset_rows_match_graph_rows(self):
+        rng = np.random.default_rng(np.random.PCG64(81))
+        for n in (1, 7, 8, 9, 63, 64, 65, 130):
+            graphs = [random_graph(n, float(rng.random()), rng) for _ in range(3)]
+            assert _bitset_rows(int8_stack(graphs)) == [g.adj for g in graphs]
+
+    def test_packing_never_exceeds_exact(self):
+        rng = np.random.default_rng(np.random.PCG64(82))
+        for g in self.graphs(rng):
+            exact = edit_distance_exact(g).edits
+            assignments = [reference_greedy_assignment(g)]
+            assignments += [rng.integers(0, 3, size=g.n).tolist()
+                            for _ in range(3)]
+            for assignment in assignments:
+                [packed] = _conflict_packing(int8_stack([g]),
+                                             np.array([assignment]))
+                assert packed <= exact
+                assert packed <= reference_assignment_cost(g, assignment)
+
+    def test_certified_greedy_cost_is_exact(self):
+        rng = np.random.default_rng(np.random.PCG64(83))
+        certified = uncertified = 0
+        for g in self.graphs(rng):
+            adj = int8_stack([g])
+            starts = _greedy_starts(adj)[:, None]
+            [[cost]] = _descend(adj, starts).tolist()
+            if _conflict_packing(adj, starts[:, 0]) == [cost]:
+                assert cost == edit_distance_exact(g).edits
+                certified += cost > 0
+            else:
+                uncertified += 1
+        assert certified >= 20 and uncertified >= 20
+
+    def test_rows_match_edit_distance_local(self):
+        rng = np.random.default_rng(np.random.PCG64(84))
+        for n in (13, 20, 33):
+            ks = [int(k) for k in rng.integers(0, 3 * n, size=8)]
+            graphs = [_deleted_turan(n, k, rng) for k in ks]
+            seeds = [int(s) for s in rng.integers(2 ** 63, size=8)]
+            want = [edit_distance_local(g, LOCAL_RESTARTS, seed).edits
+                    for g, seed in zip(graphs, seeds)]
+            assert _local_edits(int8_stack(graphs), ks, seeds) == want
+
+
 class TestWeylCrossCheck:
     def test_lambda2_bounded_by_sqrt_2k(self):
         rng = np.random.default_rng(13)
@@ -400,18 +456,44 @@ class TestExperiment:
             monkeypatch.setattr(bngap.stability, "_GROUP_ENTRIES", entries[0])
             monkeypatch.setattr(bngap.search, "_CHUNK_ENTRIES", entries[1])
             assert stability_experiment(*args) == rows
-        # Each row is its graph's: the cell's seed stream draws the deleted
-        # edges, then the seed of edit_distance_local's starts.
-        children = np.random.SeedSequence(args[3]).spawn(len(rows))
+        self.check_rows_are_their_graphs(rows, n, args[3])
+
+    def check_rows_are_their_graphs(self, rows, n, seed):
+        """Each row is its graph's: the cell's seed stream draws the deleted
+        edges, then the seed of edit_distance_local's starts.  Returns the
+        local-search rows' graphs and seeds."""
+        children = np.random.SeedSequence(seed).spawn(len(rows))
+        local = []
         for row, child in zip(rows, children):
             rng = np.random.default_rng(np.random.PCG64(child))
             g = _deleted_turan(n, row["k"], rng)
             lam = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
             assert (row["m"], row["lambda1_sq_over_m"]) == (g.m, lam * lam / g.m)
-            res = (edit_distance_exact(g) if n <= EXACT_MAX_N else
-                   edit_distance_local(g, LOCAL_RESTARTS,
-                                       int(rng.integers(2 ** 63))))
+            if n <= EXACT_MAX_N:
+                res = edit_distance_exact(g)
+            else:
+                local.append((g, int(rng.integers(2 ** 63))))
+                res = edit_distance_local(g, LOCAL_RESTARTS, local[-1][1])
             assert (row["edits"], row["method"]) == (res.edits, res.method)
+        return local
+
+    def test_certified_and_searched_rows_match_the_oracle(self, monkeypatch):
+        # 10 of the 15 rows have a certified greedy cost; the other 5 also
+        # descend from their random starts, and on some of them a random
+        # start beats the greedy one.
+        descents = []
+
+        def recording_descend(adj, starts):
+            descents.append(starts.shape)
+            return _descend(adj, starts)
+
+        monkeypatch.setattr(bngap.stability, "_descend", recording_descend)
+        rows = stability_experiment(15, [0, 4, 40], samples=5, seed=3)
+        assert descents == [(15, 1, 15), (5, LOCAL_RESTARTS - 1, 15)]
+        monkeypatch.undo()
+        local = self.check_rows_are_their_graphs(rows, 15, 3)
+        assert any(row["edits"] < edit_distance_local(g, 1, seed).edits
+                   for row, (g, seed) in zip(rows, local))
 
     def test_deterministic_reruns(self):
         a = stability_experiment(9, [0, 1, 3], samples=8, seed=33)
