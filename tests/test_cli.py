@@ -393,7 +393,9 @@ class TestStability:
 # note): their stdout bytes are fixed.  In the last two searches (the
 # lambda1 objective at n = 7, free at n = 8) several restarts tie on the
 # best objective with different graphs, and the smaller edge bitset of a
-# later restart wins.
+# later restart wins.  The labeled exhaustive check is pinned for the
+# smaller n-max too (n-max 2 has no applicable graph, so its min_gap is
+# null).
 @pytest.mark.parametrize("argv, digest", [
     (("search", "--n-max", "30", "--restarts", "6", "--steps", "1000",
       "--seed", "0"),
@@ -421,6 +423,16 @@ class TestStability:
     (("search", "--n-max", "8", "--restarts", "6", "--steps", "200",
       "--seed", "6", "--method", "free"),
      "291d4ab0fefa39aba74751f2596b6f2926a4775e51f816a0726f6ddbe0bf9d57"),
+    (("exhaustive", "--n-max", "1"),
+     "b2558a0ed3d604f6f37b75b70bace02090b42fa70588029c6f4744d10e9ace3e"),
+    (("exhaustive", "--n-max", "2"),
+     "9bacf588e4228b57887f87438f61d968a2d057fe74527a2bdd51ee9e455f04b2"),
+    (("exhaustive", "--n-max", "3"),
+     "e457582013601d54c0b59dc9e73676716927023d5fcb4210dd965dd2d67ed981"),
+    (("exhaustive", "--n-max", "4"),
+     "3e2b1244b3059a080cfd4d91e8b8901f4f1d330194aa75129c826572da36b922"),
+    (("exhaustive", "--n-max", "5"),
+     "67f854122468d167da11ede9df69b3d1d6e12e103a011312075a6d69cba06a03"),
 ])
 def test_golden_bytes(argv, digest):
     code, out, _ = run_cli(*argv)
@@ -435,6 +447,15 @@ def test_sweep_summary_csv_golden_bytes(tmp_path):
     data = (tmp_path / "sweep.jsonl.summary.csv").read_bytes()
     assert hashlib.sha256(data).hexdigest() == (
         "9e80008e48eff72ff6af9c4160aaa080c16decf778672c063a45223e5a00f47c")
+
+
+def test_exhaustive_summary_csv_golden_bytes(tmp_path):
+    out = tmp_path / "e.jsonl"
+    code, _, _ = run_cli("exhaustive", "--n-max", "6", "--out", str(out))
+    assert code == 0
+    data = (tmp_path / "e.jsonl.summary.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "49e4c9d54c2f0cdf37c3e6c6177b7b4aa01b17a3363aebb5a82b31fc59151ee4")
 
 
 # K1, C5, the edgeless 3-vertex graph, P4, K5 and K_{3,2,1}: out-of-domain,
