@@ -227,26 +227,19 @@ def _cmd_sweep(run: _Run) -> int:
 def _cmd_exhaustive(run: _Run) -> int:
     args = run.args
     if args.graph6 is not None:
-        families = [run.lines(args.graph6)]
-        scope = "graph6 stream"
+        source, scope = run.lines(args.graph6), "graph6 stream"
     else:
-        families = range(1, args.n_max + 1)
-        scope = f"all labeled graphs, n<={args.n_max}"
-    total = SweepSummary()
-    malformed = 0
+        source, scope = args.n_max, f"all labeled graphs, n<={args.n_max}"
 
     def violation(report: BnReport) -> None:
         run.emit(dumps(vars(report)))
         run.check(report, report.source)
 
-    for family in families:
-        res = exhaustive_check(family, on_violation=violation)
-        malformed += res.malformed
-        total.merge(res.summary)
-    run.emit(dumps({"summary": total.as_dict(), "malformed": malformed}))
+    res = exhaustive_check(source, on_violation=violation)
+    run.emit(dumps({"summary": res.summary.as_dict(), "malformed": res.malformed}))
     _status(f"exhaustive ({scope}): {run.violations} violations"
-            f" / {total.total} applicable graphs")
-    return run.finish(total)
+            f" / {res.summary.total} applicable graphs")
+    return run.finish(res.summary)
 
 
 def _cmd_search(run: _Run) -> int:

@@ -463,22 +463,37 @@ def to_graph6(g: Graph) -> str:
                           for k in range(0, npairs, 6))
 
 
+def _int_pair(line: str, form: str) -> tuple[int, int]:
+    toks = line.split()
+    if len(toks) != 2:
+        raise ValueError(f"expected {form!r}, got {line!r}")
+    return int(toks[0]), int(toks[1])
+
+
 def parse_edge_list_text(text: str) -> Graph:
-    """Parse the plain edge-list format: first line "n m", then m lines "u v"."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """Parse the plain edge-list format: first line "n m", then m lines "u v".
+
+    Blank lines are skipped, but counted: an error about one line names it
+    by its number in the text, from 1, as ``graph6_records`` numbers them.
+    """
+    lines = [(lineno, line) for lineno, raw in enumerate(text.splitlines(), 1)
+             if (line := raw.strip())]
     if not lines:
         raise ValueError("empty edge-list input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ValueError(f"line 1: expected 'n m', got {lines[0]!r}")
-    n, m = (int(tok) for tok in head)
-    if len(lines) - 1 != m:
-        raise ValueError(f"declared {m} edges but found {len(lines) - 1} edge lines")
-    edges = []
-    for i, ln in enumerate(lines[1:], start=2):
-        toks = ln.split()
-        if len(toks) != 2:
-            raise ValueError(f"line {i}: expected 'u v', got {ln!r}")
-        edges.append((int(toks[0]), int(toks[1])))
-    return from_edge_list(n, edges)
+    at = lines[0][0]  # the line read last, which an error names
+
+    def edges() -> Iterator[tuple[int, int]]:
+        # ``from_edge_list`` checks each pair as it is drawn, so ``at`` is
+        # its line when the check fails.
+        nonlocal at
+        for at, line in lines[1:]:
+            yield _int_pair(line, "u v")
+
+    try:
+        n, m = _int_pair(lines[0][1], "n m")
+        if len(lines) - 1 == m:
+            return from_edge_list(n, edges())
+    except ValueError as exc:
+        raise ValueError(f"line {at}: {exc}") from exc
+    raise ValueError(f"declared {m} edges but found {len(lines) - 1} edge lines")
 

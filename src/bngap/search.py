@@ -34,22 +34,23 @@ and flags as from ``bn_report``.  There are three producers:
 * a graph6 stream, checked in runs of consecutive records with the same
   n.  A run of edgeless graphs is only counted, since n = 1 has no second
   eigenvalue.
-* the labeled graphs on n vertices, checked one isomorphism class at a
-  time, since isomorphic graphs have the same spectrum, m and clique
-  number: ``_orbits`` maps every edge code to its class (one matmul gives
-  the images of ``_ORBIT_BATCH`` codes, 35 matmuls for the 208 classes of
-  n <= 6), one stack solves the classes' least codes, and every code
-  takes its class's columns.  Floats of isomorphic graphs still differ by
-  rounding, so a class whose gap lies within ``_ORBIT_MARGIN * max(1,
-  bound)`` of a flag threshold or of the least gap of its n is solved
-  graph by graph in ``_chunk_size(n)`` slices of its members' codes
-  (``_unsure``).  For n <= 6 those are the 4,167 equality graphs.  The
+* the labeled graphs on 1..N vertices, K1 counted as out of domain and
+  each n from 2 up folded into the one summary by ``_fold_labeled``, one
+  isomorphism class at a time, since isomorphic graphs have the same
+  spectrum, m and clique number: ``_orbits`` maps every edge code to its
+  class (one matmul gives the images of ``_ORBIT_BATCH`` codes, 35
+  matmuls for the 208 classes of n <= 6), one stack solves the classes'
+  least codes, and every code takes its class's columns.  Floats of
+  isomorphic graphs still differ by rounding, so a class whose gap lies
+  within ``_ORBIT_MARGIN * max(1, bound)`` of a flag threshold or of the
+  least gap of its n is solved graph by graph in ``_chunk_size(n)``
+  slices of its members' codes (``_unsure``).  For n <= 6 those are the 4,167 equality graphs.  The
   summary and violations are those of a graph-by-graph check.  Only the
   adjacency stack is built per member (``_labeled_stack``): m and the
   clique number are its class's, computed for the least codes
   (``_labeled_invariants``, the clique number read off a table of vertex
-  subsets).  The columns of all codes are folded as one chunk in code
-  order.
+  subsets).  The columns of all codes of n are folded as one chunk in
+  code order.
 
 An adjacency stack holds at most ``_CHUNK_ENTRIES`` matrix entries (2^15
 doubles, 256 KiB; 910 graphs at n = 6, one graph at n >= 129), which
@@ -209,6 +210,19 @@ def sweep(n_max: int, r_max: int, write: Callable[[str], object],
 
 @dataclass
 class SweepSummary:
+    """The running result of a check: ``sweep`` and ``exhaustive_check``
+    fold every chunk of reports into one (``_fold``).
+
+    ``total`` counts the graphs the bound applies to, those with an edge,
+    and ``out_of_domain`` the others, which get no report.  Of the
+    ``total``, ``excluded`` are complete graphs, whose gap is not tested;
+    every other report ``holds`` or is one of the ``violations``, and
+    ``equality`` counts those whose gap is zero within ``GAP_TOL``.
+    ``min_gap`` is the least gap of a report that is not excluded, and
+    ``argmin_source`` names it: ``min_gap`` is inf until such a report is
+    folded in, and of equal minima the first is kept.
+    """
+
     total: int = 0
     holds: int = 0
     equality: int = 0
@@ -217,17 +231,6 @@ class SweepSummary:
     out_of_domain: int = 0
     min_gap: float = float("inf")
     argmin_source: str = ""
-
-    def merge(self, other: SweepSummary) -> None:
-        """Add ``other``'s counts; of equal minima the first is kept."""
-        self.total += other.total
-        self.holds += other.holds
-        self.equality += other.equality
-        self.excluded += other.excluded
-        self.violations += other.violations
-        self.out_of_domain += other.out_of_domain
-        if other.min_gap < self.min_gap:
-            self.min_gap, self.argmin_source = other.min_gap, other.argmin_source
 
     def as_dict(self) -> dict:
         """The fields in order, ``min_gap`` None when every report was excluded."""
@@ -277,11 +280,6 @@ def _stack_terms(adj: np.ndarray, m: np.ndarray, omega: np.ndarray) -> tuple:
     batched ``eigvalsh``, so each graph gets the floats of ``bn_report``."""
     vals = np.linalg.eigvalsh(adj)
     return gap_terms(adj.shape[1], m, omega, vals[:, -1], vals[:, -2])
-
-
-def _check_enum_n(n: int) -> None:
-    if not 1 <= n <= MAX_ENUM_N:
-        raise ValueError(f"built-in enumeration capped at n <= {MAX_ENUM_N}")
 
 
 def labeled_tag(n: int, code: int) -> str:
@@ -343,7 +341,7 @@ def _labeled_stack(n: int, codes: np.ndarray) -> np.ndarray:
 def _labeled_invariants(n: int, codes: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Edge counts and clique numbers of the edge codes.  Both are
-    isomorphism invariants, so ``_labeled_summary`` computes them for the
+    isomorphism invariants, so ``_fold_labeled`` computes them for the
     classes' representatives only."""
     m = ((codes[:, None] >> np.arange(n * (n - 1) // 2)) & 1).sum(axis=1)
     masks, sizes = _clique_table(n)
@@ -394,12 +392,11 @@ def _unsure(gap: np.ndarray, bound: np.ndarray,
                          | (gap <= least + margin))
 
 
-def _labeled_summary(n: int, on_violation: Callable[[BnReport], None]
-                     ) -> SweepSummary:
-    """The summary of the labeled graphs on n vertices, solved one
-    isomorphism class at a time (see the module docstring)."""
-    if n < 2:
-        return SweepSummary(out_of_domain=1)  # K1 has no edge
+def _fold_labeled(n: int, summary: SweepSummary,
+                  on_violation: Callable[[BnReport], None]) -> None:
+    """Add the labeled graphs on n >= 2 vertices to ``summary`` in code
+    order, solved one isomorphism class at a time (see the module
+    docstring)."""
     cls, reps = _orbits(n)
     m, omega = _labeled_invariants(n, reps)
     bound, _, gap, holds, equality, excluded = _stack_terms(
@@ -418,11 +415,9 @@ def _labeled_summary(n: int, on_violation: Callable[[BnReport], None]
         solved = _stack_terms(_labeled_stack(n, codes), m[k], omega[k])
         for column, values in zip(flags, solved[2:]):
             column[codes] = values
-    summary = SweepSummary()
     _fold(summary, flags, live[cls], lambda i: labeled_tag(n, i),
           lambda i: bn_report(Graph.from_edge_bitset(n, i),
                               source=labeled_tag(n, i)), on_violation)
-    return summary
 
 
 def _print_malformed(lineno: int, message: str) -> None:
@@ -441,21 +436,25 @@ def exhaustive_check(
 ) -> ExhaustiveResult:
     """Run gap reports over a graph family and count violations.
 
-    ``source`` is either a vertex count (built-in labeled enumeration,
-    n <= MAX_ENUM_N) or an iterable of graph6 lines.  Each malformed graph6
-    record is passed to ``on_malformed(lineno, message)`` (by default
-    printed to stderr) when it is read, and counted, and the stream
-    continues; blank lines are skipped (a line with a non-ASCII character
-    is a record), and graphs the bound does not apply to (no edges) are
-    counted and skipped.  Each violating graph's report is passed to
+    ``source`` is either a vertex count N <= MAX_ENUM_N, for every labeled
+    graph on 1..N vertices in (n, code) order, or an iterable of graph6
+    lines.  Each malformed graph6 record is passed to ``on_malformed(lineno,
+    message)`` (by default printed to stderr) when it is read, and counted,
+    and the stream continues; blank lines are skipped (a line with a
+    non-ASCII character is a record), and graphs the bound does not apply
+    to (no edges) are counted and skipped.  Each violating graph's report is passed to
     ``on_violation(report)`` in family order, and only counted here, so
     memory does not grow with the violations.  A graph6 stream is checked
     in chunks and the labeled graphs one isomorphism class at a time (see
     the module docstring).
     """
     if isinstance(source, int):
-        _check_enum_n(source)
-        return ExhaustiveResult(_labeled_summary(source, on_violation))
+        if not 1 <= source <= MAX_ENUM_N:
+            raise ValueError(f"built-in enumeration capped at n <= {MAX_ENUM_N}")
+        res = ExhaustiveResult(SweepSummary(out_of_domain=1))  # K1 has no edge
+        for n in range(2, source + 1):
+            _fold_labeled(n, res.summary, on_violation)
+        return res
 
     res = ExhaustiveResult(SweepSummary())
     chunk: list[tuple[int, Graph]] = []

@@ -583,6 +583,12 @@ class TestUsage:
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("*.tmp"))
 
+    def test_edge_list_error_names_the_line(self):
+        code, out, err = run_cli("report", "--edges", "-",
+                                 stdin="3 1\n\n\n0 1 2\n")
+        assert code == 2 and out == ""
+        assert err == "bngap: error: line 4: expected 'u v', got '0 1 2'\n"
+
     def test_sweep_n_max_above_the_vertex_cap(self):
         code, out, err = run_cli("sweep", "--n-max", str(MAX_N + 1), "--r-max", "2")
         assert code == 2 and out == ""

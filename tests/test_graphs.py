@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bngap.graphs import (
+    MAX_N,
     Graph,
     Graph6Error,
     PartSizes,
@@ -359,3 +360,24 @@ class TestEdgeListText:
             parse_edge_list_text("3 2\n0 1\n")  # missing edge line
         with pytest.raises(ValueError):
             parse_edge_list_text("3 1\n0 9\n")
+
+    # Each error about one line names it by its number in the text, blank
+    # lines counted, as graph6 records are numbered.
+    @pytest.mark.parametrize("text, message", [
+        ("3 1\n\n\n0 1 2\n", "line 4: expected 'u v', got '0 1 2'"),
+        ("3 x\n", "line 1: invalid literal for int() with base 10: 'x'"),
+        ("\n3 1\n\n0 x\n", "line 4: invalid literal for int() with base 10: 'x'"),
+        ("3 1\n\n0 -1\n", "line 3: edge (0, -1) out of range for n=3"),
+        ("3 2\n0 1\n\n2 2\n", "line 4: self-loop at vertex 2"),
+        ("\n3\n", "line 2: expected 'n m', got '3'"),
+        ("\n\n0 0\n", f"line 3: vertex count 0 outside 1..{MAX_N}"),
+        ("3 2\n\n0 1\n", "declared 2 edges but found 1 edge lines"),
+    ])
+    def test_errors_name_the_line(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_edge_list_text(text)
+        assert str(exc.value) == message
+
+    def test_blank_lines_are_skipped(self):
+        g = parse_edge_list_text("\n3 2\n\n0 1\n  \n1 2\n\n")
+        assert g == from_edge_list(3, [(0, 1), (1, 2)])

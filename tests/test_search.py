@@ -211,16 +211,18 @@ class TestSweepChunks:
 
 
 class TestExhaustive:
+    # N counts every labeled graph on 1..N vertices: 1 + 2 + 8 + 64 for
+    # N = 4, and 1,024 more for N = 5, with K2 to K5 excluded.
     def test_builtin_n4(self):
         res = exhaustive_check(4)
-        assert res.summary.total + res.summary.out_of_domain == 64
+        assert res.summary.total + res.summary.out_of_domain == 75
         assert res.summary.violations == 0
 
     def test_builtin_n5(self):
         res = exhaustive_check(5)
-        assert res.summary.total + res.summary.out_of_domain == 1024
+        assert res.summary.total + res.summary.out_of_domain == 1099
         assert res.summary.violations == 0
-        assert res.summary.excluded == 1
+        assert res.summary.excluded == 4
 
     def test_builtin_cap(self):
         with pytest.raises(ValueError):
