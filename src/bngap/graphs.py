@@ -226,16 +226,6 @@ class PartSizes:
     def r(self) -> int:
         return len(self.sizes)
 
-    def distinct(self) -> list[tuple[int, int]]:
-        """Distinct sizes with multiplicities, largest size first."""
-        out: list[tuple[int, int]] = []
-        for s in self.sizes:
-            if out and out[-1][0] == s:
-                out[-1] = (s, out[-1][1] + 1)
-            else:
-                out.append((s, 1))
-        return out
-
     def offsets(self) -> list[int]:
         """Start vertex of each part under the canonical labelling."""
         out = [0]
@@ -288,9 +278,30 @@ def clique_number(g: Graph) -> int:
     """Exact clique number via branch and bound with greedy-colouring bounds.
 
     Vertices are always scanned in ascending index order, so the search is
-    deterministic.  A single vertex is always a clique, since n >= 1.
+    deterministic.  A single vertex is always a clique, since n >= 1.  The
+    frames that wait on a branch sit on an explicit stack, so the search
+    depth, up to the clique number, is not bound by the recursion limit.
     """
-    return _expand(g.adj, (1 << g.n) - 1, 0, 1)
+    adj = g.adj
+    best, size, cand = 1, 0, (1 << g.n) - 1
+    order, bounds = _color_sort(adj, cand)
+    stack: list[tuple[int, int, list[int], list[int]]] = []
+    while True:
+        if order and size + bounds[-1] > best:
+            bounds.pop()
+            v = order.pop()
+            sub = cand & adj[v]
+            cand &= ~(1 << v)
+            if sub:
+                stack.append((size, cand, order, bounds))
+                size, cand = size + 1, sub
+                order, bounds = _color_sort(adj, sub)
+            elif size + 1 > best:
+                best = size + 1
+        elif stack:
+            size, cand, order, bounds = stack.pop()
+        else:
+            return best
 
 
 def _color_sort(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:
@@ -311,24 +322,6 @@ def _color_sort(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:
             avail &= ~adj[v] & ~(1 << v)
             rest &= ~(1 << v)
     return order, bounds
-
-
-def _expand(adj: tuple[int, ...], cand: int, size: int, best: int) -> int:
-    """The larger of ``best`` and ``size`` plus the clique number of the
-    subgraph on ``cand``; a branch whose colour bound cannot beat the
-    incumbent is cut."""
-    order, bounds = _color_sort(adj, cand)
-    for i in range(len(order) - 1, -1, -1):
-        if size + bounds[i] <= best:
-            return best
-        v = order[i]
-        sub = cand & adj[v]
-        if sub:
-            best = _expand(adj, sub, size + 1, best)
-        elif size + 1 > best:
-            best = size + 1
-        cand &= ~(1 << v)
-    return best
 
 
 def independence_number(g: Graph) -> int:

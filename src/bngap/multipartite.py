@@ -19,23 +19,22 @@ prod_k (lam + p_k) times (1 - sum_k t_k p_k / (lam + p_k)) (Golub, "Some
 modified matrix eigenvalue problems", SIAM Review 15, 1973).  One small
 dense eigensolve therefore gives all of them.
 
-``secular_roots`` solves one partition as a stack of one matrix.
-``secular_root_range``, the one batched entry point, solves a sweep chunk
-of partitions at once: it takes the chunk as one zero-padded array of part
-sizes, finds the distinct sizes with numpy, stacks the matrices of equal s
-into one (k, s, s) array, makes one batched ``eigvalsh`` call per s and
-returns only the largest and the smallest root of each partition: lambda1,
-and with the largest pole lambda_n, without assembling the full spectrum.
-numpy solves each matrix of a stack with the same LAPACK call as a single
-solve, so a root is the same float either way.  ``multipartite_spectrum``
-assembles the full spectrum of one partition as a ``SecularSpectrum``, the
-``spectrum --parts`` record.
+``_secular_solves`` is the one derivation: it reads the distinct sizes p
+and their multiplicities t off a zero-padded array of part sizes with
+numpy, stacks the matrices of equal s into one (k, s, s) array and makes
+one batched ``eigvalsh`` call per s.  Its readers: ``secular_root_range``
+takes the largest and the smallest root of each row of a sweep chunk
+(lambda1, and with the largest pole lambda_n); ``secular_roots`` takes all
+roots of a one-row array, and ``multipartite_spectrum`` that row's roots
+and the poles of its p and t, as a ``SecularSpectrum``, the
+``spectrum --parts`` record.  numpy solves each matrix of a stack with the
+same LAPACK call as a single solve, so a root is the same float either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -51,37 +50,19 @@ def multipartite_tag(sizes: Sequence[int]) -> str:
 def secular_value(parts: PartSizes, lam: float) -> float:
     """Evaluate sum_i n_i / (lam + n_i); lam must not be a pole."""
     total = 0.0
-    for p, t in parts.distinct():
-        d = lam + p
+    for size in parts.sizes:
+        d = lam + size
         if d == 0.0:
             raise ValueError(f"lambda = {lam} is a pole")
-        total += t * p / d
+        total += size / d
     return total
 
 
-def _secular_eigenvalues(p: np.ndarray, tp: np.ndarray) -> np.ndarray:
-    """The ascending secular roots of each row of the (k, s) float arrays
-    ``p`` (distinct sizes p_i) and ``tp`` (t_i p_i): one ``eigvalsh`` call
-    on the stacked s x s matrices sqrt(t_i p_i t_j p_j) - diag(p)."""
-    # w w^T as sqrt(t_i p_i t_j p_j): one rounding per entry and an exact
-    # diagonal, which makes the balanced and bipartite closed forms exact.
-    matrices = np.sqrt(tp[:, :, None] * tp[:, None, :])
-    diagonal = np.arange(p.shape[1])
-    matrices[:, diagonal, diagonal] -= p
-    return np.linalg.eigvalsh(matrices)
-
-
-def secular_root_range(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The largest and the smallest secular root of each row of ``sizes``,
-    a (k, R) int array of descending part sizes padded with zeros, as two
-    columns.
-
-    The distinct sizes and their multiplicities are read off the rows with
-    numpy, and the matrices of equal s are stacked and solved with one
-    ``eigvalsh`` call per s.  numpy solves each matrix of a stack with the
-    same LAPACK call as a single solve, so each root is the float
-    ``secular_roots`` gives.
-    """
+def _secular_solves(sizes: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The secular solves of the rows of ``sizes``, a (k, R) int array of
+    descending part sizes padded with zeros, one group per count s of
+    distinct sizes: the row indices, the (rows, s) distinct sizes p
+    (float), their multiplicities t (int) and the ascending roots."""
     k, width = sizes.shape
     filled = sizes > 0
     # first[b, j]: sizes[b, j] opens a run of equal sizes.  index[b, j] is
@@ -92,14 +73,28 @@ def secular_root_range(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index = np.arange(k)[:, None] * width + np.cumsum(first, axis=1) - 1
     p = np.zeros(k * width)
     p[index[first]] = sizes[first]
-    # t_i p_i is the sum of the run of p_i, an integer, so exact.
-    tp = np.bincount(index[filled], weights=sizes[filled], minlength=k * width)
-    p, tp = p.reshape(k, width), tp.reshape(k, width)
-    largest, smallest = np.empty(k), np.empty(k)
+    t = np.bincount(index[filled], minlength=k * width)
+    p, t = p.reshape(k, width), t.reshape(k, width)
     for count in np.unique(s).tolist():
-        members = np.flatnonzero(s == count)
-        vals = _secular_eigenvalues(p[members, :count], tp[members, :count])
-        largest[members], smallest[members] = vals[:, -1], vals[:, 0]
+        rows = np.flatnonzero(s == count)
+        p_s, t_s = p[rows, :count], t[rows, :count]
+        # w w^T as sqrt(t_i p_i t_j p_j): t_i p_i is an integer, so exact,
+        # and one rounding per entry gives an exact diagonal, which makes
+        # the balanced and bipartite closed forms exact.
+        tp = t_s * p_s
+        matrices = np.sqrt(tp[:, :, None] * tp[:, None, :])
+        diagonal = np.arange(count)
+        matrices[:, diagonal, diagonal] -= p_s
+        yield rows, p_s, t_s, np.linalg.eigvalsh(matrices)
+
+
+def secular_root_range(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest and the smallest secular root of each row of ``sizes``,
+    a (k, R) int array of descending part sizes padded with zeros, as two
+    columns of ``_secular_solves``."""
+    largest, smallest = np.empty(len(sizes)), np.empty(len(sizes))
+    for rows, _, _, roots in _secular_solves(sizes):
+        largest[rows], smallest[rows] = roots[:, -1], roots[:, 0]
     return largest, smallest
 
 
@@ -109,10 +104,8 @@ def secular_roots(parts: PartSizes) -> tuple[float, ...]:
     The first is the unique positive root; the rest interlace the distinct
     poles, one strictly between each consecutive pair.
     """
-    dist = parts.distinct()
-    p = np.array([[size for size, _ in dist]], dtype=float)
-    tp = np.array([[size * t for size, t in dist]], dtype=float)
-    return tuple(_secular_eigenvalues(p, tp)[0, ::-1].tolist())
+    [(_, _, _, roots)] = _secular_solves(np.array([parts.sizes]))
+    return tuple(roots[0, ::-1].tolist())
 
 
 @dataclass(frozen=True)
@@ -134,8 +127,10 @@ class SecularSpectrum:
 
 def multipartite_spectrum(parts: PartSizes) -> SecularSpectrum:
     n, zeros = parts.n, parts.n - parts.r
-    roots = secular_roots(parts)
-    poles = tuple((float(-p), t - 1) for p, t in parts.distinct() if t >= 2)
+    [(_, p, t, ascending)] = _secular_solves(np.array([parts.sizes]))
+    roots = tuple(ascending[0, ::-1].tolist())
+    poles = tuple((-size, mult - 1) for size, mult
+                  in zip(p[0].tolist(), t[0].tolist()) if mult >= 2)
     values = [*roots, *[0.0] * zeros]
     for val, mult in poles:
         values.extend([val] * mult)

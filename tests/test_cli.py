@@ -81,6 +81,12 @@ class TestReport:
                              "lambda_n", "bound", "lhs", "gap", "holds",
                              "equality", "excluded", "source"]
 
+    def test_complete_graph_beyond_the_recursion_limit_exits_0(self):
+        line = to_graph6(turan_graph(1100, 1100))
+        code, out, err = run_cli("report", "--graph6", "-", stdin=line + "\n")
+        assert code == 0 and "Traceback" not in err
+        assert json.loads(out)["excluded"] is True
+
     def test_edgeless_out_of_domain_status(self):
         code, out, _ = run_cli("report", "--edges", "-", stdin="3 0\n")
         assert code == 0

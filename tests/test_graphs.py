@@ -115,8 +115,6 @@ class TestFamilies:
     def test_part_sizes_canonical(self):
         ps = PartSizes((1, 3, 2))
         assert ps.sizes == (3, 2, 1)
-        assert ps.distinct() == [(3, 1), (2, 1), (1, 1)]
-        assert PartSizes((2, 2, 1)).distinct() == [(2, 2), (1, 1)]
         with pytest.raises(ValueError):
             PartSizes((3,))
         with pytest.raises(ValueError):
@@ -128,6 +126,9 @@ class TestParameters:
         assert clique_number(complete_multipartite(PartSizes((2, 2, 2)))) == 3
         assert clique_number(cycle_graph(5)) == 2
         assert clique_number(complete_multipartite(PartSizes((1,) * 5))) == 5
+        # A search as deep as the clique number, above the default
+        # recursion limit of 1000.
+        assert clique_number(turan_graph(1100, 1100)) == 1100
 
     def test_clique_number_leaves_no_reference_cycle(self):
         g = complete_multipartite(PartSizes((3, 2, 2, 1)))
@@ -137,6 +138,7 @@ class TestParameters:
         assert independence_number(complete_multipartite(PartSizes((2, 2, 2)))) == 2
         assert independence_number(cycle_graph(5)) == 2
         assert independence_number(Graph(4, (0, 0, 0, 0))) == 4
+        assert independence_number(Graph(1100, (0,) * 1100)) == 1100
 
     def test_clique_against_brute_force(self):
         rng = np.random.default_rng(42)
