@@ -281,9 +281,13 @@ def clique_number(g: Graph) -> int:
     deterministic.  A single vertex is always a clique, since n >= 1.  The
     frames that wait on a branch sit on an explicit stack, so the search
     depth, up to the clique number, is not bound by the recursion limit.
+    A candidate set that is itself a clique closes its branch without being
+    coloured, so K_n takes no colouring at all.
     """
     adj = g.adj
     best, size, cand = 1, 0, (1 << g.n) - 1
+    if _is_clique(adj, cand):
+        return g.n
     order, bounds = _color_sort(adj, cand)
     stack: list[tuple[int, int, list[int], list[int]]] = []
     while True:
@@ -292,16 +296,28 @@ def clique_number(g: Graph) -> int:
             v = order.pop()
             sub = cand & adj[v]
             cand &= ~(1 << v)
-            if sub:
+            if _is_clique(adj, sub):
+                best = max(best, size + 1 + sub.bit_count())
+            else:
                 stack.append((size, cand, order, bounds))
                 size, cand = size + 1, sub
                 order, bounds = _color_sort(adj, sub)
-            elif size + 1 > best:
-                best = size + 1
         elif stack:
             size, cand, order, bounds = stack.pop()
         else:
             return best
+
+
+def _is_clique(adj: tuple[int, ...], cand: int) -> bool:
+    """True iff the vertex set ``cand`` spans a clique: each of its vertices
+    misses no other one, tested up to the first that does."""
+    rest = cand
+    while rest:
+        low = rest & -rest
+        if cand & ~adj[low.bit_length() - 1] != low:
+            return False
+        rest ^= low
+    return True
 
 
 def _color_sort(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:

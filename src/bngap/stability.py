@@ -29,8 +29,14 @@ adjacency of T(n, 3) with its drawn pairs zeroed, so no ``Graph`` is built
 or packed per row, and its edge count is m(T(n, 3)) - k.  Rows that drew
 the same pairs share one lambda1.  The float64 matrices of the distinct
 rows are made one sub-chunk of at most ``search._CHUNK_ENTRIES`` entries
-(2^15, 256 KiB) at a time, for the batched ``eigvalsh`` that gives lambda1,
-and likewise for the matmul that fills the cost tables.
+(2^15, 256 KiB) at a time, for the power iteration that gives lambda1, and
+likewise for the matmul that fills the cost tables.  The iteration runs on
+A + cI from the all-ones vector; its iterates stay positive, so the
+Rayleigh quotient and the Collatz-Wielandt bound max_i (Ax)_i / x_i
+bracket lambda1.  A row reports its Rayleigh quotient once the bracket is
+at most _PERRON_TOL * max(1, RQ) wide (after at most 19 products on the
+benchmark run), and a row still open after _PERRON_STEPS products takes
+the value of a batched ``eigvalsh``.
 
 Above EXACT_MAX_N a row's edits are those of ``edit_distance_local``, the
 least cost over its LOCAL_RESTARTS starts, but the rows first descend from
@@ -68,6 +74,11 @@ LOCAL_RESTARTS = 8
 # _GROUP_ENTRIES // n^2) rows: 256 KiB, all 60 rows of the n = 60 benchmark
 # run.  Its float64 matrices are built _CHUNK_ENTRIES at a time.
 _GROUP_ENTRIES = 8 * _CHUNK_ENTRIES
+
+# Products (A + cI) x a stability row takes before its lambda1 falls back
+# to eigvalsh, and the relative width at which its bracket closes.
+_PERRON_STEPS = 64
+_PERRON_TOL = 1e-12
 
 STABILITY_CSV_COLUMNS = (
     "n", "k", "sample", "m", "lambda1_sq_over_m", "edits", "edits_normalized",
@@ -132,17 +143,18 @@ def _greedy_starts(adj: np.ndarray) -> np.ndarray:
 
     With N[p][v] the neighbours of v among the assigned vertices of part p,
     v adds 2 N[p][v] - size[p] plus a term that is the same for every part.
+    The int16 table of 2 N[p][w] - size[p], shape (B, 3, n), gains row v
+    of 2 adj - 1 in part p when v joins p; it lies in [-n, n].
     """
     b, n, _ = adj.shape
     at = np.arange(b)
-    count = np.zeros((b, 3, n))
-    size = np.zeros((b, 3))
+    rows = 2 * adj.astype(np.int16) - 1
+    table = np.zeros((b, 3, n), dtype=np.int16)
     assignment = np.empty((b, n), dtype=np.int64)
     for v in range(n):
-        part = (2 * count[:, :, v] - size).argmin(axis=1)
+        part = table[:, :, v].argmin(axis=1)
         assignment[:, v] = part
-        count[at, part] += adj[:, v]
-        size[at, part] += 1
+        table[at, part] += rows[:, v]
     return assignment
 
 
@@ -373,17 +385,65 @@ def _local_edits(adj: np.ndarray, ks: list[int],
 
 def _lambda1(adj: np.ndarray, keys: list[bytes]) -> list[float]:
     """lambda1 of each graph of the (B, n, n) int8 stack, graphs with equal
-    ``keys`` being equal: one batched eigensolve per float sub-stack of the
-    first graph of each key."""
+    ``keys`` being equal, solved for the first graph of each key.
+
+    That graph's value is the low end of its ``_perron_bracket``, one float
+    sub-stack at a time, or, if the bracket did not close, its value from
+    a batched ``eigvalsh`` of the float sub-stacks of the graphs left open.
+    """
     first: dict[bytes, int] = {}
     for i, key in enumerate(keys):
         first.setdefault(key, i)
-    solved = np.concatenate([
-        np.linalg.eigvalsh(sub)[:, -1]
-        for _, sub in _float_chunks(adj[list(first.values())])
-    ]).tolist()
-    lam1 = dict(zip(first, solved))
+    distinct = adj[list(first.values())]
+    solved = np.empty(len(distinct))
+    for at, sub in _float_chunks(distinct):
+        solved[at] = _perron_bracket(sub)[0]
+    slow = np.flatnonzero(np.isnan(solved))
+    for at, sub in _float_chunks(distinct[slow]):
+        solved[slow[at]] = np.linalg.eigvalsh(sub)[:, -1]
+    lam1 = dict(zip(first, solved.tolist()))
     return [lam1[key] for key in keys]
+
+
+def _perron_bracket(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix A of the (B, n, n) float64 0/1 stack, an interval
+    [low, high] that holds lambda1, at most _PERRON_TOL * max(1, low) wide;
+    both are NaN for a matrix whose interval did not close within
+    _PERRON_STEPS products.
+
+    Power iteration on A + cI from the all-ones vector, c a quarter of the
+    largest degree, or 1/4 without edges: the shift that centres the rest
+    of the spectrum of T(n, 3), lambda2 = 0 and lambda_n = -Delta/2.
+    A + cI is nonnegative with a positive diagonal, so every iterate x is
+    positive, and RQ(x) <= lambda1 <= max_i (Ax)_i / x_i: the Rayleigh
+    quotient and the Collatz-Wielandt bound.  The bracket is read after
+    products 1, 3, 5, ..., since a reading takes more numpy calls than a
+    product; ``low`` is the first RQ whose bracket closes.  A matrix drops
+    out once its bracket closes, so its values do not depend on the other
+    matrices of the stack.
+    """
+    b, n, _ = sub.shape
+    low, high = np.full(b, np.nan), np.full(b, np.nan)
+    shift = np.maximum(sub.sum(axis=2).max(axis=1), 1.0)[:, None] / 4
+    live = np.arange(b)
+    x = np.ones((b, n))
+    for step in range(_PERRON_STEPS):
+        y = np.matmul(sub, x[:, :, None])[:, :, 0]
+        if step % 2:
+            x = y + shift * x
+            continue
+        rq = (x * y).sum(axis=1) / (x * x).sum(axis=1)
+        cw = (y / x).max(axis=1)
+        closed = cw - rq <= _PERRON_TOL * np.maximum(1.0, rq)
+        if closed.any():
+            low[live[closed]], high[live[closed]] = rq[closed], cw[closed]
+            live, sub, x, y, shift = (
+                v[~closed] for v in (live, sub, x, y, shift))
+            if not len(live):
+                break
+        x = y + shift * x
+        x /= x.max(axis=1, keepdims=True)
+    return low, high
 
 
 def _stability_group(base: np.ndarray, pairs: np.ndarray,
@@ -395,10 +455,10 @@ def _stability_group(base: np.ndarray, pairs: np.ndarray,
     Each cell draws its deleted edges and then, above EXACT_MAX_N, the seed
     of its local-search starts.  Row i of the int8 stack is ``base`` with
     cell i's drawn pairs zeroed.  Cells that drew the same pairs share one
-    lambda1, from one batched eigensolve per float sub-stack of the
-    distinct rows.  Above EXACT_MAX_N the edits come from ``_local_edits``:
-    one lockstep descent of the greedy starts, then one of the random
-    starts of the rows whose greedy cost is not certified optimal.
+    lambda1, from ``_lambda1`` on the distinct rows.  Above EXACT_MAX_N the
+    edits come from ``_local_edits``: one lockstep descent of the greedy
+    starts, then one of the random starts of the rows whose greedy cost is
+    not certified optimal.
     """
     n = len(base)
     ks = [k for k, _ in cells]

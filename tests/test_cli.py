@@ -381,11 +381,11 @@ class TestStability:
     # groups and many float sub-chunks.
     @pytest.mark.parametrize("argv, digest", [
         (("--n-max", "60", "--grid", "0,10,50", "--samples", "20", "--seed", "0"),
-         "b26ebb79684c6eff96e303e66c4620158f5273a2833a989b3290ef42a5fb98d5"),
+         "62bc096b653c4f54829ea5780f964668d54aa51086ecb000a2428f4125bdeb90"),
         (("--n-max", "15", "--grid", "0,4,40", "--samples", "5", "--seed", "3"),
-         "33d8c236eeece522ce78a3c0cc1a224ad9de11603dfeeaa55e50ded4648403a6"),
+         "e2a204b34371675be2f31295b539b53ae884b6e463c01d9604d7355ee094a0b3"),
         (("--n-max", "100", "--grid", "0,20,200", "--samples", "10", "--seed", "1"),
-         "60e2de9c3a94470a8a07b377b9e466fe46d722c5b667e6bb78eea5fd6448d080"),
+         "a481ac74834c22833167fc3bb62522df80c6dd7c4e4abb6ae9c7e1c0410ad644"),
     ])
     def test_local_search_golden_bytes(self, argv, digest):
         code, out, _ = run_cli("stability", *argv)

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+import bngap.graphs
 from bngap.graphs import (
     MAX_N,
     Graph,
@@ -129,6 +130,28 @@ class TestParameters:
         # A search as deep as the clique number, above the default
         # recursion limit of 1000.
         assert clique_number(turan_graph(1100, 1100)) == 1100
+
+    def test_clique_closes_without_colouring(self, monkeypatch):
+        colourings = []
+
+        def counting_color_sort(adj, cand):
+            colourings.append(cand)
+            return color_sort(adj, cand)
+
+        color_sort = bngap.graphs._color_sort
+        monkeypatch.setattr(bngap.graphs, "_color_sort", counting_color_sort)
+        assert clique_number(turan_graph(2048, 2048)) == 2048
+        assert len(colourings) <= 3
+
+    def test_clique_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(np.random.PCG64(43))
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            g = random_graph(n, float(rng.random()), rng)
+            h = nx.empty_graph(n)
+            h.add_edges_from(g.edges())
+            assert clique_number(g) == max(map(len, nx.find_cliques(h)))
 
     def test_clique_number_leaves_no_reference_cycle(self):
         g = complete_multipartite(PartSizes((3, 2, 2, 1)))

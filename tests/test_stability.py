@@ -25,8 +25,10 @@ from bngap.stability import (
     _cost_table,
     _descend,
     _greedy_starts,
+    _lambda1,
     _local_edits,
     _move_signs,
+    _perron_bracket,
     _step,
     dense_case_check,
     edit_distance_exact,
@@ -395,6 +397,122 @@ class TestConflictPacking:
             assert _local_edits(int8_stack(graphs), ks, seeds) == want
 
 
+def disjoint_union(*blocks):
+    """The block-diagonal int8 adjacency of the given 0/1 matrices."""
+    n = sum(len(b) for b in blocks)
+    adj = np.zeros((n, n), dtype=np.int8)
+    at = 0
+    for b in blocks:
+        adj[at:at + len(b), at:at + len(b)] = b
+        at += len(b)
+    return adj
+
+
+def gnp(n, rng):
+    """The int8 adjacency of a G(n, p) draw, p itself uniform in [0, 1)."""
+    upper = np.triu(rng.random((n, n)) < rng.random(), 1)
+    return (upper | upper.T).astype(np.int8)
+
+
+def perron_test_stack(n, rng):
+    """int8 adjacencies on n vertices: G(n, p) graphs, the empty graph, a
+    disconnected graph, a bipartite graph and a graph with isolated
+    vertices."""
+    h = n // 2
+    bipartite = np.zeros((n, n), dtype=np.int8)
+    bipartite[:h, h:] = rng.random((h, n - h)) < rng.random()
+    graphs = [gnp(n, rng) for _ in range(3)]
+    graphs += [np.zeros((n, n), dtype=np.int8),
+               disjoint_union(gnp(h, rng), gnp(n - h, rng)),
+               bipartite | bipartite.T,
+               disjoint_union(gnp(n - h, rng), np.zeros((h, h)))]
+    return np.stack(graphs)
+
+
+class TestPerronBracket:
+    """``_perron_bracket`` brackets lambda1 to the closing width, and a row
+    it does not close takes eigvalsh's value."""
+
+    def test_bracket_holds_eigvalsh_lambda1(self):
+        rng = np.random.default_rng(np.random.PCG64(91))
+        eps = np.finfo(np.float64).eps
+        closed = total = 0
+        for n in range(1, 81):
+            adj = perron_test_stack(n, rng)
+            sub = adj.astype(np.float64)
+            low, high = _perron_bracket(sub)
+            lam = np.linalg.eigvalsh(sub)[:, -1]
+            got = _lambda1(adj, [bytes([i]) for i in range(len(adj))])
+            ok = ~np.isnan(low)
+            assert got == np.where(ok, low, lam).tolist()
+            slack = n * eps * np.maximum(sub.sum(axis=2).max(axis=1), 1)[ok]
+            low, high, lam = low[ok], high[ok], lam[ok]
+            assert (low - slack <= lam).all() and (lam <= high + slack).all()
+            assert (high - low <= 1e-12 * np.maximum(1, low)).all()
+            assert (abs(low - lam) <= 1e-12 * np.maximum(1, lam)).all()
+            closed += ok.sum()
+            total += len(adj)
+        # Sparse, disconnected and bipartite draws may reach the step cap;
+        # most rows close.
+        assert closed >= 0.75 * total
+
+    def test_slow_row_takes_eigvalsh(self):
+        # K20 + (K20 - e): lambda1 = 19 and about 18.9, too close for the
+        # iteration to separate within the step cap.
+        k20 = adjacency_matrix(turan_graph(20, 20))
+        slow = disjoint_union(k20, k20)
+        slow[0, 1] = slow[1, 0] = 0
+        turan = adjacency_matrix(turan_graph(40, 3)).astype(np.int8)
+        adj = np.stack([turan, slow, turan])
+        low, _ = _perron_bracket(adj.astype(np.float64))
+        assert np.isnan(low).tolist() == [False, True, False]
+        lam = np.linalg.eigvalsh(adj[1].astype(np.float64))[-1]
+        assert _lambda1(adj, [b"t", b"s", b"t"])[1] == lam
+
+    def test_no_steps_gives_eigvalsh_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(np.random.PCG64(92))
+        monkeypatch.setattr(bngap.stability, "_PERRON_STEPS", 0)
+        for n in (1, 9, 40, 61):
+            adj = perron_test_stack(n, rng)
+            lam = [np.linalg.eigvalsh(a.astype(np.float64))[-1] for a in adj]
+            assert _lambda1(adj, [bytes([i]) for i in range(len(adj))]) == lam
+        rows = stability_experiment(15, [0, 4, 40], 5, 3)
+        children = np.random.SeedSequence(3).spawn(len(rows))
+        for row, child in zip(rows, children):
+            rng = np.random.default_rng(np.random.PCG64(child))
+            g = _deleted_turan(15, row["k"], rng)
+            lam = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
+            assert row["lambda1_sq_over_m"] == lam * lam / g.m
+
+    def test_benchmark_rows_no_worse_than_eigvalsh(self, monkeypatch):
+        # The n = 60 rows of the benchmark stability run, against lambda1
+        # in extended precision: a longdouble power iteration whose own
+        # Rayleigh-Collatz-Wielandt bracket has closed.
+        if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
+            pytest.skip("longdouble is not extended here")
+        calls = []
+
+        def recording_lambda1(adj, keys):
+            calls.append((adj, keys))
+            return _lambda1(adj, keys)
+
+        monkeypatch.setattr(bngap.stability, "_lambda1", recording_lambda1)
+        stability_experiment(60, [0, 10, 50], 20, 0)
+        [(adj, keys)] = calls
+        got = np.array(_lambda1(adj, keys))
+        lam = np.linalg.eigvalsh(adj.astype(np.float64))[:, -1]
+        a = adj.astype(np.longdouble)
+        x = np.ones(a.shape[:2], dtype=np.longdouble)
+        for _ in range(200):
+            x = np.matmul(a, x[:, :, None])[:, :, 0] + 10 * x
+            x /= x.max(axis=1, keepdims=True)
+        y = np.matmul(a, x[:, :, None])[:, :, 0]
+        ref = (x * y).sum(axis=1) / (x * x).sum(axis=1)
+        assert ((y / x).max(axis=1) - ref <= 1e-17 * ref).all()
+        worst = abs(lam.astype(np.longdouble) - ref).max()
+        assert (abs(got.astype(np.longdouble) - ref) <= worst).all()
+
+
 class TestWeylCrossCheck:
     def test_lambda2_bounded_by_sqrt_2k(self):
         rng = np.random.default_rng(13)
@@ -460,7 +578,8 @@ class TestExperiment:
 
     def check_rows_are_their_graphs(self, rows, n, seed):
         """Each row is its graph's: the cell's seed stream draws the deleted
-        edges, then the seed of edit_distance_local's starts.  Returns the
+        edges, then the seed of edit_distance_local's starts.  Its lambda1
+        is eigvalsh's to the Perron bracket's relative width.  Returns the
         local-search rows' graphs and seeds."""
         children = np.random.SeedSequence(seed).spawn(len(rows))
         local = []
@@ -468,7 +587,9 @@ class TestExperiment:
             rng = np.random.default_rng(np.random.PCG64(child))
             g = _deleted_turan(n, row["k"], rng)
             lam = np.linalg.eigvalsh(adjacency_matrix(g))[-1]
-            assert (row["m"], row["lambda1_sq_over_m"]) == (g.m, lam * lam / g.m)
+            assert row["m"] == g.m
+            assert math.sqrt(row["lambda1_sq_over_m"] * g.m) == pytest.approx(
+                lam, rel=1e-12, abs=1e-12)
             if n <= EXACT_MAX_N:
                 res = edit_distance_exact(g)
             else:
