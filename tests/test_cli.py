@@ -374,11 +374,15 @@ class TestStability:
                                "--samples", "2")
         assert code == 0 and len(out.strip().splitlines()) == 5
 
-    # n > EXACT_MAX_N, so every row takes the local-search edit distance.
-    # At k = 40 of 75 edges the local optima fall below k.  Every row of the
-    # n = 60 and n = 100 runs, and 10 of the 15 of the n = 15 run, has a
-    # greedy cost certified optimal.  The n = 100 run spans two descent
-    # groups and many float sub-chunks.
+    # Above EXACT_MAX_N every row takes the local-search edit distance; the
+    # n = 10 run is exact.  At k = 40 of 75 edges the local optima fall
+    # below k.  Every row of the n = 60 and n = 100 runs, and 10 of the 15
+    # of the n = 15 run, has a greedy cost certified optimal.  The n = 100
+    # run spans two descent groups and many float sub-chunks.  In the
+    # n = 61 and n = 10 runs many rows drew the same pairs (the 20 of k = 0,
+    # and repeats of k = 1): only 41 of the 60 rows and 19 of the 40 rows
+    # differ.  T(61, 3) is not regular, so its k = 0 rows take several
+    # products.
     @pytest.mark.parametrize("argv, digest", [
         (("--n-max", "60", "--grid", "0,10,50", "--samples", "20", "--seed", "0"),
          "62bc096b653c4f54829ea5780f964668d54aa51086ecb000a2428f4125bdeb90"),
@@ -386,6 +390,10 @@ class TestStability:
          "e2a204b34371675be2f31295b539b53ae884b6e463c01d9604d7355ee094a0b3"),
         (("--n-max", "100", "--grid", "0,20,200", "--samples", "10", "--seed", "1"),
          "a481ac74834c22833167fc3bb62522df80c6dd7c4e4abb6ae9c7e1c0410ad644"),
+        (("--n-max", "61", "--grid", "0,1,2", "--samples", "20", "--seed", "2"),
+         "1a3dc12831bcc9012ce51d562edc3d138dc64fb42341322f87a4d115a2af9855"),
+        (("--n-max", "10", "--grid", "0,1", "--samples", "20", "--seed", "2"),
+         "23f98af2dc6863e0aa2a2bbe5e922cfd42a348acbe695eeae8223a9961be7c11"),
     ])
     def test_local_search_golden_bytes(self, argv, digest):
         code, out, _ = run_cli("stability", *argv)
