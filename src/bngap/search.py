@@ -52,9 +52,9 @@ and flags as from ``bn_report``.  There are three producers:
   subsets).  The columns of all codes of n are folded as one chunk in
   code order.
 
-An adjacency stack holds at most ``_CHUNK_ENTRIES`` matrix entries (2^15
-doubles, 256 KiB; 910 graphs at n = 6, one graph at n >= 129), which
-bounds the engine's working memory whatever the family size.
+An adjacency stack holds at most ``spectra._CHUNK_ENTRIES`` matrix
+entries (see ``bngap.spectra``), which bounds the engine's working memory
+whatever the family size.
 
 The hill climb and the Zykov walk draw a pair uniformly with one
 ``rng.integers(count)`` and read it off the rows with ``Graph.nth_edge`` (a
@@ -114,19 +114,12 @@ from .graphs import (
     parse_graph6,
     zykov,
 )
-from .spectra import adjacency_matrix
+from .spectra import _chunk_size, adjacency_matrix
 
 MAX_ENUM_N = 6
 
 # Partitions per sweep chunk (``sweep``).
 SWEEP_CHUNK = 1024
-
-# Matrix entries per float64 chunk: one (B, n, n) float64 array of the
-# exhaustive engine, or of a stability descent group's eigensolve and cost
-# tables, holds at most this many, B = max(1, _CHUNK_ENTRIES // n^2).
-# Stability's int8 descent groups are sized by their own budget,
-# ``stability._GROUP_ENTRIES``.
-_CHUNK_ENTRIES = 2 ** 15
 
 # Edge codes whose images ``_orbits`` finds with one matmul: an (n!, B)
 # block, 90 KiB of float64 at n = 6.
@@ -305,10 +298,6 @@ def graph6_records(lines: Iterable[str]) -> Iterator[tuple[int, str]]:
 class ExhaustiveResult:
     summary: SweepSummary  # ``summary.violations`` counts the violations
     malformed: int = 0  # graph6 records that did not parse
-
-
-def _chunk_size(n: int) -> int:
-    return max(1, _CHUNK_ENTRIES // (n * n))
 
 
 def _clique_table(n: int) -> tuple[np.ndarray, np.ndarray]:

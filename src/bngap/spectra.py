@@ -6,6 +6,14 @@ array that every reader takes lambda1 (``[-1]``), lambda2 (``[-2]``) and
 lambda_n (``[0]``) from.  The checks that hold these spectra to the trace
 identities and to Weyl's perturbation bound are oracles in the tests
 (acceptance criteria 8 and 9).
+
+A float64 adjacency stack of shape (B, n, n) holds at most
+``_CHUNK_ENTRIES`` matrix entries (2^15 doubles, 256 KiB), B =
+``_chunk_size(n)``: 910 graphs at n = 6, 9 at n = 60, one graph at n >=
+129.  The exhaustive engine's batched ``eigvalsh`` and a stability group's
+Perron iteration, fallback ``eigvalsh`` and cost-table matmuls are all
+built one such stack at a time, which bounds their working memory whatever
+the family or group size.
 """
 
 from __future__ import annotations
@@ -13,6 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from .graphs import Graph
+
+# Matrix entries per float64 adjacency stack.
+_CHUNK_ENTRIES = 2 ** 15
+
+
+def _chunk_size(n: int) -> int:
+    """Graphs per float64 stack of n-vertex adjacency matrices."""
+    return max(1, _CHUNK_ENTRIES // (n * n))
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:

@@ -26,17 +26,18 @@ table.
 adjacency stack holds at most ``_GROUP_ENTRIES`` entries (2^18, 256 KiB:
 all 60 rows at n = 60, 26 at n = 100).  A row's matrix is the int8
 adjacency of T(n, 3) with its drawn pairs zeroed, so no ``Graph`` is built
-or packed per row, and its edge count is m(T(n, 3)) - k.  Rows that drew
-the same pairs share one lambda1.  The float64 matrices of the distinct
-rows are made one sub-chunk of at most ``search._CHUNK_ENTRIES`` entries
-(2^15, 256 KiB) at a time, for the power iteration that gives lambda1, and
-likewise for the matmul that fills the cost tables.  The iteration runs on
-A + cI from the all-ones vector; its iterates stay positive, so the
-Rayleigh quotient and the Collatz-Wielandt bound max_i (Ax)_i / x_i
-bracket lambda1.  A row reports its Rayleigh quotient once the bracket is
-at most _PERRON_TOL * max(1, RQ) wide (after at most 19 products on the
-benchmark run), and a row still open after _PERRON_STEPS products takes
-the value of a batched ``eigvalsh``.
+or packed per row, and its edge count is m(T(n, 3)) - k.  The float64
+matrices of the rows are made one sub-stack of at most
+``spectra._CHUNK_ENTRIES`` entries at a time, for the power iteration
+that gives lambda1, and likewise for the matmul that fills the cost
+tables.  The iteration runs on A + cI from the all-ones vector; its
+iterates stay positive, so the Rayleigh quotient and the Collatz-Wielandt
+bound max_i (Ax)_i / x_i bracket lambda1.  A row reports its Rayleigh
+quotient once the bracket is at most _PERRON_TOL * max(1, RQ) wide (after
+at most 19 products on the benchmark run), and the rows of a sub-stack
+still open after _PERRON_STEPS products take the value of one batched
+``eigvalsh``.  Either way a row's lambda1 does not depend on the other
+rows, so rows that drew the same pairs get the same value.
 
 Above EXACT_MAX_N a row's edits are those of ``edit_distance_local``, the
 least cost over its LOCAL_RESTARTS starts, but the rows first descend from
@@ -61,8 +62,7 @@ import numpy as np
 
 from .conjecture import bn_report, BnReport, OutOfDomainError
 from .graphs import Graph, is_k4_free, triangle_count, turan_graph
-from .search import _CHUNK_ENTRIES, _chunk_size
-from .spectra import adjacency_matrix
+from .spectra import _CHUNK_ENTRIES, _chunk_size, adjacency_matrix
 
 EXACT_MAX_N = 12
 # The starts (one greedy, the rest seeded random) of every stability row
@@ -160,7 +160,7 @@ def _greedy_starts(adj: np.ndarray) -> np.ndarray:
 
 def _float_chunks(adj: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
     """The (B, n, n) int8 stack as float64 sub-stacks of at most
-    ``search._CHUNK_ENTRIES`` entries, each with its slice of the stack."""
+    ``spectra._CHUNK_ENTRIES`` entries, each with its slice of the stack."""
     step = _chunk_size(adj.shape[1])
     for lo in range(0, len(adj), step):
         at = slice(lo, lo + step)
@@ -383,26 +383,19 @@ def _local_edits(adj: np.ndarray, ks: list[int],
     return costs
 
 
-def _lambda1(adj: np.ndarray, keys: list[bytes]) -> list[float]:
-    """lambda1 of each graph of the (B, n, n) int8 stack, graphs with equal
-    ``keys`` being equal, solved for the first graph of each key.
-
-    That graph's value is the low end of its ``_perron_bracket``, one float
-    sub-stack at a time, or, if the bracket did not close, its value from
-    a batched ``eigvalsh`` of the float sub-stacks of the graphs left open.
-    """
-    first: dict[bytes, int] = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    distinct = adj[list(first.values())]
-    solved = np.empty(len(distinct))
-    for at, sub in _float_chunks(distinct):
-        solved[at] = _perron_bracket(sub)[0]
-    slow = np.flatnonzero(np.isnan(solved))
-    for at, sub in _float_chunks(distinct[slow]):
-        solved[slow[at]] = np.linalg.eigvalsh(sub)[:, -1]
-    lam1 = dict(zip(first, solved.tolist()))
-    return [lam1[key] for key in keys]
+def _lambda1(adj: np.ndarray) -> list[float]:
+    """lambda1 of each graph of the (B, n, n) int8 stack, one float
+    sub-stack at a time: the low end of its ``_perron_bracket``, or, for
+    the graphs of the sub-stack whose bracket did not close, their value
+    from one batched ``eigvalsh``."""
+    lam1 = np.empty(len(adj))
+    for at, sub in _float_chunks(adj):
+        low = _perron_bracket(sub)[0]
+        slow = np.isnan(low)
+        if slow.any():
+            low[slow] = np.linalg.eigvalsh(sub[slow])[:, -1]
+        lam1[at] = low
+    return lam1.tolist()
 
 
 def _perron_bracket(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -454,11 +447,10 @@ def _stability_group(base: np.ndarray, pairs: np.ndarray,
     ``base`` is the int8 adjacency of T(n, 3) and ``pairs`` its edges.
     Each cell draws its deleted edges and then, above EXACT_MAX_N, the seed
     of its local-search starts.  Row i of the int8 stack is ``base`` with
-    cell i's drawn pairs zeroed.  Cells that drew the same pairs share one
-    lambda1, from ``_lambda1`` on the distinct rows.  Above EXACT_MAX_N the
-    edits come from ``_local_edits``: one lockstep descent of the greedy
-    starts, then one of the random starts of the rows whose greedy cost is
-    not certified optimal.
+    cell i's drawn pairs zeroed, and ``_lambda1`` solves every row.  Above
+    EXACT_MAX_N the edits come from ``_local_edits``: one lockstep descent
+    of the greedy starts, then one of the random starts of the rows whose
+    greedy cost is not certified optimal.
     """
     n = len(base)
     ks = [k for k, _ in cells]
@@ -472,7 +464,7 @@ def _stability_group(base: np.ndarray, pairs: np.ndarray,
     u, v = pairs[np.concatenate(drawn)].T
     adj = np.repeat(base[None], len(cells), axis=0)
     adj[i, u, v] = adj[i, v, u] = 0
-    lam1 = _lambda1(adj, [np.sort(d).tobytes() for d in drawn])
+    lam1 = _lambda1(adj)
     if seeds:
         edits, method = _local_edits(adj, ks, seeds), "local_search"
     else:

@@ -13,6 +13,7 @@ import pytest
 
 import bngap.conjecture
 import bngap.search
+import bngap.spectra
 from bngap import cli
 from bngap.graphs import (
     MAX_N,
@@ -260,7 +261,7 @@ class TestExhaustive:
     def test_memory_does_not_grow_with_the_violations(self, tmp_path,
                                                       monkeypatch):
         # Chunks of 64 graphs, so that both streams run full chunks.
-        monkeypatch.setattr(bngap.search, "_CHUNK_ENTRIES", 25 * 64)
+        monkeypatch.setattr(bngap.spectra, "_CHUNK_ENTRIES", 25 * 64)
 
         def peak(reps):
             path, _ = self.violating_stream(tmp_path, monkeypatch, reps)

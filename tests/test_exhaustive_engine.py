@@ -20,6 +20,7 @@ import pytest
 
 import bngap.conjecture
 import bngap.search
+import bngap.spectra
 from bngap.conjecture import OutOfDomainError, bn_report, gap_terms
 from bngap.graphs import (
     Graph,
@@ -224,7 +225,7 @@ def test_argmin_keeps_the_first_record():
     p6, p5 = to_graph6(path_graph(6)), to_graph6(path_graph(5))
     gap = {line: bn_report(parse_graph6(line)).gap for line in (lowest, p6, p5)}
     assert gap[lowest] < min(gap[p6], gap[p5])
-    chunk = bngap.search._chunk_size(6)
+    chunk = bngap.spectra._chunk_size(6)
     lines = [lowest, lowest] + [p6] * (2 * chunk + 3) + [lowest] + [p5] * 3 + [lowest]
     res, _ = assert_matches_reference(lines)
     assert res.summary.argmin_source == "graph6:line=1"
@@ -240,7 +241,7 @@ def test_graph6_chunks_are_bounded_runs_of_one_n(monkeypatch):
         return stack_terms(adj, m, omega)
 
     monkeypatch.setattr(bngap.search, "_stack_terms", recorded)
-    monkeypatch.setattr(bngap.search, "_CHUNK_ENTRIES", 36 * 7)
+    monkeypatch.setattr(bngap.spectra, "_CHUNK_ENTRIES", 36 * 7)
     p6, p5 = to_graph6(path_graph(6)), to_graph6(path_graph(5))
     exhaustive_check([p6] * 9 + [p5] * 2 + ["", p5] + [p6])
     assert shapes == [(7, 6, 6), (2, 6, 6), (3, 5, 5), (1, 6, 6)]
@@ -249,7 +250,7 @@ def test_graph6_chunks_are_bounded_runs_of_one_n(monkeypatch):
 @pytest.mark.parametrize("entries", [36, 36 * 7])
 def test_chunk_size_does_not_change_the_result(monkeypatch, entries):
     want = exhaustive_check(6).summary.as_dict()
-    monkeypatch.setattr(bngap.search, "_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(bngap.spectra, "_CHUNK_ENTRIES", entries)
     assert exhaustive_check(6).summary.as_dict() == want
 
 

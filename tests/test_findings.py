@@ -22,8 +22,17 @@ tests so the toolkit keeps reporting them honestly instead of hiding them.
     +-lambda1, +-lambda2 and zeros, so lambda1^2 + lambda2^2 = m, the bound
     at omega = 2.  The paper settles equality only inside the complete
     multipartite family; (b) and (c) are observations of this toolkit.
+
+    Beyond the atlas the list misses a shape: (b') K_{r x a} + K_{r x b},
+    two balanced complete r-partite graphs with the same r >= 2 and part
+    sizes a != b.  There lambda1 = (r-1) max(a, b), lambda2 = (r-1) min(a, b),
+    m = C(r, 2)(a^2 + b^2) and omega = r, so
+    lambda1^2 + lambda2^2 = (r-1)^2 (a^2 + b^2) = 2 (1 - 1/r) m.  For r = 2
+    these graphs lie in (c); the smallest with r >= 3 is K_{2,2,2} + K_3,
+    on 9 vertices.
 """
 
+import itertools
 import math
 
 import pytest
@@ -36,7 +45,9 @@ from bngap.conjecture import (
 )
 from bngap.graphs import (
     Graph,
+    PartSizes,
     clique_number,
+    complete_multipartite,
     from_edge_list,
     independence_number,
     is_k4_free,
@@ -213,3 +224,35 @@ def test_equality_shapes_match_the_equality_flag_on_the_atlas():
     assert equality_shape(path_graph(4)) == "c"
     assert equality_shape(cycle_graph(5)) is None
     assert equality_shape(Graph(3, (2, 1, 0))) == "a"  # K2 + K1
+
+
+def _union(g, h):
+    """The disjoint union of g and h, g on the low vertices."""
+    return Graph(g.n + h.n, g.adj + tuple(row << g.n for row in h.adj))
+
+
+def _balanced(r, a):
+    """K_{r x a}, the complete r-partite graph with parts of size a."""
+    return complete_multipartite(PartSizes((a,) * r))
+
+
+def test_two_balanced_components_with_one_r_meet_the_bound():
+    # (b') beyond the atlas: K_{2,2,2} + K_3 and K_{3,3,3,3} + K_4 meet the
+    # bound to rounding; K_{2,2,2} + K_4, with different r, misses it by 2.
+    for r, a, b in ((3, 2, 1), (4, 3, 1)):
+        report = bn_report(_union(_balanced(r, a), _balanced(r, b)))
+        assert report.equality and abs(report.gap) <= 1e-13, (r, a, b)
+    control = bn_report(_union(_balanced(3, 2), _balanced(4, 1)))
+    assert control.gap == pytest.approx(2.0, abs=1e-12)
+    assert not control.equality
+    # The closed form, and equality, for 2 <= r <= 6 and 1 <= a != b <= 6.
+    for r in range(2, 7):
+        for a, b in itertools.permutations(range(1, 7), 2):
+            report = bn_report(_union(_balanced(r, a), _balanced(r, b)))
+            big, small = (r - 1) * max(a, b), (r - 1) * min(a, b)
+            assert report.lambda1 == pytest.approx(big, rel=1e-12)
+            assert report.lambda2 == pytest.approx(small, rel=1e-12)
+            assert report.m == math.comb(r, 2) * (a * a + b * b)
+            assert report.omega == r
+            assert r * (big ** 2 + small ** 2) == 2 * (r - 1) * report.m
+            assert report.equality, (r, a, b)

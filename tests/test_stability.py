@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-import bngap.search
+import bngap.spectra
 import bngap.stability
 from bngap.graphs import (
     Graph,
@@ -442,7 +442,7 @@ class TestPerronBracket:
             sub = adj.astype(np.float64)
             low, high = _perron_bracket(sub)
             lam = np.linalg.eigvalsh(sub)[:, -1]
-            got = _lambda1(adj, [bytes([i]) for i in range(len(adj))])
+            got = _lambda1(adj)
             ok = ~np.isnan(low)
             assert got == np.where(ok, low, lam).tolist()
             slack = n * eps * np.maximum(sub.sum(axis=2).max(axis=1), 1)[ok]
@@ -467,7 +467,21 @@ class TestPerronBracket:
         low, _ = _perron_bracket(adj.astype(np.float64))
         assert np.isnan(low).tolist() == [False, True, False]
         lam = np.linalg.eigvalsh(adj[1].astype(np.float64))[-1]
-        assert _lambda1(adj, [b"t", b"s", b"t"])[1] == lam
+        assert _lambda1(adj)[1] == lam
+
+    def test_equal_rows_get_their_own_value(self, monkeypatch):
+        # T(40, 3), K20 + (K20 - e), which reaches the step cap, and a
+        # G(n, p) draw, each twice and in sub-stacks of 2 rows, so that the
+        # copies of each lie in different sub-stacks beside different rows.
+        k20 = adjacency_matrix(turan_graph(20, 20))
+        slow = disjoint_union(k20, k20)
+        slow[0, 1] = slow[1, 0] = 0
+        turan = adjacency_matrix(turan_graph(40, 3)).astype(np.int8)
+        draw = gnp(40, np.random.default_rng(np.random.PCG64(93)))
+        adj = np.stack([turan, slow, draw] * 2)
+        alone = [_lambda1(a[None])[0] for a in adj[:3]]
+        monkeypatch.setattr(bngap.spectra, "_CHUNK_ENTRIES", 2 * 40 * 40)
+        assert _lambda1(adj) == alone * 2
 
     def test_no_steps_gives_eigvalsh_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(np.random.PCG64(92))
@@ -475,7 +489,7 @@ class TestPerronBracket:
         for n in (1, 9, 40, 61):
             adj = perron_test_stack(n, rng)
             lam = [np.linalg.eigvalsh(a.astype(np.float64))[-1] for a in adj]
-            assert _lambda1(adj, [bytes([i]) for i in range(len(adj))]) == lam
+            assert _lambda1(adj) == lam
         rows = stability_experiment(15, [0, 4, 40], 5, 3)
         children = np.random.SeedSequence(3).spawn(len(rows))
         for row, child in zip(rows, children):
@@ -492,14 +506,14 @@ class TestPerronBracket:
             pytest.skip("longdouble is not extended here")
         calls = []
 
-        def recording_lambda1(adj, keys):
-            calls.append((adj, keys))
-            return _lambda1(adj, keys)
+        def recording_lambda1(adj):
+            calls.append(adj)
+            return _lambda1(adj)
 
         monkeypatch.setattr(bngap.stability, "_lambda1", recording_lambda1)
         stability_experiment(60, [0, 10, 50], 20, 0)
-        [(adj, keys)] = calls
-        got = np.array(_lambda1(adj, keys))
+        [adj] = calls
+        got = np.array(_lambda1(adj))
         lam = np.linalg.eigvalsh(adj.astype(np.float64))[:, -1]
         a = adj.astype(np.longdouble)
         x = np.ones(a.shape[:2], dtype=np.longdouble)
@@ -566,13 +580,13 @@ class TestExperiment:
         # At the defaults, the 12 rows are one descent group and one float
         # sub-chunk.
         group = bngap.stability._GROUP_ENTRIES
-        assert min(group, bngap.search._CHUNK_ENTRIES) // (n * n) >= 12
+        assert min(group, bngap.spectra._CHUNK_ENTRIES) // (n * n) >= 12
         rows = stability_experiment(*args)
         # One row per group; then one group over float sub-chunks of 5, 5
         # and 2 rows.
-        for entries in ((1, bngap.search._CHUNK_ENTRIES), (group, 5 * n * n)):
+        for entries in ((1, bngap.spectra._CHUNK_ENTRIES), (group, 5 * n * n)):
             monkeypatch.setattr(bngap.stability, "_GROUP_ENTRIES", entries[0])
-            monkeypatch.setattr(bngap.search, "_CHUNK_ENTRIES", entries[1])
+            monkeypatch.setattr(bngap.spectra, "_CHUNK_ENTRIES", entries[1])
             assert stability_experiment(*args) == rows
         self.check_rows_are_their_graphs(rows, n, args[3])
 
