@@ -379,11 +379,13 @@ class TestStability:
     # n = 10 run is exact.  At k = 40 of 75 edges the local optima fall
     # below k.  Every row of the n = 60 and n = 100 runs, and 10 of the 15
     # of the n = 15 run, has a greedy cost certified optimal.  The n = 100
-    # run spans two descent groups and many float sub-chunks.  In the
-    # n = 61 and n = 10 runs many rows drew the same pairs (the 20 of k = 0,
-    # and repeats of k = 1): only 41 of the 60 rows and 19 of the 40 rows
-    # differ.  T(61, 3) is not regular, so its k = 0 rows take several
-    # products.
+    # run spans two descent groups, and its lambda1 runs over float
+    # sub-stacks of at most 3 rows.  In the n = 61 and n = 10 runs many rows
+    # drew the same pairs (the 20 of k = 0, and repeats of k = 1): only 41
+    # of the 60 rows and 19 of the 40 rows differ.  T(61, 3) is not
+    # regular, so its k = 0 rows take several products.  In the n = 40 run
+    # 15 of the 20 rows descend from their random starts, and its k = 300
+    # rows reach 233 edits.
     @pytest.mark.parametrize("argv, digest", [
         (("--n-max", "60", "--grid", "0,10,50", "--samples", "20", "--seed", "0"),
          "62bc096b653c4f54829ea5780f964668d54aa51086ecb000a2428f4125bdeb90"),
@@ -395,6 +397,8 @@ class TestStability:
          "1a3dc12831bcc9012ce51d562edc3d138dc64fb42341322f87a4d115a2af9855"),
         (("--n-max", "10", "--grid", "0,1", "--samples", "20", "--seed", "2"),
          "23f98af2dc6863e0aa2a2bbe5e922cfd42a348acbe695eeae8223a9961be7c11"),
+        (("--n-max", "40", "--grid", "150,300", "--samples", "10", "--seed", "4"),
+         "dfcbaeaa17b532fbccc4718b3a4b9132e7b6cacc2d44843fd5a43eb4cf5d78e2"),
     ])
     def test_local_search_golden_bytes(self, argv, digest):
         code, out, _ = run_cli("stability", *argv)
