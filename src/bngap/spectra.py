@@ -11,9 +11,8 @@ A float64 adjacency stack of shape (B, n, n) holds at most
 ``_CHUNK_ENTRIES`` matrix entries (2^15 doubles, 256 KiB), B =
 ``_chunk_size(n)``: 910 graphs at n = 6, 9 at n = 60, one graph at n >=
 129.  The exhaustive engine's batched ``eigvalsh`` and a stability group's
-Perron iteration, fallback ``eigvalsh`` and cost-table matmuls are all
-built one such stack at a time, which bounds their working memory whatever
-the family or group size.
+Perron iteration and fallback ``eigvalsh`` are built one such stack at a
+time, which bounds their working memory whatever the family or group size.
 """
 
 from __future__ import annotations

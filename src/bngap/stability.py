@@ -20,7 +20,7 @@ Mattheyses, DAC 1982, without buckets).  All descents of a group of graphs
 run in lockstep on one int16 table of the first three terms, shape
 (descents, 3, n): one numpy scan per step finds every descent's move, and
 the moved vertex's row of the int8 move-sign stack updates two rows of its
-table.
+table.  The same rows build every table, in integers (see ``_move_signs``).
 
 ``stability_experiment`` runs its rows in descent groups whose int8
 adjacency stack holds at most ``_GROUP_ENTRIES`` entries (2^18, 256 KiB:
@@ -29,10 +29,9 @@ adjacency of T(n, 3) with its drawn pairs zeroed, so no ``Graph`` is built
 or packed per row, and its edge count is m(T(n, 3)) - k.  The float64
 matrices of the rows are made one sub-stack of at most
 ``spectra._CHUNK_ENTRIES`` entries at a time, for the power iteration
-that gives lambda1, and likewise for the matmul that fills the cost
-tables.  The iteration runs on A + cI from the all-ones vector; its
-iterates stay positive, so the Rayleigh quotient and the Collatz-Wielandt
-bound max_i (Ax)_i / x_i bracket lambda1.  A row reports its Rayleigh
+that gives lambda1: on A + cI from the all-ones vector, whose iterates
+stay positive, so the Rayleigh quotient and the Collatz-Wielandt bound
+max_i (Ax)_i / x_i bracket lambda1.  A row reports its Rayleigh
 quotient once the bracket is at most _PERRON_TOL * max(1, RQ) wide (after
 at most 19 products on the benchmark run), and the rows of a sub-stack
 still open after _PERRON_STEPS products take the value of one batched
@@ -56,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -137,62 +135,50 @@ def _exact_search(adj: tuple[int, ...], assignment: list[int], v: int,
     return best
 
 
-def _greedy_starts(adj: np.ndarray) -> np.ndarray:
-    """Per graph of the (B, n, n) stack, assign vertices in index order,
-    each to the first part of least added cost; shape (B, n).
+def _greedy_starts(sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per graph of the (B, n, n) move-sign stack, assign vertices in index
+    order, each to the first part of least added cost; returns the (B, n)
+    assignments and their int16 cost tables, shape (B, 3, n).
 
-    With N[p][v] the neighbours of v among the assigned vertices of part p,
-    v adds 2 N[p][v] - size[p] plus a term that is the same for every part.
-    The int16 table of 2 N[p][w] - size[p], shape (B, 3, n), gains row v
-    of 2 adj - 1 in part p when v joins p; it lies in [-n, n].
+    Row s[v] joins part p when v does (see ``_move_signs``), so before v is
+    placed its entry for p is what v adds in p, up to a term that is the
+    same for every part; once all are placed, the table is the cost table.
     """
-    b, n, _ = adj.shape
+    b, n, _ = sign.shape
     at = np.arange(b)
-    rows = 2 * adj.astype(np.int16) - 1
     table = np.zeros((b, 3, n), dtype=np.int16)
     assignment = np.empty((b, n), dtype=np.int64)
     for v in range(n):
         part = table[:, :, v].argmin(axis=1)
         assignment[:, v] = part
-        table[at, part] += rows[:, v]
-    return assignment
+        table[at, part] += sign[:, v]
+    return assignment, table
 
 
-def _float_chunks(adj: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
-    """The (B, n, n) int8 stack as float64 sub-stacks of at most
-    ``spectra._CHUNK_ENTRIES`` entries, each with its slice of the stack."""
-    step = _chunk_size(adj.shape[1])
-    for lo in range(0, len(adj), step):
-        at = slice(lo, lo + step)
-        yield at, adj[at].astype(np.float64)
-
-
-def _descend(adj: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _descend(sign: np.ndarray, starts: np.ndarray,
+             cost: np.ndarray) -> np.ndarray:
     """First-improvement single-vertex moves until locally optimal, for
     every start of every graph at once.
 
-    ``adj`` stacks B adjacency matrices (int8, shape (B, n, n)) and
-    ``starts`` holds R assignments per graph (shape (B, R, n)); each start
-    descends in place and its final cost is returned, shape (B, R).
+    ``sign`` stacks the move signs of B graphs (int8, shape (B, n, n)),
+    ``starts`` holds R assignments per graph (shape (B, R, n)) and ``cost``
+    their int16 tables (shape (B * R, 3, n), see ``_move_signs``), which it
+    uses up; each start descends in place and its final cost is returned,
+    shape (B, R).
 
     A descent scans v = 0, 1, ... and moves the first v with an improving
     part to the first such part in 0, 1, 2, then scans again from v = 0.
-    With N[p][v] the neighbours of v in part p, v in part p costs
-    cost[p][v] = 2 N[p][v] - size[p] + [a_v = p], plus n - 1 - deg v
-    whatever p is, so moving v to p improves exactly when
-    cost[p][v] < cost[a_v][v].
+    v in part p costs cost[p][v] plus n - 1 - deg v whatever p is, so
+    moving v to p improves exactly when cost[p][v] < cost[a_v][v].
 
     All descents step in lockstep on one (descents, 3, n) cost array (see
-    ``_step``), and a descent with no move drops out.  A cost is at most
-    N[p][v] and at least -(size[p] - [a_v = p]), so it lies in
-    [1 - n, n - 1]: int16 holds it for every n <= MAX_N = 2048, and int8
-    would overflow from n = 129.
+    ``_step``), and a descent with no move drops out.
     """
     b, r, n = starts.shape
-    cost = _cost_table(adj, starts)
-    # inside + across = (sum_v cost[a_v][v] + n^2 - n - 2m) / 2.
-    total = np.repeat(n * n - n - adj.sum(axis=(1, 2), dtype=np.int64), r)
-    sign = _move_signs(adj)
+    # inside + across = (sum_v cost[a_v][v] + n^2 - n - 2m) / 2, and the
+    # signs sum to 2m - (n^2 - n - 2m).
+    pairs = n * n - n - sign.sum(axis=(1, 2), dtype=np.int64)
+    total = np.repeat(pairs // 2, r)
     live = np.arange(b * r)
     owner = live // r
     a = starts.reshape(b * r, n).copy()
@@ -208,24 +194,30 @@ def _descend(adj: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return (total // 2).reshape(b, r)
 
 
-def _cost_table(adj: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """cost[p][v] of every start, shape (B * R, 3, n), from the (B, n, n)
-    int8 adjacency stack and the (B, R, n) starts, one float sub-stack of
-    the adjacency at a time."""
+def _cost_table(sign: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The int16 cost table of every start, shape (B * R, 3, n), from the
+    (B, n, n) move-sign stack and the (B, R, n) starts: row s[v] is added
+    to part a_v, vertex by vertex (see ``_move_signs``)."""
     b, r, n = starts.shape
-    cost = np.empty((b, r, 3, n), dtype=np.int16)
-    for at, sub in _float_chunks(adj):
-        for p in range(3):
-            in_p = (starts[at] == p).astype(np.float64)
-            count = in_p @ sub  # N[p]; adj is symmetric
-            cost[at, :, p] = 2 * count + in_p - in_p.sum(axis=2, keepdims=True)
+    cost = np.zeros((b, r, 3, n), dtype=np.int16)
+    graph, start = np.arange(b)[:, None], np.arange(r)
+    for v in range(n):
+        cost[graph, start, starts[:, :, v]] += sign[:, None, v]
     return cost.reshape(b * r, 3, n)
 
 
 def _move_signs(adj: np.ndarray) -> np.ndarray:
-    """The int8 stack s with s[w][v] = +1 on an edge, -1 off it and 0 on
-    the diagonal: moving v from old to new changes cost[old][w] by -s and
-    cost[new][w] by +s, and leaves cost[.][v] as it was."""
+    """The int8 stack s of the (B, n, n) adjacency stack: s[u][v] = +1 on
+    an edge, -1 off it and 0 on the diagonal.  Every cost table is built
+    from these rows, since with N[p][v] the neighbours of v in part p
+
+        cost[p][v] = sum of s[u][v] over u in part p
+                   = 2 N[p][v] - size[p] + [a_v = p];
+
+    moving v from old to new adds -s[v] to cost[old] and s[v] to cost[new].
+    A cost sums at most n - 1 signs: int16 holds it for every n <= MAX_N =
+    2048, and int8 would overflow from n = 129.
+    """
     n = adj.shape[1]
     sign = 2 * adj.astype(np.int8) - 1
     sign[:, np.arange(n), np.arange(n)] = 0
@@ -273,11 +265,11 @@ def edit_distance_local(g: Graph, restarts: int, seed: int) -> EditResult:
     the least (cost, assignment) over the descents from all of them."""
     if restarts < 1:
         raise ValueError("need at least one restart")
-    adj = adjacency_matrix(g).astype(np.int8)[None]
+    sign = _move_signs(adjacency_matrix(g).astype(np.int8)[None])
     starts = np.empty((1, restarts, g.n), dtype=np.int64)
-    starts[:, 0] = _greedy_starts(adj)
+    starts[:, 0] = _greedy_starts(sign)[0]
     starts[0, 1:] = _random_starts(seed, restarts - 1, g.n)
-    costs = _descend(adj, starts)
+    costs = _descend(sign, starts, _cost_table(sign, starts))
     cost, assignment = min(zip(costs[0].tolist(),
                                map(tuple, starts[0].tolist())))
     return EditResult(assignment, cost, cost / g.n ** 2, "local_search")
@@ -362,23 +354,27 @@ def _local_edits(adj: np.ndarray, ks: list[int],
     """Per graph of the (B, n, n) int8 stack, T(n, 3) less ``ks[i]`` edges,
     the edits of ``edit_distance_local(g, LOCAL_RESTARTS, seeds[i])``.
 
-    The greedy starts descend first, in one lockstep call.  A greedy cost c
-    is optimal, and so the least over all starts, when c = 0 or when
-    ``_conflict_packing`` packs c triples; none is tried when c > k, since
-    the base tripartition costs k.  Only the other graphs descend from
-    their LOCAL_RESTARTS - 1 random starts, in one more lockstep call.
+    The greedy starts descend first, in one lockstep call from the tables
+    the greedy pass built.  A greedy cost c is optimal, and so the least
+    over all starts, when c = 0 or when ``_conflict_packing`` packs c
+    triples; none is tried when c > k, since the base tripartition costs k.
+    Only the other graphs descend from their LOCAL_RESTARTS - 1 random
+    starts, in one more lockstep call.
     """
     n = adj.shape[1]
-    starts = _greedy_starts(adj)[:, None]
-    costs = _descend(adj, starts)[:, 0].tolist()
+    sign = _move_signs(adj)
+    greedy, cost = _greedy_starts(sign)
+    starts = greedy[:, None]
+    costs = _descend(sign, starts, cost)[:, 0].tolist()
     tried = [i for i, (c, k) in enumerate(zip(costs, ks)) if 0 < c <= k]
     packed = dict(zip(tried, _conflict_packing(adj[tried], starts[tried, 0])))
     searched = [i for i, c in enumerate(costs) if c and packed.get(i) != c]
     if searched:
         randoms = np.stack([_random_starts(seeds[i], LOCAL_RESTARTS - 1, n)
                             for i in searched])
-        best = _descend(adj[searched], randoms).min(axis=1).tolist()
-        for i, c in zip(searched, best):
+        sub = sign[searched]
+        best = _descend(sub, randoms, _cost_table(sub, randoms)).min(axis=1)
+        for i, c in zip(searched, best.tolist()):
             costs[i] = min(costs[i], c)
     return costs
 
@@ -389,12 +385,14 @@ def _lambda1(adj: np.ndarray) -> list[float]:
     the graphs of the sub-stack whose bracket did not close, their value
     from one batched ``eigvalsh``."""
     lam1 = np.empty(len(adj))
-    for at, sub in _float_chunks(adj):
+    step = _chunk_size(adj.shape[1])
+    for lo in range(0, len(adj), step):
+        sub = adj[lo:lo + step].astype(np.float64)
         low = _perron_bracket(sub)[0]
         slow = np.isnan(low)
         if slow.any():
             low[slow] = np.linalg.eigvalsh(sub[slow])[:, -1]
-        lam1[at] = low
+        lam1[lo:lo + step] = low
     return lam1.tolist()
 
 

@@ -134,6 +134,24 @@ def int8_stack(graphs):
     return np.stack([adjacency_matrix(g) for g in graphs]).astype(np.int8)
 
 
+def reference_cost_table(g, assignment):
+    """The oracle for the cost tables, from the definition on ``Graph``
+    rows: cost[p][v] = 2 N[p][v] - size[p] + [a_v = p], with N[p][v] the
+    neighbours of v in part p."""
+    masks = [0, 0, 0]
+    for v, part in enumerate(assignment):
+        masks[part] |= 1 << v
+    return [[2 * (g.adj[v] & masks[p]).bit_count() - masks[p].bit_count()
+             + (assignment[v] == p) for v in range(g.n)] for p in range(3)]
+
+
+def descend(adj, starts):
+    """``_descend`` of the starts of the (B, n, n) int8 stack, from their
+    ``_cost_table``."""
+    sign = _move_signs(adj)
+    return _descend(sign, starts, _cost_table(sign, starts))
+
+
 class RecordedAssignment(list):
     """An assignment list that logs every write, so the reference's moves
     can be replayed."""
@@ -257,20 +275,21 @@ class TestGainTableDescent:
     def check(self, g, start):
         ref = RecordedAssignment(start)
         ref_cost = reference_local_descent(g, ref)
-        adj = int8_stack([g])
+        sign = _move_signs(int8_stack([g]))
         starts = np.array([[start]])
+        table = np.array([reference_cost_table(g, start)], dtype=np.int16)
         # One descent stepped by hand: each step must make the reference's
         # next move, and the step after the last must find none, so a
         # runaway descent fails instead of hanging.
-        cost, a = _cost_table(adj, starts), starts[0].copy()
-        sign, owner = _move_signs(adj), np.zeros(1, dtype=np.intp)
+        cost, a = table.copy(), starts[0].copy()
+        owner = np.zeros(1, dtype=np.intp)
         for v, part in ref.writes:
             found, moved, new, _ = _step(cost, a, sign, owner)
             assert (found.tolist(), moved.tolist(), new.tolist()) == (
                 [True], [v], [part])
         assert _step(cost, a, sign, owner)[0].tolist() == [False]
         assert a[0].tolist() == list(ref)
-        costs = _descend(adj, starts)
+        costs = _descend(sign, starts, table)
         assert costs.tolist() == [[ref_cost]]
         assert starts[0, 0].tolist() == list(ref)
 
@@ -315,17 +334,41 @@ class TestGainTableDescent:
             adj = int8_stack(graphs)
             starts = rng.integers(0, 3, size=(5, 4, n))
             singles = [starts[i:i + 1].copy() for i in range(5)]
-            costs = _descend(adj, starts)
+            costs = descend(adj, starts)
             for i, one in enumerate(singles):
-                assert _descend(adj[i:i + 1], one).tolist() == [costs[i].tolist()]
+                assert descend(adj[i:i + 1], one).tolist() == [costs[i].tolist()]
                 assert (one[0] == starts[i]).all()
+
+    def test_cost_tables_match_the_definition(self):
+        # n = 1..40, and n >= 129, where a cost can leave the int8 range:
+        # dense and sparse draws with starts that put most vertices in one
+        # part.
+        rng = np.random.default_rng(np.random.PCG64(77))
+        sizes = [(n, float(rng.random())) for n in range(1, 41)]
+        sizes += [(129, 0.98), (150, 0.02), (200, 0.97)]
+        widest = 0
+        for n, p in sizes:
+            graphs = [random_graph(n, p, rng) for _ in range(2)]
+            starts = rng.integers(0, 3, size=(2, 4, n))
+            starts[:, 0] = 0
+            starts[:, 1] = rng.random((2, n)) < 0.1
+            sign = _move_signs(int8_stack(graphs))
+            want = [reference_cost_table(g, a.tolist())
+                    for g, each in zip(graphs, starts) for a in each]
+            assert _cost_table(sign, starts).tolist() == want
+            widest = max(widest, abs(np.array(want)).max())
+            greedy, table = _greedy_starts(sign)
+            assert table.tolist() == [reference_cost_table(g, a.tolist())
+                                      for g, a in zip(graphs, greedy)]
+            assert (table == _cost_table(sign, greedy[:, None])).all()
+        assert widest > 127
 
     def test_greedy_matches_reference(self):
         rng = np.random.default_rng(np.random.PCG64(76))
         for n in (1, 2, 9, 40):
             graphs = [random_graph(n, float(rng.random()), rng) for _ in range(4)]
             graphs.append(turan_graph(n, min(3, n)))
-            got = _greedy_starts(int8_stack(graphs))
+            got, _ = _greedy_starts(_move_signs(int8_stack(graphs)))
             assert got.tolist() == [reference_greedy_assignment(g) for g in graphs]
 
     def test_edit_distance_local_matches_reference_restarts(self):
@@ -377,8 +420,10 @@ class TestConflictPacking:
         certified = uncertified = 0
         for g in self.graphs(rng):
             adj = int8_stack([g])
-            starts = _greedy_starts(adj)[:, None]
-            [[cost]] = _descend(adj, starts).tolist()
+            sign = _move_signs(adj)
+            greedy, table = _greedy_starts(sign)
+            starts = greedy[:, None]
+            [[cost]] = _descend(sign, starts, table).tolist()
             if _conflict_packing(adj, starts[:, 0]) == [cost]:
                 assert cost == edit_distance_exact(g).edits
                 certified += cost > 0
@@ -618,9 +663,9 @@ class TestExperiment:
         # start beats the greedy one.
         descents = []
 
-        def recording_descend(adj, starts):
+        def recording_descend(sign, starts, cost):
             descents.append(starts.shape)
-            return _descend(adj, starts)
+            return _descend(sign, starts, cost)
 
         monkeypatch.setattr(bngap.stability, "_descend", recording_descend)
         rows = stability_experiment(15, [0, 4, 40], samples=5, seed=3)
