@@ -2,7 +2,8 @@
 
 Everything that consumes randomness takes a 64-bit seed and runs on a PCG64
 generator; per-restart and per-sample streams are split off the master seed
-with ``numpy.random.SeedSequence.spawn``, so identical inputs reproduce
+as ``numpy.random.SeedSequence.spawn`` splits them (restart i's stream is
+built from i alone, ``_restart_seed``), so identical inputs reproduce
 identical outputs no matter how the work is scheduled.
 
 The generators ``random_graph`` (each pair kept with the given density)
@@ -79,15 +80,26 @@ K4-constrained search state is K4-free, so its clique number comes from
 operations.  The packed edge bitset that breaks ties between equally good
 states is computed only on a tie.  The Zykov walk keeps its exact
 ``clique_number`` per step, the value its monotonicity check reads.
+
+The climb's restarts are independent, so ``hill_climb`` splits them into
+contiguous blocks, one per usable CPU (``_worker_count``): block 0 runs in
+the calling process and each other block in an ``os.fork``ed child, which
+sends its block's ``_Best``, iterations and accepted count back as one
+pickle over a pipe.  The block bests are offered to one ``_Best`` in block
+order, which keeps the first offered state of highest (objective,
+-bitset), the serial run's best, so the output bytes do not depend on the
+worker count.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import accumulate, combinations, islice, permutations
-from typing import Callable, Iterable, Iterator, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -794,6 +806,80 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence,
     return iterations, accepted
 
 
+def _restart_seed(seed: int, i: int) -> np.random.SeedSequence:
+    """The seed stream of restart i: ``SeedSequence(seed).spawn(k)[i]`` for
+    every k > i, built without the streams before it."""
+    return np.random.SeedSequence(seed, spawn_key=(i,))
+
+
+def _run_block(cfg: SearchConfig, lo: int,
+               hi: int) -> tuple[_Best, int, int]:
+    """Restarts lo..hi-1 in order, offering their states to one ``_Best``;
+    that best, and the block's iterations and accepted moves."""
+    best = _Best()
+    iterations = accepted = 0
+    for i in range(lo, hi):
+        its, acc = _run_restart(cfg, _restart_seed(cfg.seed, i), best)
+        iterations += its
+        accepted += acc
+    return best, iterations, accepted
+
+
+def _worker_count(restarts: int) -> int:
+    """Processes that share the restarts: one per CPU this process may run
+    on, at most one per restart, and 1 without ``os.fork`` or
+    ``os.sched_getaffinity``."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(restarts, len(os.sched_getaffinity(0)))
+
+
+def _fork_block(cfg: SearchConfig, lo: int, hi: int) -> tuple[int, BinaryIO]:
+    """Fork a child that runs ``_run_block(cfg, lo, hi)``; its pid and the
+    read end of its pipe.
+
+    The child writes the block's result as one pickle and exits 0, or
+    writes the error it met as text and exits 1.  It leaves by
+    ``os._exit``, so it runs none of the caller's cleanup and flushes none
+    of its buffers.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        # The child never returns into the caller's frames: whatever it
+        # meets, interrupts included, is reported here and ends it.
+        code = 1
+        try:
+            os.close(read)
+            try:
+                payload, ok = pickle.dumps(_run_block(cfg, lo, hi)), True
+            except BaseException as exc:
+                payload, ok = f"{type(exc).__name__}: {exc}".encode(), False
+            with open(write, "wb") as pipe:
+                pipe.write(payload)
+            code = 0 if ok else 1
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, open(read, "rb")
+
+
+def _block_result(lo: int, hi: int, payload: bytes,
+                  code: int) -> tuple[_Best, int, int]:
+    """The result a child sent for restarts lo..hi-1, given its exit code
+    (minus the signal that killed it); ChildProcessError unless 0."""
+    if code == 0:
+        return pickle.loads(payload)
+    why = payload.decode(errors="replace") or f"exit code {code}"
+    raise ChildProcessError(f"search worker for restarts {lo}..{hi - 1} "
+                            f"failed: {why}")
+
+
 def hill_climb(cfg: SearchConfig) -> HillClimbResult:
     """First-improvement local search over graphs with sideways moves.
 
@@ -803,14 +889,42 @@ def hill_climb(cfg: SearchConfig) -> HillClimbResult:
     before the restart ends.  Ties between equally good states across the
     whole run go to the lexicographically smallest packed edge bitset.
 
-    Restarts run in order on independent spawned seed streams, and each
-    one's start and accepted states are offered to one ``_Best``.
+    Restart i runs on the seed stream ``_restart_seed(cfg.seed, i)``.  The
+    restarts are split into ``_worker_count`` contiguous blocks: block 0
+    runs here and each other block in a forked child (``_fork_block``).
+    Each block offers its restarts' starts and accepted states, in order, to
+    a ``_Best`` of its own, and the block bests are offered in block order
+    to one ``_Best``, so the result is that of the restarts run in order in
+    one process.  The children are reaped before this returns, and killed
+    first if it raises; a child that fails or dies raises
+    ChildProcessError.
     """
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    workers = _worker_count(cfg.restarts)
+    bounds = [cfg.restarts * k // workers for k in range(workers + 1)]
+    blocks = list(zip(bounds, bounds[1:]))
+    forked: list[tuple[int, BinaryIO]] = []
+    done = False
+    try:
+        for lo, hi in blocks[1:]:
+            forked.append(_fork_block(cfg, lo, hi))
+        results = [_run_block(cfg, *blocks[0])]
+        payloads = [pipe.read() for _, pipe in forked]
+        done = True
+    finally:
+        if not done:
+            from signal import SIGKILL  # not loaded on the CLI's import path
+            for pid, _ in forked:
+                os.kill(pid, SIGKILL)
+        codes = []
+        for pid, pipe in forked:
+            pipe.close()
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (lo, hi), payload, code in zip(blocks[1:], payloads, codes):
+        results.append(_block_result(lo, hi, payload, code))
     best = _Best()
     iterations = accepted = 0
-    for child in children:
-        its, acc = _run_restart(cfg, child, best)
+    for block_best, its, acc in results:
+        best.offer(block_best.objective, block_best.graph, block_best.report)
         iterations += its
         accepted += acc
     if best.report is None:
@@ -821,7 +935,7 @@ def hill_climb(cfg: SearchConfig) -> HillClimbResult:
         # giving K2, which is excluded and scores -inf.
         return HillClimbResult(cfg, Graph._unchecked(cfg.n, (0,) * cfg.n), None,
                                float("-inf"), False, iterations, accepted,
-                               len(children))
+                               cfg.restarts)
     return HillClimbResult(cfg, best.graph, best.report, best.objective,
                            best.report.violation, iterations, accepted,
-                           len(children))
+                           cfg.restarts)

@@ -196,13 +196,15 @@ def _descend(sign: np.ndarray, starts: np.ndarray,
 
 def _cost_table(sign: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The int16 cost table of every start, shape (B * R, 3, n), from the
-    (B, n, n) move-sign stack and the (B, R, n) starts: row s[v] is added
-    to part a_v, vertex by vertex (see ``_move_signs``)."""
+    (B, n, n) move-sign stack and the (B, R, n) starts: part p's rows are
+    the sums of the sign rows of its vertices (see ``_move_signs``), one
+    int16 ``einsum`` of the mask ``starts == p`` against the stack."""
     b, r, n = starts.shape
-    cost = np.zeros((b, r, 3, n), dtype=np.int16)
-    graph, start = np.arange(b)[:, None], np.arange(r)
-    for v in range(n):
-        cost[graph, start, starts[:, :, v]] += sign[:, None, v]
+    sign = sign.astype(np.int16)
+    cost = np.empty((b, r, 3, n), dtype=np.int16)
+    for p in range(3):
+        cost[:, :, p] = np.einsum("bru,buv->brv",
+                                  (starts == p).astype(np.int16), sign)
     return cost.reshape(b * r, 3, n)
 
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import time
 from bisect import bisect_right
 from dataclasses import asdict
 
@@ -29,6 +31,8 @@ from bngap.search import (
     _fold,
     _move_key,
     _objective,
+    _restart_seed,
+    _worker_count,
     SweepSummary,
     exhaustive_check,
     hill_climb,
@@ -369,6 +373,8 @@ class TestHillClimb:
                 best.offer(obj, g, bn_report(g, source))
             return 1, len(states)
 
+        # The spy draws from an iterator in this process: one worker.
+        use_workers(monkeypatch, 1)
         monkeypatch.setattr(bngap.search, "_run_restart", run_restart)
         res = hill_climb(SearchConfig(seed=0, n=4, restarts=5))
         assert res.best_report.source == "first p4" and res.best_graph == p4
@@ -476,6 +482,8 @@ class TestHillClimb:
         def no_complement(g):
             raise AssertionError("complement built")
 
+        # The spy counts in this process: one worker.
+        use_workers(monkeypatch, 1)
         monkeypatch.setattr(bngap.search, "adjacency_matrix", counted)
         monkeypatch.setattr(Graph, "complement", no_complement)
         for k4_constrained in (True, False):
@@ -595,6 +603,136 @@ class TestHillClimb:
             if res.best_report is not None:
                 assert not (res.found_violation and res.best_report.excluded)
                 assert not res.best_report.excluded or not res.found_violation
+
+
+def use_workers(monkeypatch, count):
+    """Split the restarts into min(restarts, count) blocks, whatever the
+    CPU count."""
+    monkeypatch.setattr(bngap.search, "_worker_count",
+                        lambda restarts: min(restarts, count))
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelRestarts:
+    def test_worker_count_is_capped(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0))
+        assert _worker_count(1) == 1
+        assert _worker_count(10 ** 9) == cpus
+        monkeypatch.delattr(os, "fork")
+        assert _worker_count(10 ** 9) == 1
+
+    @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
+    def test_restart_streams_by_index_equal_spawn(self, seed):
+        for k in range(1, 9):
+            spawned = np.random.SeedSequence(seed).spawn(k)
+            for i, child in enumerate(spawned):
+                ours = _restart_seed(seed, i)
+                assert (ours.generate_state(8).tolist()
+                        == child.generate_state(8).tolist())
+                assert (np.random.default_rng(np.random.PCG64(ours)).random(4).tolist()
+                        == np.random.default_rng(np.random.PCG64(child)).random(4).tolist())
+
+    @pytest.mark.parametrize("method", ["k4free", "free"])
+    @pytest.mark.parametrize("objective", ["bn-gap", "lambda1"])
+    @pytest.mark.parametrize("restarts", [1, 2, 6])
+    def test_worker_count_keeps_the_bytes(self, monkeypatch, capsys, restarts,
+                                          objective, method):
+        argv = ["search", "--n-max", "8", "--restarts", str(restarts),
+                "--steps", "150", "--seed", "4", "--objective", objective,
+                "--method", method]
+        cfg = SearchConfig(seed=4, n=8, max_iters=150, restarts=restarts,
+                           k4_constrained=method == "k4free",
+                           objective={"bn-gap": "bn_gap_negated",
+                                      "lambda1": "lambda1"}[objective])
+        runs = []
+        for count in (1, 2, 3, 7):
+            use_workers(monkeypatch, count)
+            res = hill_climb(cfg)
+            assert_no_child()
+            assert cli.main(argv) == 0
+            assert_no_child()
+            runs.append((res, repr(res.best_objective), capsys.readouterr().out))
+        assert all(run == runs[0] for run in runs)
+        assert runs[0][0].restarts_run == restarts
+
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_block_bests_merge_to_the_serial_best(self, monkeypatch, seed):
+        # Restarts offer random states of two objectives and two graphs, so
+        # ties decide the best, and each report names its offer.
+        rng = np.random.default_rng(seed)
+        pool = [path_graph(4), cycle_graph(4)]
+        offers = [[(float(rng.integers(2)), int(rng.integers(2)))
+                   for _ in range(rng.integers(1, 4))] for _ in range(6)]
+        reports = {}
+
+        def report(i, r, j):
+            return reports.setdefault((i, r, j), bn_report(pool[j], f"{i}:{r}"))
+
+        serial = _Best()
+        for i, states in enumerate(offers):
+            for r, (obj, j) in enumerate(states):
+                serial.offer(obj, pool[j], report(i, r, j))
+        # The best state is offered by more than one restart.
+        assert sum((serial.objective, pool.index(serial.graph)) in states
+                   for states in offers) >= 2
+
+        def run_restart(cfg, child, best):
+            i = child.spawn_key[-1]
+            for r, (obj, j) in enumerate(offers[i]):
+                best.offer(obj, pool[j], report(i, r, j))
+            return 1, len(offers[i])
+
+        monkeypatch.setattr(bngap.search, "_run_restart", run_restart)
+        for count in range(1, 7):
+            use_workers(monkeypatch, count)
+            res = hill_climb(SearchConfig(seed=0, n=4, restarts=6))
+            assert_no_child()
+            assert (res.best_report, res.best_graph) == (serial.report, serial.graph)
+            assert res.best_objective == serial.objective
+            assert (res.iterations, res.accepted) == (6, sum(map(len, offers)))
+
+    @pytest.mark.parametrize("failure", ["raises", "dies"])
+    def test_failed_worker_is_a_usage_error(self, monkeypatch, capsys, failure):
+        real = bngap.search._run_restart
+
+        def run_restart(cfg, child, best):
+            if child.spawn_key == (4,):  # in the second of two blocks
+                if failure == "dies":
+                    os._exit(3)
+                raise RuntimeError("restart 4 broke")
+            return real(cfg, child, best)
+
+        monkeypatch.setattr(bngap.search, "_run_restart", run_restart)
+        use_workers(monkeypatch, 2)
+        assert cli.main(["search", "--n-max", "8", "--restarts", "6",
+                         "--steps", "50"]) == 2
+        assert_no_child()
+        out, err = capsys.readouterr()
+        assert out == ""
+        want = ("RuntimeError: restart 4 broke" if failure == "raises"
+                else "exit code 3")
+        assert err == ("bngap: error: search worker for restarts 3..5 "
+                       f"failed: {want}\n")
+
+    def test_failure_here_kills_the_workers(self, monkeypatch, capsys):
+        # Block 0 fails at once while the other blocks would run on for a
+        # minute: they are killed, not waited for.
+        def run_restart(cfg, child, best):
+            if child.spawn_key == (0,):
+                raise ValueError("restart 0 broke")
+            time.sleep(60)
+
+        monkeypatch.setattr(bngap.search, "_run_restart", run_restart)
+        use_workers(monkeypatch, 3)
+        start = time.monotonic()
+        assert cli.main(["search", "--n-max", "30", "--restarts", "3"]) == 2
+        assert time.monotonic() - start < 30
+        assert_no_child()
+        assert capsys.readouterr().err == "bngap: error: restart 0 broke\n"
 
 
 def test_random_graph_rejects_density_outside_unit_interval():
