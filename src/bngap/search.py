@@ -82,13 +82,14 @@ states is computed only on a tie.  The Zykov walk keeps its exact
 ``clique_number`` per step, the value its monotonicity check reads.
 
 The climb's restarts are independent, so ``hill_climb`` splits them into
-contiguous blocks, one per usable CPU (``_worker_count``): block 0 runs in
-the calling process and each other block in an ``os.fork``ed child, which
-sends its block's ``_Best``, iterations and accepted count back as one
-pickle over a pipe.  The block bests are offered to one ``_Best`` in block
-order, which keeps the first offered state of highest (objective,
--bitset), the serial run's best, so the output bytes do not depend on the
-worker count.
+contiguous blocks, one per usable CPU where that pays (``_worker_count``:
+n below 64, where each eigensolve runs on one BLAS thread, and enough
+iterations to repay the forks).  Block 0 runs in the calling process and
+each other block in an ``os.fork``ed child, which sends its block's
+``_Best``, iterations and accepted count back as one pickle over a pipe.
+The block bests are offered to one ``_Best`` in block order, which keeps
+the first offered state of highest (objective, -bitset), the serial run's
+best, so the output bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -825,13 +826,21 @@ def _run_block(cfg: SearchConfig, lo: int,
     return best, iterations, accepted
 
 
-def _worker_count(restarts: int) -> int:
+def _worker_count(cfg: SearchConfig) -> int:
     """Processes that share the restarts: one per CPU this process may run
-    on, at most one per restart, and 1 without ``os.fork`` or
-    ``os.sched_getaffinity``."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    on, at most one per restart and one per 250 iterations of the run; 1
+    from n = 64 up, and without ``os.fork`` or ``os.sched_getaffinity``.
+
+    Workers pay only where an eigensolve runs on one thread.  OpenBLAS,
+    numpy's default BLAS, threads ``eigvalsh`` of a climb state from n = 64
+    up, and there one process per CPU, each with a BLAS thread per CPU, took
+    1.2 to 24 times the serial wall time (2 CPUs).  A block also needs about
+    250 iterations to repay a fork's round trip of about 2.6 ms."""
+    if (cfg.n >= 64 or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")):
         return 1
-    return min(restarts, len(os.sched_getaffinity(0)))
+    blocks = cfg.restarts * cfg.max_iters // 250
+    return max(1, min(cfg.restarts, blocks, len(os.sched_getaffinity(0))))
 
 
 def _fork_block(cfg: SearchConfig, lo: int, hi: int) -> tuple[int, BinaryIO]:
@@ -899,7 +908,7 @@ def hill_climb(cfg: SearchConfig) -> HillClimbResult:
     first if it raises; a child that fails or dies raises
     ChildProcessError.
     """
-    workers = _worker_count(cfg.restarts)
+    workers = _worker_count(cfg)
     bounds = [cfg.restarts * k // workers for k in range(workers + 1)]
     blocks = list(zip(bounds, bounds[1:]))
     forked: list[tuple[int, BinaryIO]] = []

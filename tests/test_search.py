@@ -320,6 +320,12 @@ class TestZykovTrajectory:
 
 
 class TestHillClimb:
+    @pytest.fixture(autouse=True)
+    def one_worker(self, monkeypatch):
+        # The spies here record in the calling process, so every restart
+        # runs there; TestParallelRestarts covers the worker counts.
+        use_workers(monkeypatch, 1)
+
     def test_reaches_equality_k4_constrained(self):
         res = hill_climb(SearchConfig(seed=11, n=6, max_iters=300, restarts=10,
                                       k4_constrained=True))
@@ -373,8 +379,6 @@ class TestHillClimb:
                 best.offer(obj, g, bn_report(g, source))
             return 1, len(states)
 
-        # The spy draws from an iterator in this process: one worker.
-        use_workers(monkeypatch, 1)
         monkeypatch.setattr(bngap.search, "_run_restart", run_restart)
         res = hill_climb(SearchConfig(seed=0, n=4, restarts=5))
         assert res.best_report.source == "first p4" and res.best_graph == p4
@@ -482,8 +486,6 @@ class TestHillClimb:
         def no_complement(g):
             raise AssertionError("complement built")
 
-        # The spy counts in this process: one worker.
-        use_workers(monkeypatch, 1)
         monkeypatch.setattr(bngap.search, "adjacency_matrix", counted)
         monkeypatch.setattr(Graph, "complement", no_complement)
         for k4_constrained in (True, False):
@@ -607,9 +609,9 @@ class TestHillClimb:
 
 def use_workers(monkeypatch, count):
     """Split the restarts into min(restarts, count) blocks, whatever the
-    CPU count."""
+    CPU count, n and run length."""
     monkeypatch.setattr(bngap.search, "_worker_count",
-                        lambda restarts: min(restarts, count))
+                        lambda cfg: min(cfg.restarts, count))
 
 
 def assert_no_child():
@@ -620,10 +622,24 @@ def assert_no_child():
 class TestParallelRestarts:
     def test_worker_count_is_capped(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0))
-        assert _worker_count(1) == 1
-        assert _worker_count(10 ** 9) == cpus
+
+        def count(n=30, restarts=10 ** 9, max_iters=2000):
+            return _worker_count(SearchConfig(seed=0, n=n, restarts=restarts,
+                                              max_iters=max_iters))
+
+        assert count(restarts=1) == 1
+        assert count() == cpus
+        # From n = 64 up an eigensolve is threaded: one process.
+        assert count(n=63) == cpus
+        assert count(n=64) == count(n=2048) == 1
+        # At most one block per 250 iterations of the run.
+        assert count(restarts=2, max_iters=0) == 1
+        assert count(restarts=2, max_iters=124) == 1
+        assert count(restarts=2, max_iters=125) == 1
+        assert count(restarts=2, max_iters=250) == min(2, cpus)
+        assert count(restarts=6, max_iters=125) == min(3, cpus)
         monkeypatch.delattr(os, "fork")
-        assert _worker_count(10 ** 9) == 1
+        assert count() == 1
 
     @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
     def test_restart_streams_by_index_equal_spawn(self, seed):
