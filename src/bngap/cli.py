@@ -254,15 +254,7 @@ def _cmd_search(run: _Run) -> int:
         init_density=args.density,
     )
     result = hill_climb(cfg)
-    run.emit(dumps({
-        "config": asdict(cfg),
-        "best_objective": result.best_objective,
-        "best_report": vars(result.best_report) if result.best_report else None,
-        "found_violation": result.found_violation,
-        "iterations": result.iterations,
-        "accepted": result.accepted,
-        "restarts_run": result.restarts_run,
-    }))
+    run.emit(dumps({k: v for k, v in asdict(result).items() if k != "best_graph"}))
     if result.best_report:
         _status(f"search: best gap {result.best_report.gap!r}"
                 f" over {result.iterations} iterations")

@@ -22,13 +22,14 @@ dense eigensolve therefore gives all of them.
 ``_secular_solves`` is the one derivation: it reads the distinct sizes p
 and their multiplicities t off a zero-padded array of part sizes with
 numpy, stacks the matrices of equal s into one (k, s, s) array and makes
-one batched ``eigvalsh`` call per s.  Its readers: ``secular_root_range``
-takes the largest and the smallest root of each row of a sweep chunk
-(lambda1, and with the largest pole lambda_n); ``secular_roots`` takes all
-roots of a one-row array, and ``multipartite_spectrum`` that row's roots
-and the poles of its p and t, as a ``SecularSpectrum``, the
-``spectrum --parts`` record.  numpy solves each matrix of a stack with the
-same LAPACK call as a single solve, so a root is the same float either way.
+one batched ``eigvalsh`` call per s.  Its two readers:
+``secular_root_range`` takes the largest and the smallest root of each row
+of a sweep chunk (lambda1, and with the largest pole lambda_n), and
+``multipartite_spectrum`` all roots of a one-row array and the poles of its
+p and t, as a ``SecularSpectrum``, the ``spectrum --parts`` record, whose
+roots ``secular_roots`` returns.  numpy solves each matrix of a stack with
+the same LAPACK call as a single solve, so a root is the same float either
+way.
 """
 
 from __future__ import annotations
@@ -104,8 +105,7 @@ def secular_roots(parts: PartSizes) -> tuple[float, ...]:
     The first is the unique positive root; the rest interlace the distinct
     poles, one strictly between each consecutive pair.
     """
-    [(_, _, _, roots)] = _secular_solves(np.array([parts.sizes]))
-    return tuple(roots[0, ::-1].tolist())
+    return multipartite_spectrum(parts).secular_roots
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Family sweeps, exhaustive checks, seeded generators, and gap search.
 
-Everything that consumes randomness takes a 64-bit seed and runs on a PCG64
+Every run that consumes randomness takes a 64-bit seed and runs on a PCG64
 generator; per-restart and per-sample streams are split off the master seed
 as ``numpy.random.SeedSequence.spawn`` splits them (restart i's stream is
 built from i alone, ``_restart_seed``), so identical inputs reproduce
 identical outputs no matter how the work is scheduled.
 
-The generators ``random_graph`` (each pair kept with the given density)
-and ``random_k4_free`` (a random tripartite split, each cross pair kept so
-as to target the density; K4-free by construction, the hill climb's start)
+The generators ``random_graph(n, density, rng)`` (each pair kept with the
+given density) and ``random_k4_free(n, density, rng)`` (a random tripartite
+split, each cross pair kept so as to target the density; K4-free by
+construction) draw from the caller's ``numpy.random.Generator``: a hill
+climb restart passes its own stream to the one that makes its start.  Both
 set both bits of every pair they keep and skip ``Graph`` validation (see
 ``bngap.graphs``).  Edge codes, the clique table's masks included, come
 from ``bngap.graphs``; ``graph6_pairs`` is read here only as index arrays:
@@ -33,8 +35,8 @@ and flags as from ``bn_report``.  There are three producers:
   reads: a chunk's least gap that lowers the running one, and each
   violator, its row read back with ``multipartite_report``.
 * a graph6 stream, checked in runs of consecutive records with the same
-  n.  A run of edgeless graphs is only counted, since n = 1 has no second
-  eigenvalue.
+  n >= 2.  A record with n = 1 is only counted, as out of domain, since
+  K1 has no second eigenvalue.
 * the labeled graphs on 1..N vertices, K1 counted as out of domain and
   each n from 2 up folded into the one summary by ``_fold_labeled``, one
   isomorphism class at a time, since isomorphic graphs have the same
@@ -462,18 +464,14 @@ def exhaustive_check(
     chunk: list[tuple[int, Graph]] = []
 
     def flush() -> None:
+        # Every graph has n >= 2, so every complete graph has an edge.
         graphs = [g for _, g in chunk]
         m = np.array([g.m for g in graphs])
-        live = m >= 1
-        if live.any():
-            # Some graph has an edge, so n >= 2 and every complete graph is live.
-            terms = _stack_terms(np.stack([adjacency_matrix(g) for g in graphs]),
-                                 m, np.array([clique_number(g) for g in graphs]))
-            _fold(res.summary, terms, live, lambda i: graph6_tag(chunk[i][0]),
-                  lambda i: bn_report(graphs[i], source=graph6_tag(chunk[i][0])),
-                  on_violation)
-        else:
-            res.summary.out_of_domain += len(m)
+        terms = _stack_terms(np.stack([adjacency_matrix(g) for g in graphs]),
+                             m, np.array([clique_number(g) for g in graphs]))
+        _fold(res.summary, terms, m >= 1, lambda i: graph6_tag(chunk[i][0]),
+              lambda i: bn_report(graphs[i], source=graph6_tag(chunk[i][0])),
+              on_violation)
         chunk.clear()
 
     for lineno, line in graph6_records(source):
@@ -482,6 +480,9 @@ def exhaustive_check(
         except Graph6Error as exc:
             on_malformed(lineno, str(exc))
             res.malformed += 1
+            continue
+        if g.n == 1:  # K1 has no second eigenvalue
+            res.summary.out_of_domain += 1
             continue
         if chunk and (chunk[0][1].n != g.n or len(chunk) == _chunk_size(g.n)):
             flush()
@@ -509,22 +510,16 @@ def random_graph(n: int, density: float, rng: np.random.Generator) -> Graph:
     return Graph._unchecked(n, tuple(rows))
 
 
-def random_k4_free(n: int, target_density: float, seed: int) -> Graph:
-    """Seeded K4-free graph with roughly the requested edge density.
+def random_k4_free(n: int, density: float, rng: np.random.Generator) -> Graph:
+    """K4-free graph with roughly the requested edge density.
 
     Each vertex joins one of three parts at random, and each cross pair is
     kept with the probability that targets ``density * C(n,2)`` edges; the
     output is 3-partite, hence K4-free by construction.
     """
-    rng = np.random.default_rng(np.random.PCG64(seed))
-    return _random_k4_free_rng(n, target_density, rng)
-
-
-def _random_k4_free_rng(n: int, target_density: float,
-                        rng: np.random.Generator) -> Graph:
     check_vertex_count(n)
-    _check_density(target_density)
-    target_m = int(round(target_density * (n * (n - 1) // 2)))
+    _check_density(density)
+    target_m = int(round(density * (n * (n - 1) // 2)))
     labels = rng.integers(0, 3, size=n)
     rows = [0] * n
     cross = [(u, v) for u, v in combinations(range(n), 2)
@@ -624,6 +619,7 @@ class SearchConfig:
     init_density: float = 0.5
 
     def __post_init__(self) -> None:
+        check_vertex_count(self.n)
         if self.restarts < 1:
             raise ValueError(f"need at least one restart, got {self.restarts}")
         if self.max_iters < 0:
@@ -635,10 +631,13 @@ class SearchConfig:
 
 @dataclass
 class HillClimbResult:
+    """The result of ``hill_climb``: its fields but ``best_graph``, in
+    order, are the ``search`` output record."""
+
     config: SearchConfig
     best_graph: Graph
-    best_report: BnReport | None
     best_objective: float
+    best_report: BnReport | None
     found_violation: bool
     iterations: int
     accepted: int
@@ -728,7 +727,7 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence,
     # a K4 is skipped, and neither a deletion nor a Zykov replacement can
     # raise the clique number: every state is K4-free.
     if cfg.k4_constrained:
-        current = _random_k4_free_rng(cfg.n, cfg.init_density, rng)
+        current = random_k4_free(cfg.n, cfg.init_density, rng)
     else:
         current = random_graph(cfg.n, cfg.init_density, rng)
     # The state is carried as (graph, adjacency matrix, edge count).  A
@@ -942,9 +941,9 @@ def hill_climb(cfg: SearchConfig) -> HillClimbResult:
         # whose two vertices share a part) and accepted no addition, none
         # being drawn or, at n = 2 under ``bn_gap_negated``, the only one
         # giving K2, which is excluded and scores -inf.
-        return HillClimbResult(cfg, Graph._unchecked(cfg.n, (0,) * cfg.n), None,
-                               float("-inf"), False, iterations, accepted,
+        return HillClimbResult(cfg, Graph._unchecked(cfg.n, (0,) * cfg.n),
+                               float("-inf"), None, False, iterations, accepted,
                                cfg.restarts)
-    return HillClimbResult(cfg, best.graph, best.report, best.objective,
+    return HillClimbResult(cfg, best.graph, best.objective, best.report,
                            best.report.violation, iterations, accepted,
                            cfg.restarts)

@@ -102,8 +102,10 @@ def build_corpus() -> list[tuple[str, Graph]]:
     ]:
         rng = np.random.default_rng(np.random.PCG64(seed))
         corpus.append((f"ER({n},{density})#{seed}", random_graph(n, density, rng)))
-    corpus.append(("k4free-tri(15)", random_k4_free(15, 0.5, seed=201)))
-    corpus.append(("k4free-tri(30)", random_k4_free(30, 0.4, seed=202)))
+    corpus.append(("k4free-tri(15)",
+                   random_k4_free(15, 0.5, np.random.default_rng(201))))
+    corpus.append(("k4free-tri(30)",
+                   random_k4_free(30, 0.4, np.random.default_rng(202))))
     corpus.append(("k4free-greedy(12)", greedy_k4_free(12, 0.7, seed=203)))
     return corpus
 

@@ -247,6 +247,24 @@ def test_graph6_chunks_are_bounded_runs_of_one_n(monkeypatch):
     assert shapes == [(7, 6, 6), (2, 6, 6), (3, 5, 5), (1, 6, 6)]
 
 
+def test_one_vertex_records_are_counted_where_read(monkeypatch):
+    # K1 records are counted as out of domain and end no run; a run of
+    # edgeless graphs on n >= 2 is solved and folded as out of domain too.
+    shapes = []
+    stack_terms = bngap.search._stack_terms
+
+    def recorded(adj, m, omega):
+        shapes.append(adj.shape)
+        return stack_terms(adj, m, omega)
+
+    monkeypatch.setattr(bngap.search, "_stack_terms", recorded)
+    p6, e5 = to_graph6(path_graph(6)), to_graph6(Graph(5, (0,) * 5))
+    res, _ = assert_matches_reference([p6] * 3 + ["@"] + [p6] * 2
+                                      + ["@", e5, "@", e5])
+    assert shapes == [(5, 6, 6), (2, 5, 5)]
+    assert (res.summary.total, res.summary.out_of_domain) == (5, 5)
+
+
 @pytest.mark.parametrize("entries", [36, 36 * 7])
 def test_chunk_size_does_not_change_the_result(monkeypatch, entries):
     want = exhaustive_check(6).summary.as_dict()

@@ -161,7 +161,7 @@ class TestDerivedGraphsAreValid:
     @given(st.integers(1, MAX_TEST_N), st.floats(0.0, 1.0),
            st.integers(0, 2 ** 63 - 1))
     def test_random_k4_free(self, n, density, seed):
-        assert_valid(random_k4_free(n, density, seed))
+        assert_valid(random_k4_free(n, density, np.random.default_rng(seed)))
         assert_valid(greedy_k4_free(n, density, seed))
 
 

@@ -1,6 +1,8 @@
-"""Every imported name in the package and the tests is used."""
+"""Every imported name in the package and the tests is used, and the
+package exports exactly the names of the README's round trip."""
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,3 +36,29 @@ def test_no_unused_imports():
     found = {p.relative_to(ROOT).as_posix(): names for p in SCANNED
              if (names := unused_imports(p.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def readme_round_trip() -> str:
+    """The code of the README's round-trip block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"A quick round trip:\n\n```python\n(.*?)```", readme,
+                         re.DOTALL)
+    return block
+
+
+def test_package_exports_only_the_round_trip_names():
+    init = ast.parse((ROOT / "src" / "bngap" / "__init__.py").read_text(encoding="utf-8"))
+    bound = {a.asname or a.name for node in init.body
+             if isinstance(node, ast.ImportFrom) for a in node.names}
+    bound |= {t.id for node in init.body if isinstance(node, ast.Assign)
+              for t in node.targets}
+    imported = {a.name for node in ast.walk(ast.parse(readme_round_trip()))
+                if isinstance(node, ast.ImportFrom) and node.module == "bngap"
+                for a in node.names}
+    assert bound - {"__version__"} == imported
+
+
+def test_readme_round_trip_runs(capsys):
+    exec(readme_round_trip(), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "(6.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -3.0, -3.0)", "True"]

@@ -15,6 +15,7 @@ import bngap.search
 from bngap import cli
 from bngap.conjecture import BnReport, bn_report
 from bngap.graphs import (
+    MAX_N,
     Graph,
     PartSizes,
     clique_number,
@@ -260,22 +261,21 @@ class TestRandomK4Free:
     def test_always_k4_free(self):
         # 10^4 seeded draws: the library generator and the greedy helper
         for seed in range(5000):
-            assert is_k4_free(random_k4_free(14, 0.6, seed=seed))
+            assert is_k4_free(random_k4_free(14, 0.6, np.random.default_rng(seed)))
         for seed in range(5000):
             assert is_k4_free(greedy_k4_free(9, 0.9, seed=seed))
 
     def test_deterministic(self):
-        for generate in (random_k4_free, greedy_k4_free):
-            a = generate(12, 0.5, seed=7)
-            b = generate(12, 0.5, seed=7)
-            assert a == b
+        assert (random_k4_free(12, 0.5, np.random.default_rng(7))
+                == random_k4_free(12, 0.5, np.random.default_rng(7)))
+        assert greedy_k4_free(12, 0.5, seed=7) == greedy_k4_free(12, 0.5, seed=7)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
-            random_k4_free(5, 1.5, seed=0)
+            random_k4_free(5, 1.5, np.random.default_rng(0))
         for density in (2.0, float("nan"), -0.5):
             with pytest.raises(ValueError) as err:
-                random_k4_free(5, density, seed=0)
+                random_k4_free(5, density, np.random.default_rng(0))
             assert str(err.value) == f"density must lie in [0, 1], got {density}"
 
     def test_greedy_best_effort_at_impossible_density(self):
@@ -641,6 +641,16 @@ class TestParallelRestarts:
         monkeypatch.delattr(os, "fork")
         assert count() == 1
 
+    @pytest.mark.parametrize("n", [0, MAX_N + 1])
+    def test_bad_vertex_count_forks_no_worker(self, monkeypatch, n):
+        forks = []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(n))
+        use_workers(monkeypatch, 4)
+        with pytest.raises(ValueError, match="vertex count"):
+            hill_climb(SearchConfig(seed=0, n=n, restarts=4))
+        assert forks == []
+        assert_no_child()
+
     @pytest.mark.parametrize("seed", [0, 5, 2 ** 64 - 1])
     def test_restart_streams_by_index_equal_spawn(self, seed):
         for k in range(1, 9):
@@ -760,7 +770,7 @@ def test_random_graph_rejects_density_outside_unit_interval():
 
 def test_random_graph_reports_match_direct_computation():
     # spot-check that search-produced graphs feed the report pipeline
-    g = random_k4_free(10, 0.6, seed=99)
+    g = random_k4_free(10, 0.6, np.random.default_rng(99))
     if g.m >= 1:
         r = bn_report(g, "spot")
         assert r.omega == clique_number(g)
