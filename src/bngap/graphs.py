@@ -6,18 +6,21 @@ mutation-shaped operation returns a new Graph, so instances are safe to share
 across parallel workers.
 
 Input is checked once, where it enters from outside.  ``Graph(n, adj)``
-validates rows that a caller passes in: the vertex count, the row range, the
-zero diagonal and symmetry.  The parsers check their input and build valid
-rows: ``from_edge_list`` (and ``parse_edge_list_text`` through it) checks
-the vertex count, each pair's range and self-loops; ``parse_graph6`` checks
-the header, the byte range, the length and the padding.  They, the
-operations that derive a graph from a valid one (``complement``,
-``with_edge``, ``without_edge``, ``zykov``) and those that build rows
-symmetric by construction (``complete_multipartite``, ``turan_graph``,
-``Graph.from_edge_bitset``) trust their rows and skip the row check; a
-property test holds them to the full validator.  Vertex arguments of the
-operations stay checked because each one both indexes a row and is a shift
-count: a vertex >= n raises IndexError, a negative one ValueError.
+takes rows as any iterable of integers (numpy ones too; a float raises),
+keeps them as a tuple of Python ints and validates them: the vertex count,
+the row range, the zero diagonal and symmetry, the last by decoding the
+rows' edge code.  The parsers check their input and build valid rows:
+``from_edge_list`` (so ``parse_edge_list_text`` and the generators of
+``bngap.search``) checks the vertex count, each pair's range and self-loops;
+``parse_graph6`` checks the header, the byte range, the length and the
+padding.  They, the operations that derive a graph from a valid one
+(``complement``, ``with_edge``, ``without_edge``, ``zykov``) and those that
+build rows symmetric by construction (``complete_multipartite``,
+``turan_graph``, ``Graph.from_edge_bitset``) trust their rows and skip the
+row check; a property test holds them to the full validator.  Vertex
+arguments of the operations stay checked because each one both indexes a row
+and is a shift count: a vertex >= n raises IndexError, a negative one
+ValueError.
 
 The edge code of a graph is its upper triangle as one integer: bit k is the
 k-th pair of ``graph6_pairs``.  ``Graph.edge_bitset`` encodes it and
@@ -38,6 +41,7 @@ edge-list serialization.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -74,9 +78,10 @@ def check_vertex_count(n: int) -> None:
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
-    ``Graph(n, adj)`` validates its rows.  ``Graph._unchecked(n, adj)`` does
-    not; it is for rows derived from a valid graph, symmetric by
-    construction or built by a parser from checked input.
+    ``Graph(n, adj)`` validates its rows, any iterable of integers.
+    ``Graph._unchecked(n, adj)`` does not; it is for rows derived from a
+    valid graph, symmetric by construction or built by a parser from
+    checked input.
     """
 
     n: int
@@ -84,18 +89,17 @@ class Graph:
 
     def __post_init__(self) -> None:
         check_vertex_count(self.n)
+        object.__setattr__(self, "adj", tuple(map(operator.index, self.adj)))
         if len(self.adj) != self.n:
             raise ValueError("adjacency row count does not match n")
         mask = (1 << self.n) - 1
-        cols = [0] * self.n
         for u, row in enumerate(self.adj):
             if row & ~mask:
                 raise ValueError(f"row {u} has bits beyond vertex range")
             if row >> u & 1:
                 raise ValueError(f"self-loop at vertex {u}")
-            for v in _bits(row):
-                cols[v] |= 1 << u
-        if tuple(cols) != self.adj:
+        # The edge code keeps the bits below the diagonal; decoding mirrors them.
+        if Graph.from_edge_bitset(self.n, self.edge_bitset()).adj != self.adj:
             raise ValueError("adjacency is not symmetric")
 
     @classmethod

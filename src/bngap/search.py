@@ -11,10 +11,10 @@ given density) and ``random_k4_free(n, density, rng)`` (a random tripartite
 split, each cross pair kept so as to target the density; K4-free by
 construction) draw from the caller's ``numpy.random.Generator``: a hill
 climb restart passes its own stream to the one that makes its start.  Both
-set both bits of every pair they keep and skip ``Graph`` validation (see
-``bngap.graphs``).  Edge codes, the clique table's masks included, come
-from ``bngap.graphs``; ``graph6_pairs`` is read here only as index arrays:
-the labeled stacks' scatter and the pair maps of ``_orbits``.
+pass the pairs they keep to ``bngap.graphs.from_edge_list``.  Edge codes,
+the clique table's masks included, come from ``bngap.graphs``;
+``graph6_pairs`` is read here only as index arrays: the labeled stacks'
+scatter and the pair maps of ``_orbits``.
 
 Every family is checked by one engine.  A producer turns a chunk of
 graphs into ``gap_terms`` columns, and ``_fold`` adds the chunk's counts
@@ -101,7 +101,7 @@ import pickle
 import sys
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
-from itertools import accumulate, combinations, islice, permutations
+from itertools import combinations, islice, permutations
 from typing import BinaryIO, Callable, Iterable, Iterator, Union
 
 import numpy as np
@@ -124,6 +124,7 @@ from .graphs import (
     check_vertex_count,
     clique_number,
     closes_k4,
+    from_edge_list,
     graph6_pairs,
     has_triangle,
     parse_graph6,
@@ -502,12 +503,8 @@ def random_graph(n: int, density: float, rng: np.random.Generator) -> Graph:
     """Erdos-Renyi style graph: each pair kept independently with p=density."""
     check_vertex_count(n)
     _check_density(density)
-    rows = [0] * n
-    for u, v in combinations(range(n), 2):
-        if rng.random() < density:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return Graph._unchecked(n, tuple(rows))
+    return from_edge_list(n, [pair for pair in combinations(range(n), 2)
+                              if rng.random() < density])
 
 
 def random_k4_free(n: int, density: float, rng: np.random.Generator) -> Graph:
@@ -521,15 +518,10 @@ def random_k4_free(n: int, density: float, rng: np.random.Generator) -> Graph:
     _check_density(density)
     target_m = int(round(density * (n * (n - 1) // 2)))
     labels = rng.integers(0, 3, size=n)
-    rows = [0] * n
     cross = [(u, v) for u, v in combinations(range(n), 2)
              if labels[u] != labels[v]]
     keep_p = min(1.0, target_m / len(cross)) if cross else 0.0
-    for u, v in cross:
-        if rng.random() < keep_p:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-    return Graph._unchecked(n, tuple(rows))
+    return from_edge_list(n, [pair for pair in cross if rng.random() < keep_p])
 
 
 @dataclass(frozen=True)
@@ -695,13 +687,11 @@ class _Best:
 
 # The hill-climb moves (add an edge, delete an edge, replace a neighbourhood)
 # are equally likely.  Seeded output depends on the draw, which is the one
-# ``rng.choice(3, p=_MOVE_P)`` makes: a single ``rng.random()`` placed with
-# ``bisect_right`` in the running sums of ``_MOVE_P``, divided by the last
-# one, as ``Generator.choice`` computes them.  ``rng.integers(3)`` would
-# consume the stream differently.
-_MOVE_P = (1 / 3,) * 3
-_MOVE_CDF = list(accumulate(_MOVE_P))
-_MOVE_CDF = [c / _MOVE_CDF[-1] for c in _MOVE_CDF]
+# ``rng.choice(3, p=[1 / 3] * 3)`` makes: a single ``rng.random()`` placed
+# with ``bisect_right`` in the running sums of the probabilities, divided by
+# the last one, as ``Generator.choice`` computes them; those sums are these
+# floats exactly.  ``rng.integers(3)`` would consume the stream differently.
+_MOVE_CDF = (1 / 3, 2 / 3, 1.0)
 
 
 def _move_key(rows: tuple[int, ...], move: int, u: int, v: int) -> tuple:
@@ -935,15 +925,13 @@ def hill_climb(cfg: SearchConfig) -> HillClimbResult:
         best.offer(block_best.objective, block_best.graph, block_best.report)
         iterations += its
         accepted += acc
-    if best.report is None:
-        # No restart left the edgeless graphs: each started edgeless (at
-        # density 0, or by its draw, as a K4-constrained start on n = 2
-        # whose two vertices share a part) and accepted no addition, none
-        # being drawn or, at n = 2 under ``bn_gap_negated``, the only one
-        # giving K2, which is excluded and scores -inf.
-        return HillClimbResult(cfg, Graph._unchecked(cfg.n, (0,) * cfg.n),
-                               float("-inf"), None, False, iterations, accepted,
-                               cfg.restarts)
-    return HillClimbResult(cfg, best.graph, best.objective, best.report,
-                           best.report.violation, iterations, accepted,
-                           cfg.restarts)
+    # With no report, no restart left the edgeless graphs: each started
+    # edgeless (at density 0, or by its draw, as a K4-constrained start on
+    # n = 2 whose two vertices share a part) and accepted no addition, none
+    # being drawn or, at n = 2 under ``bn_gap_negated``, the only one giving
+    # K2, which is excluded and scores -inf.
+    report = best.report
+    return HillClimbResult(cfg, best.graph or Graph.from_edge_bitset(cfg.n, 0),
+                           best.objective, report,
+                           report is not None and report.violation,
+                           iterations, accepted, cfg.restarts)

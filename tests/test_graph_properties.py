@@ -9,6 +9,8 @@ same graph.  Vertex arguments outside 0..n-1 must still raise
 instead of producing a graph.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,52 @@ class TestDerivedGraphsAreValid:
     def test_random_k4_free(self, n, density, seed):
         assert_valid(random_k4_free(n, density, np.random.default_rng(seed)))
         assert_valid(greedy_k4_free(n, density, seed))
+
+
+def reference_random_graph(n, density, rng):
+    """``random_graph`` as a per-pair loop: one draw per pair, in order."""
+    rows = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.random() < density:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def reference_random_k4_free(n, density, rng):
+    """``random_k4_free`` as a per-pair loop: the labels, then one draw per
+    cross pair, in order."""
+    target_m = int(round(density * (n * (n - 1) // 2)))
+    labels = rng.integers(0, 3, size=n)
+    rows = [0] * n
+    cross = [(u, v) for u, v in combinations(range(n), 2)
+             if labels[u] != labels[v]]
+    keep_p = min(1.0, target_m / len(cross)) if cross else 0.0
+    for u, v in cross:
+        if rng.random() < keep_p:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    return tuple(rows)
+
+
+class TestGeneratorDrawOrder:
+    """The generators consume the caller's stream as a per-pair loop does,
+    so every seeded search start stays the same graph."""
+
+    @pytest.mark.parametrize("generate, reference", [
+        (random_graph, reference_random_graph),
+        (random_k4_free, reference_random_k4_free),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    def test_rows_match_the_per_pair_reference(self, generate, reference, n,
+                                               density):
+        for seed in range(50):
+            ours = np.random.default_rng(seed)
+            theirs = np.random.default_rng(seed)
+            assert generate(n, density, ours).adj == reference(n, density,
+                                                               theirs)
+            assert ours.random() == theirs.random()
 
 
 class TestVertexArgumentsAreChecked:

@@ -54,12 +54,41 @@ def all_partitions(n, smallest_max=None):
 
 class TestConstruction:
     def test_symmetry_and_diagonal_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^adjacency is not symmetric$"):
             Graph(2, (0b10, 0b00))  # missing mirror bit
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^adjacency is not symmetric$"):
+            Graph(2, [0b10, 0b00])
+        with pytest.raises(ValueError, match="^self-loop at vertex 0$"):
             Graph(2, (0b01, 0b10))  # diagonal bits
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^row 0 has bits beyond vertex range$"):
             Graph(2, (0b100, 0b00))  # stray high bit
+
+    @pytest.mark.parametrize("n, rows", [(3, (0, 0, 0)), (2, (2, 1)),
+                                         (4, (0b1110, 0b0101, 0b0011, 0b0001))])
+    def test_list_and_generator_rows_build_the_tuple_graph(self, n, rows):
+        g = Graph(n, rows)
+        assert Graph(n, list(rows)) == g
+        assert Graph(n, (row for row in rows)) == g
+        assert type(Graph(n, list(rows)).adj) is tuple
+
+    def test_numpy_rows_past_64_bits_equal_python_rows(self):
+        # Edges among vertices 0..62 only, so each row fits an int64, but
+        # the edge code of n = 70 does not.
+        rows = random_graph(63, 0.5, np.random.default_rng(3)).adj + (0,) * 7
+        g = Graph(70, rows)
+        assert g.m > 0
+        for np_rows in (np.array(rows, dtype=np.int64),
+                        [np.int64(row) for row in rows]):
+            h = Graph(70, np_rows)
+            assert h == g and h.edge_bitset() == g.edge_bitset()
+            assert all(type(row) is int for row in h.adj)
+
+    def test_float_row_raises(self):
+        with pytest.raises(TypeError):
+            Graph(2, [2.0, 1])
+        with pytest.raises(TypeError):
+            Graph(2, np.array([2, 1], dtype=float))
 
     def test_corpus_invariants(self):
         for name, g in CORPUS:

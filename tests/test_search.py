@@ -26,7 +26,6 @@ from bngap.graphs import (
 )
 from bngap.search import (
     _MOVE_CDF,
-    _MOVE_P,
     SearchConfig,
     _Best,
     _fold,
@@ -498,7 +497,7 @@ class TestHillClimb:
         ours = np.random.default_rng(np.random.PCG64(2024))
         theirs = np.random.default_rng(np.random.PCG64(2024))
         drawn = [bisect_right(_MOVE_CDF, ours.random()) for _ in range(10 ** 5)]
-        chosen = [int(theirs.choice(3, p=_MOVE_P)) for _ in range(10 ** 5)]
+        chosen = [int(theirs.choice(3, p=[1 / 3] * 3)) for _ in range(10 ** 5)]
         assert drawn == chosen and set(drawn) == {0, 1, 2}
         assert ours.random() == theirs.random()
 
