@@ -28,10 +28,12 @@ k-th pair of ``graph6_pairs``.  ``Graph.edge_bitset`` encodes it and
 knows the pair order.  graph6 is the edge code written as 6-bit text after a
 vertex-count header.
 
-``Graph.nth_edge(k)`` is ``edges()[k]`` and ``Graph.nth_non_edge(k)`` is
-``complement().nth_edge(k)``, both read straight off the rows, so a uniform
-draw of an edge or of a non-edge costs O(n) bit operations, no list and no
-complement.
+The k-th edge, ``edges()[k]``, and the k-th non-edge,
+``complement().edges()[k]``, are read off a ``pair_table`` by ``nth_pair``,
+with no pair list and no complement.  ``Graph.nth_edge`` and
+``Graph.nth_non_edge`` build a table per call; a caller that draws many
+pairs from one graph, as the hill climb of ``bngap.search`` does, keeps
+the table.
 
 Alongside the representation live the combinatorial parameters used by the
 gap reports (clique number, independence number, triangle count and test,
@@ -42,7 +44,9 @@ edge-list serialization.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 MAX_N = 2048
@@ -88,6 +92,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", operator.index(self.n))
         check_vertex_count(self.n)
         object.__setattr__(self, "adj", tuple(map(operator.index, self.adj)))
         if len(self.adj) != self.n:
@@ -129,34 +134,14 @@ class Graph:
         return out
 
     def nth_edge(self, k: int) -> tuple[int, int]:
-        """``edges()[k]`` without building the list.
-
-        Each row's above-diagonal count is subtracted from k until k falls
-        inside a row; the k low bits of that row are then cleared and the
-        lowest remaining one is the edge.  Raises IndexError unless
-        0 <= k < m.
-        """
-        return self._nth_pair(k, 0)
+        """``edges()[k]`` without building the list; IndexError unless
+        0 <= k < m."""
+        return nth_pair(pair_table(self), k, True)
 
     def nth_non_edge(self, k: int) -> tuple[int, int]:
-        """``complement().nth_edge(k)`` without building the complement:
-        the same walk over the rows' zero bits.  Raises IndexError unless
-        0 <= k < C(n, 2) - m.
-        """
-        return self._nth_pair(k, (1 << self.n) - 1)
-
-    def _nth_pair(self, k: int, flip: int) -> tuple[int, int]:
-        """The k-th pair (u, v), u < v, whose bit in ``row ^ flip`` is set."""
-        if k >= 0:
-            for u, row in enumerate(self.adj):
-                above = (row ^ flip) >> (u + 1)
-                count = above.bit_count()
-                if k < count:
-                    for _ in range(k):
-                        above &= above - 1
-                    return u, u + (above & -above).bit_length()
-                k -= count
-        raise IndexError("pair index out of range")
+        """``complement().nth_edge(k)`` without building the complement;
+        IndexError unless 0 <= k < C(n, 2) - m."""
+        return nth_pair(pair_table(self), k, False)
 
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
@@ -251,6 +236,43 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph._unchecked(n, tuple(rows))
+
+
+PairTable = tuple[list[int], list[int], list[int]]
+
+
+def pair_table(g: Graph) -> PairTable:
+    """Row u's bits above the diagonal, shifted down so that bit i is the
+    pair (u, u + 1 + i), and the running counts of edges and of non-edges
+    in rows 0..u.  Pairs are counted row by row, the order of ``edges()``."""
+    n = g.n
+    above = list(map(operator.rshift, g.adj, range(1, n + 1)))
+    edge_ends = list(accumulate(map(int.bit_count, above)))
+    # Row u holds n - 1 - u pairs.
+    non_edge_ends = list(map(operator.sub, accumulate(range(n - 1, -1, -1)),
+                             edge_ends))
+    return above, edge_ends, non_edge_ends
+
+
+def nth_pair(table: PairTable, k: int, edge: bool) -> tuple[int, int]:
+    """The k-th edge (``edge`` true) or non-edge of the graph of ``table``
+    (``pair_table``), as (u, v) with u < v; IndexError unless k indexes one.
+
+    Row u is the first whose running count exceeds k.  Of its pairs, the
+    k - (count before row u) lowest are cleared, and the lowest left is the
+    pair; a non-edge row is the complement of the edge row, whose bits above
+    the row's last pair are never reached."""
+    above, edge_ends, non_edge_ends = table
+    ends = edge_ends if edge else non_edge_ends
+    if not 0 <= k < ends[-1]:
+        raise IndexError("pair index out of range")
+    u = bisect_right(ends, k)
+    bits = above[u] if edge else ~above[u]
+    if u:
+        k -= ends[u - 1]
+    for _ in range(k):
+        bits &= bits - 1
+    return u, u + (bits & -bits).bit_length()
 
 
 def complete_multipartite(parts: PartSizes) -> Graph:
@@ -403,15 +425,10 @@ def zykov(g: Graph, u: int, v: int) -> Graph:
     if g.has_edge(u, v):
         raise ValueError(f"vertices {u} and {v} are adjacent")
     target = g.adj[v]
-    rows = []
-    ubit = 1 << u
-    for w in range(g.n):
-        if w == u:
-            rows.append(target)
-        elif target >> w & 1:
-            rows.append(g.adj[w] | ubit)
-        else:
-            rows.append(g.adj[w] & ~ubit)
+    ubit, clear = 1 << u, ~(1 << u)
+    rows = [row | ubit if target >> w & 1 else row & clear
+            for w, row in enumerate(g.adj)]
+    rows[u] = target
     return Graph._unchecked(g.n, tuple(rows))
 
 

@@ -60,17 +60,22 @@ entries (see ``bngap.spectra``), which bounds the engine's working memory
 whatever the family size.
 
 The hill climb and the Zykov walk draw a pair uniformly with one
-``rng.integers(count)`` and read it off the rows with ``Graph.nth_edge`` (a
-deletion) or ``Graph.nth_non_edge`` (an addition or a replacement), so a
-draw costs O(n) bit operations and builds neither a pair list nor a
-complement.  The climb draws its move with one ``rng.random()`` placed in
-``_MOVE_CDF``, the draw ``Generator.choice`` makes.  A restart carries its
-state as a graph, its float64 adjacency matrix and its edge count: a
-candidate's matrix is a copy with the move's two entries, or row and column,
-set, the same bytes ``adjacency_matrix`` would pack, so ``eigvalsh`` sees
-the same input and ``BnReport.from_eigenvalues`` builds the report from its
-output.  A replacement between vertices that already share a neighbourhood
-leaves the state as it is and is not solved again.  Nor is a move whose
+``integers(count)`` and read it off the rows as the k-th edge (a deletion)
+or non-edge (an addition or a replacement) of a ``graphs.pair_table``, so a
+draw builds neither a pair list nor a complement.  The Zykov walk calls
+``Graph.nth_non_edge``, which builds a table per draw.  The climb draws its
+move with one ``random()`` placed in ``_MOVE_CDF``, the draw
+``Generator.choice`` makes.  Once a restart's start graph is drawn, its
+draws come from ``_Draws``, which returns the values of the restart
+``Generator``'s ``random()`` and ``integers(count)`` from the raw PCG64
+words as Python ints, so every seeded byte is numpy's.  A restart carries
+its state as a graph, its pair table, built at the state's first pair
+draw, its float64 adjacency matrix and its edge count: a candidate's matrix
+is a copy with the move's two entries, or row and column, set, the same
+bytes ``adjacency_matrix`` would pack, so ``eigvalsh`` sees the same input
+and ``BnReport.from_eigenvalues`` builds the report from its output.  A
+replacement between vertices that already share a neighbourhood leaves the
+state as it is and is not solved again.  Nor is a move whose
 candidate is isomorphic to one the current state already rejected, for
 closing a K4, at -inf or by a clear margin: a restart keeps the
 ``_move_key`` of each such move, the move and the rows of its endpoints,
@@ -127,6 +132,8 @@ from .graphs import (
     from_edge_list,
     graph6_pairs,
     has_triangle,
+    nth_pair,
+    pair_table,
     parse_graph6,
     zykov,
 )
@@ -687,11 +694,72 @@ class _Best:
 
 # The hill-climb moves (add an edge, delete an edge, replace a neighbourhood)
 # are equally likely.  Seeded output depends on the draw, which is the one
-# ``rng.choice(3, p=[1 / 3] * 3)`` makes: a single ``rng.random()`` placed
-# with ``bisect_right`` in the running sums of the probabilities, divided by
-# the last one, as ``Generator.choice`` computes them; those sums are these
-# floats exactly.  ``rng.integers(3)`` would consume the stream differently.
+# ``rng.choice(3, p=[1 / 3] * 3)`` makes: a single ``random()`` placed with
+# ``bisect_right`` in the running sums of the probabilities, divided by the
+# last one, as ``Generator.choice`` computes them; those sums are these
+# floats exactly.  ``_Draws`` gives that ``random()`` the value
+# ``Generator.random()`` would, read from the raw PCG64 words.
+# ``integers(3)`` would consume the stream differently.
 _MOVE_CDF = (1 / 3, 2 / 3, 1.0)
+
+# Raw PCG64 words that ``_Draws`` takes from the bit generator at a time.
+_DRAW_BATCH = 64
+
+_UINT32 = (1 << 32) - 1
+
+
+class _Draws:
+    """The values ``rng.random()`` and ``int(rng.integers(count))`` would
+    return, in the same order, read from batches of the raw 64-bit words
+    of ``rng``'s PCG64 bit generator as Python ints.  Once this exists the
+    caller draws only from it, since it reads ``rng``'s stream ahead.
+
+    ``random()`` is ``(word >> 11) * 2**-53``, numpy's ``next_double``.
+    ``integers(count)`` is numpy's bounded draw for a count up to 2**32,
+    Lemire's method (arXiv:1805.10941) on 32-bit draws: x * count, rejected
+    while its low 32 bits are below (2**32 - count) % count, gives
+    (x * count) >> 32; a count of 1 draws nothing.  PCG64 makes two 32-bit
+    draws of one word, the low half first, and carries the high half to
+    the next 32-bit draw across 64-bit ones; the carry starts from
+    ``rng``'s state, which an array draw such as ``random_k4_free``'s
+    ``integers(0, 3, size=n)`` may leave holding a half."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        bit_generator = rng.bit_generator
+        state = bit_generator.state
+        self._raw = bit_generator.random_raw
+        self._words: list[int] = []  # the batch's unread words, last first
+        self._half = state["uinteger"] if state["has_uint32"] else None
+
+    def _word(self) -> int:
+        if not self._words:
+            self._words = self._raw(_DRAW_BATCH).tolist()
+            self._words.reverse()
+        return self._words.pop()
+
+    def _uint32(self) -> int:
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & _UINT32
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0 ** -53
+
+    def integers(self, count: int) -> int:
+        if not 1 <= count <= 1 << 32:
+            raise ValueError(f"count {count} outside 1..2**32")
+        if count == 1:
+            return 0
+        m = self._uint32() * count
+        if m & _UINT32 < count:
+            threshold = (1 << 32) % count  # (2**32 - count) % count
+            while m & _UINT32 < threshold:
+                m = self._uint32() * count
+        return m >> 32
 
 
 def _move_key(rows: tuple[int, ...], move: int, u: int, v: int) -> tuple:
@@ -720,6 +788,7 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence,
         current = random_k4_free(cfg.n, cfg.init_density, rng)
     else:
         current = random_graph(cfg.n, cfg.init_density, rng)
+    draws = _Draws(rng)
     # The state is carried as (graph, adjacency matrix, edge count).  A
     # candidate's matrix is a copy of the current one with the move's
     # entries set, the same bytes ``adjacency_matrix`` packs for it.
@@ -732,20 +801,20 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence,
     # Keys (``_move_key``) of the moves the current state surely rejects.
     # A move with such a key is drawn as before but neither built nor solved.
     rejected: set[tuple] = set()
+    # The current state's ``pair_table``, built at its first pair draw.
+    table = None
     for _ in range(cfg.max_iters):
         iterations += 1
-        move = bisect_right(_MOVE_CDF, rng.random())
+        move = bisect_right(_MOVE_CDF, draws.random())
         # Move 1 deletes an edge; moves 0 and 2 act on a non-adjacent pair.
         count = m if move == 1 else pairs - m
         if count == 0:
             continue
-        k = int(rng.integers(count))
-        if move == 1:
-            u, v = current.nth_edge(k)
-        else:
-            u, v = current.nth_non_edge(k)
-            if move == 2 and rng.integers(2):
-                u, v = v, u
+        if table is None:
+            table = pair_table(current)
+        u, v = nth_pair(table, draws.integers(count), move == 1)
+        if move == 2 and draws.integers(2):
+            u, v = v, u
         key = _move_key(current.adj, move, u, v)
         if key in rejected:
             continue
@@ -790,6 +859,7 @@ def _run_restart(cfg: SearchConfig, child: np.random.SeedSequence,
             continue
         if candidate is not current:
             rejected.clear()
+            table = None
         current, a, m, cur_obj = candidate, b, cand_m, cand_obj
         accepted += 1
         best.offer(cur_obj, current, cand_report)

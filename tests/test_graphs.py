@@ -18,6 +18,8 @@ from bngap.graphs import (
     has_triangle,
     independence_number,
     is_k4_free,
+    nth_pair,
+    pair_table,
     parse_edge_list_text,
     parse_graph6,
     to_graph6,
@@ -89,6 +91,16 @@ class TestConstruction:
             Graph(2, [2.0, 1])
         with pytest.raises(TypeError):
             Graph(2, np.array([2, 1], dtype=float))
+
+    @pytest.mark.parametrize("n", [np.int64(3), np.int64(70)])
+    def test_numpy_vertex_count_is_a_python_int(self, n):
+        g = Graph(n, (0,) * int(n))
+        assert type(g.n) is int and g.n == n
+        assert g.complement().m == n * (n - 1) // 2
+
+    def test_float_vertex_count_raises(self):
+        with pytest.raises(TypeError):
+            Graph(3.0, (0, 0, 0))
 
     def test_corpus_invariants(self):
         for name, g in CORPUS:
@@ -290,6 +302,20 @@ class TestNthEdge:
             for k in (-1, h.m):
                 with pytest.raises(IndexError):
                     g.nth_non_edge(k)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 70])
+    def test_pair_table_reads_both_edge_lists(self, n):
+        rng = np.random.default_rng(100 + n)
+        for density in (0.0, float(rng.random()), 1.0):
+            g = random_graph(n, density, rng)
+            table = pair_table(g)
+            for edge, pairs in ((True, g.edges()),
+                                (False, g.complement().edges())):
+                assert [nth_pair(table, k, edge)
+                        for k in range(len(pairs))] == pairs
+                for k in (-1, len(pairs)):
+                    with pytest.raises(IndexError):
+                        nth_pair(table, k, edge)
 
 
 class TestZykov:

@@ -28,6 +28,7 @@ from bngap.search import (
     _MOVE_CDF,
     SearchConfig,
     _Best,
+    _Draws,
     _fold,
     _move_key,
     _objective,
@@ -616,6 +617,56 @@ def use_workers(monkeypatch, count):
 def assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class TestDraws:
+    """``_Draws`` returns the values of numpy's ``Generator`` calls."""
+
+    # The bounds of the 32-bit path, counts whose Lemire draw rejects often
+    # (3e9 about 30% of words) or never (2), and the climb's pair counts up
+    # to C(2048, 2).
+    COUNTS = (1, 2, 3, 7, 435, 2_096_128, 3 * 10 ** 9, 2 ** 32 - 1, 2 ** 32)
+
+    @pytest.mark.parametrize("leftover", [0, 1, 2, 5])
+    def test_interleaved_draws_equal_numpy(self, leftover):
+        # An array draw of ``leftover`` values in 0..2 first, as a K4-free
+        # start makes, leaves half a word behind when it took an odd number
+        # of 32-bit draws; 200 calls per seed span several batches.
+        for seed in range(75):
+            ours = np.random.default_rng(np.random.PCG64(seed))
+            theirs = np.random.default_rng(np.random.PCG64(seed))
+            for rng in (ours, theirs):
+                rng.integers(0, 3, size=leftover)
+            draws = _Draws(ours)
+            calls = np.random.default_rng(seed + 10 ** 6)
+            for _ in range(200):
+                pick = int(calls.integers(len(self.COUNTS) + 2))
+                if pick == len(self.COUNTS):
+                    assert draws.random() == theirs.random()
+                else:
+                    count = (self.COUNTS[pick] if pick < len(self.COUNTS)
+                             else int(calls.integers(1, 2 ** 32 + 1)))
+                    assert draws.integers(count) == int(theirs.integers(count))
+
+    def test_runs_of_one_call_equal_numpy(self):
+        # 150 calls of one kind cross a batch boundary.
+        for seed in range(25):
+            for count in self.COUNTS:
+                ours = np.random.default_rng(seed)
+                theirs = np.random.default_rng(seed)
+                draws = _Draws(ours)
+                assert [draws.integers(count) for _ in range(150)] == \
+                    [int(theirs.integers(count)) for _ in range(150)]
+            draws = _Draws(np.random.default_rng(seed))
+            theirs = np.random.default_rng(seed)
+            assert [draws.random() for _ in range(150)] == \
+                [theirs.random() for _ in range(150)]
+
+    def test_counts_outside_the_32_bit_path_raise(self):
+        draws = _Draws(np.random.default_rng(0))
+        for count in (0, -1, 2 ** 32 + 1):
+            with pytest.raises(ValueError, match="count"):
+                draws.integers(count)
 
 
 class TestParallelRestarts:
