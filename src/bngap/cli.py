@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import os
 import sys
 from dataclasses import asdict
@@ -87,6 +86,8 @@ class _Run:
         graph6 record with a byte outside 63..126 is malformed, and its
         error names that byte.  The input's sha256 joins the manifest once
         it has been read to the end."""
+        import hashlib  # loads OpenSSL's libcrypto: only runs that read input
+
         digest = hashlib.sha256()
         with (contextlib.nullcontext(sys.stdin.buffer) if path == "-"
               else open(path, "rb")) as fh:

@@ -9,8 +9,8 @@ JSON has no NaN or infinity, so ``dumps`` writes non-finite floats as
 ``null`` and its output stays strict JSON.  CSV cells keep the text
 ``NaN``, ``Infinity`` and ``-Infinity``.
 
-A string is escaped character by character: quote, backslash and control
-characters below 0x20; every other character is copied.
+A string is escaped through one translation table: quote, backslash and
+control characters below 0x20; every other character is copied.
 ``conjecture.REPORT_LINE`` lays out a sweep's report lines directly,
 writing each finite float with ``%.17g``, the same text.
 """
@@ -22,6 +22,10 @@ from typing import Any
 
 
 _DIGITS = ".17g"
+
+# The escape of each code point that a JSON string may not hold as itself.
+_ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\",
+                          **{c: f"\\u{c:04x}" for c in range(0x20)}})
 
 
 def format_float(x: float) -> str:
@@ -46,18 +50,7 @@ def dumps(obj: Any) -> str:
     if isinstance(obj, float):
         return format(obj, _DIGITS) if math.isfinite(obj) else "null"
     if isinstance(obj, str):
-        out = ['"']
-        for ch in obj:
-            if ch == '"':
-                out.append('\\"')
-            elif ch == "\\":
-                out.append("\\\\")
-            elif ord(ch) < 0x20:
-                out.append(f"\\u{ord(ch):04x}")
-            else:
-                out.append(ch)
-        out.append('"')
-        return "".join(out)
+        return '"' + obj.translate(_ESCAPES) + '"'
     if isinstance(obj, dict):
         items = (f"{dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"

@@ -90,10 +90,11 @@ states is computed only on a tie.  The Zykov walk keeps its exact
 
 The climb's restarts are independent, so ``hill_climb`` splits them into
 contiguous blocks, one per usable CPU where that pays (``_worker_count``:
-n below 64, where each eigensolve runs on one BLAS thread, and enough
-iterations to repay the forks).  Block 0 runs in the calling process and
-each other block in an ``os.fork``ed child, which sends its block's
-``_Best``, iterations and accepted count back as one pickle over a pipe.
+n from 24 to 63, where each eigensolve runs on one BLAS thread and costs
+enough, and enough iterations to repay the forks).  Block 0 runs in the
+calling process and each other block in an ``os.fork``ed child, which
+sends its block's ``_Best``, iterations and accepted count back as one
+pickle over a pipe.
 The block bests are offered to one ``_Best`` in block order, which keeps
 the first offered state of highest (objective, -bitset), the serial run's
 best, so the output bytes do not depend on the worker count.
@@ -888,14 +889,19 @@ def _run_block(cfg: SearchConfig, lo: int,
 def _worker_count(cfg: SearchConfig) -> int:
     """Processes that share the restarts: one per CPU this process may run
     on, at most one per restart and one per 250 iterations of the run; 1
-    from n = 64 up, and without ``os.fork`` or ``os.sched_getaffinity``.
+    below n = 24, from n = 64 up, and without ``os.fork`` or
+    ``os.sched_getaffinity``.
 
     Workers pay only where an eigensolve runs on one thread.  OpenBLAS,
     numpy's default BLAS, threads ``eigvalsh`` of a climb state from n = 64
     up, and there one process per CPU, each with a BLAS thread per CPU, took
     1.2 to 24 times the serial wall time (2 CPUs).  A block also needs about
-    250 iterations to repay a fork's round trip of about 2.6 ms."""
-    if (cfg.n >= 64 or not hasattr(os, "fork")
+    250 iterations to repay a fork's round trip of about 2.6 ms.  Below
+    n = 24 a restart's solves are too cheap, or it stops on its sideways
+    limit too early, to repay one: at n = 8, 12, 16 and 20, 2 restarts of
+    1,000 steps ran slower on 2 workers than in one process (median of 45
+    runs, 2 CPUs)."""
+    if (not 24 <= cfg.n < 64 or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity")):
         return 1
     blocks = cfg.restarts * cfg.max_iters // 250

@@ -1,9 +1,15 @@
-"""Every imported name in the package and the tests is used, and the
-package exports exactly the names of the README's round trip."""
+"""Every imported name in the package and the tests is used, the package
+exports exactly the names of the README's round trip, and a CLI run loads
+OpenSSL and ``numpy.random`` only where it digests an input or draws."""
 
 import ast
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,3 +68,28 @@ def test_readme_round_trip_runs(capsys):
     exec(readme_round_trip(), {})
     assert capsys.readouterr().out.splitlines() == [
         "(6.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -3.0, -3.0)", "True"]
+
+
+# Runs ``bngap.cli.main`` on the given argv (stdin from the parent) and
+# prints which of the heavy modules the run left in ``sys.modules``.
+LOADED_AFTER_MAIN = """
+import contextlib, json, os, sys
+from bngap.cli import main
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    code = main(sys.argv[1:])
+print(json.dumps([code, [m for m in ("hashlib", "numpy.random") if m in sys.modules]]))
+"""
+
+
+@pytest.mark.parametrize("argv, stdin, loaded", [
+    (("sweep", "--n-max", "8"), "", []),
+    (("exhaustive", "--n-max", "3"), "", []),
+    (("spectrum", "--parts", "2,2,2"), "", []),
+    # The control: the probe sees the import that the runs above skip.
+    (("report", "--graph6", "-"), "Bw\n", ["hashlib"]),
+])
+def test_only_a_digested_input_loads_hashlib(argv, stdin, loaded):
+    proc = subprocess.run([sys.executable, "-c", LOADED_AFTER_MAIN, *argv],
+                          input=stdin, capture_output=True, text=True,
+                          timeout=300, check=True)
+    assert json.loads(proc.stdout) == [0, loaded]

@@ -679,6 +679,11 @@ class TestParallelRestarts:
 
         assert count(restarts=1) == 1
         assert count() == cpus
+        # The benchmark's search.
+        assert count(restarts=6, max_iters=1000) == min(2, cpus)
+        # Below n = 24 a fork does not pay: one process.
+        assert count(n=23) == count(n=2) == 1
+        assert count(n=24) == cpus
         # From n = 64 up an eigensolve is threaded: one process.
         assert count(n=63) == cpus
         assert count(n=64) == count(n=2048) == 1
