@@ -231,14 +231,23 @@ class HoffmanRatioCheck:
     passes: bool | None
 
 
+def _third_result_gate(g: Graph) -> str:
+    """Why g lies outside the domain of the paper's third result (K4-free
+    graphs with 3*alpha >= n, and an edge), or "" if it lies inside."""
+    if g.m < 1:
+        return "needs at least one edge"
+    if not is_k4_free(g):
+        return "graph contains a K4"
+    if 3 * independence_number(g) < g.n:
+        return "independence number below n/3"
+    return ""
+
+
 def hoffman_ratio_check(g: Graph) -> HoffmanRatioCheck:
     """For K4-free graphs with 3*alpha >= n: check |lambda_n| >= lambda1 / 2."""
-    if g.m < 1:
-        return HoffmanRatioCheck(False, "needs at least one edge", None, None)
-    if not is_k4_free(g):
-        return HoffmanRatioCheck(False, "graph contains a K4", None, None)
-    if 3 * independence_number(g) < g.n:
-        return HoffmanRatioCheck(False, "independence number below n/3", None, None)
+    reason = _third_result_gate(g)
+    if reason:
+        return HoffmanRatioCheck(False, reason, None, None)
     vals = eigenvalues(g).tolist()
     ratio = abs(vals[0]) / vals[-1]
     return HoffmanRatioCheck(True, "", ratio, ratio >= 0.5 - GAP_TOL)
@@ -265,22 +274,16 @@ def obstruction_report(g: Graph) -> ObstructionReport:
     lambda1^2 >= 8m/3, which the spectral bound caps at 4m/3.  So B always
     overshoots the target bound; both facts are checked per instance.
     """
-    def not_applicable(reason: str) -> ObstructionReport:
-        return ObstructionReport(False, reason, g.m, 0.0, 0.0, 0.0,
-                                 False, False, False)
-
-    if g.m < 1:
-        return not_applicable("needs at least one edge")
-    if g.n < 3:
+    reason = _third_result_gate(g)
+    if not reason and g.n < 3:
         # The trace argument reads lambda1, lambda2, lambda_n as three
         # distinct entries; on two vertices lambda2 already is lambda_n.
-        return not_applicable("needs at least three eigenvalues")
-    if g.n == 3 and g.is_complete():
-        return not_applicable("triangle is excluded")
-    if not is_k4_free(g):
-        return not_applicable("graph contains a K4")
-    if 3 * independence_number(g) < g.n:
-        return not_applicable("independence number below n/3")
+        reason = "needs at least three eigenvalues"
+    if not reason and g.n == 3 and g.is_complete():
+        reason = "triangle is excluded"
+    if reason:
+        return ObstructionReport(False, reason, g.m, 0.0, 0.0, 0.0,
+                                 False, False, False)
     vals = eigenvalues(g).tolist()
     lam1 = vals[-1]
     lhs = lam1 * lam1 + vals[-2] ** 2

@@ -30,10 +30,8 @@ vertex-count header.
 
 The k-th edge, ``edges()[k]``, and the k-th non-edge,
 ``complement().edges()[k]``, are read off a ``pair_table`` by ``nth_pair``,
-with no pair list and no complement.  ``Graph.nth_edge`` and
-``Graph.nth_non_edge`` build a table per call; a caller that draws many
-pairs from one graph, as the hill climb of ``bngap.search`` does, keeps
-the table.
+with no pair list and no complement; a caller that draws many pairs from
+one graph, as the hill climb of ``bngap.search`` does, keeps the table.
 
 Alongside the representation live the combinatorial parameters used by the
 gap reports (clique number, independence number, triangle count and test,
@@ -133,16 +131,6 @@ class Graph:
             out.extend((u, v) for v in _bits(above))
         return out
 
-    def nth_edge(self, k: int) -> tuple[int, int]:
-        """``edges()[k]`` without building the list; IndexError unless
-        0 <= k < m."""
-        return nth_pair(pair_table(self), k, True)
-
-    def nth_non_edge(self, k: int) -> tuple[int, int]:
-        """``complement().nth_edge(k)`` without building the complement;
-        IndexError unless 0 <= k < C(n, 2) - m."""
-        return nth_pair(pair_table(self), k, False)
-
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
@@ -186,8 +174,10 @@ class Graph:
         for v in range(1, n):
             below = code >> (v * (v - 1) // 2) & ((1 << v) - 1)
             rows[v] = below
-            for u in _bits(below):
-                rows[u] |= 1 << v
+            bit = 1 << v
+            while below:
+                rows[(below & -below).bit_length() - 1] |= bit
+                below &= below - 1
         return cls._unchecked(n, tuple(rows))
 
 

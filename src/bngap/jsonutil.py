@@ -28,14 +28,6 @@ _ESCAPES = str.maketrans({'"': '\\"', "\\": "\\\\",
                           **{c: f"\\u{c:04x}" for c in range(0x20)}})
 
 
-def format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, _DIGITS)
-
-
 def dumps(obj: Any) -> str:
     """Compact one-line JSON with 17-significant-digit floats; NaN and
     infinities become null."""
@@ -60,6 +52,12 @@ def dumps(obj: Any) -> str:
 
 
 def csv_cell(value: Any) -> str:
-    if isinstance(value, float):
-        return format_float(value)
-    return str(value)
+    """A CSV cell: floats with 17 significant digits, non-finite ones as
+    ``NaN``, ``Infinity`` or ``-Infinity``; anything else as ``str``."""
+    if not isinstance(value, float):
+        return str(value)
+    if math.isnan(value):
+        return "NaN"
+    if math.isinf(value):
+        return "Infinity" if value > 0 else "-Infinity"
+    return format(value, _DIGITS)

@@ -62,8 +62,7 @@ whatever the family size.
 The hill climb and the Zykov walk draw a pair uniformly with one
 ``integers(count)`` and read it off the rows as the k-th edge (a deletion)
 or non-edge (an addition or a replacement) of a ``graphs.pair_table``, so a
-draw builds neither a pair list nor a complement.  The Zykov walk calls
-``Graph.nth_non_edge``, which builds a table per draw.  The climb draws its
+draw builds neither a pair list nor a complement.  The climb draws its
 move with one ``random()`` placed in ``_MOVE_CDF``, the draw
 ``Generator.choice`` makes.  Once a restart's start graph is drawn, its
 draws come from ``_Draws``, which returns the values of the restart
@@ -587,7 +586,7 @@ def zykov_trajectory(g: Graph, steps: int, seed: int) -> TrajectoryResult:
         count = pairs - m
         if count == 0:
             break
-        u, v = current.nth_non_edge(int(rng.integers(count)))
+        u, v = nth_pair(pair_table(current), int(rng.integers(count)), False)
         if perron[u] > perron[v]:
             u, v = v, u  # keep the neighbourhood of the heavier endpoint
         current = zykov(current, u, v)
@@ -716,7 +715,8 @@ class _Draws:
     caller draws only from it, since it reads ``rng``'s stream ahead.
 
     ``random()`` is ``(word >> 11) * 2**-53``, numpy's ``next_double``.
-    ``integers(count)`` is numpy's bounded draw for a count up to 2**32,
+    ``integers(count)`` takes 1 <= count <= 2**32 unchecked (the climb's
+    counts are at most C(MAX_N, 2)) and is numpy's bounded draw for it,
     Lemire's method (arXiv:1805.10941) on 32-bit draws: x * count, rejected
     while its low 32 bits are below (2**32 - count) % count, gives
     (x * count) >> 32; a count of 1 draws nothing.  PCG64 makes two 32-bit
@@ -751,8 +751,6 @@ class _Draws:
         return (self._word() >> 11) * 2.0 ** -53
 
     def integers(self, count: int) -> int:
-        if not 1 <= count <= 1 << 32:
-            raise ValueError(f"count {count} outside 1..2**32")
         if count == 1:
             return 0
         m = self._uint32() * count

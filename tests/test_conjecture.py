@@ -343,3 +343,23 @@ class TestObstruction:
         # failure.
         o = obstruction_report(complete(2))
         assert not o.applicable and "three eigenvalues" in o.reason
+
+
+# Each reason the two Hoffman functions give, in gate order: the shared
+# domain gate first, so a graph with no edge is reported as such even on
+# two vertices, then the obstruction's own n < 3 and triangle gates.
+# The complement of C7 has omega = 3 and alpha = 2 < 7/3.
+@pytest.mark.parametrize("g, ratio_reason, obstruction_reason", [
+    (turan_graph(2, 1), "needs at least one edge", "needs at least one edge"),
+    (complete(2), "", "needs at least three eigenvalues"),
+    (complete(3), "", "triangle is excluded"),
+    (complete(4), "graph contains a K4", "graph contains a K4"),
+    (cycle_graph(7).complement(), "independence number below n/3",
+     "independence number below n/3"),
+], ids=["2K1", "K2", "K3", "K4", "co-C7"])
+def test_not_applicable_reasons(g, ratio_reason, obstruction_reason):
+    h = hoffman_ratio_check(g)
+    assert (h.applicable, h.reason) == (not ratio_reason, ratio_reason)
+    o = obstruction_report(g)
+    assert (o.applicable, o.reason) == (not obstruction_reason,
+                                        obstruction_reason)

@@ -277,33 +277,8 @@ class TestParameters:
         assert {has_triangle(g) for g in cases} == {True, False}
 
 
-class TestNthEdge:
-    @pytest.mark.parametrize("n", range(1, 41))
-    def test_matches_edges_list(self, n):
-        rng = np.random.default_rng(n)
-        for density in (0.0, float(rng.random()), 1.0):
-            g = random_graph(n, density, rng)
-            # The complement's order is the order non-edges are drawn in.
-            for h in (g, g.complement()):
-                edges = h.edges()
-                assert [h.nth_edge(k) for k in range(len(edges))] == edges
-                for k in (len(edges), -1):
-                    with pytest.raises(IndexError):
-                        h.nth_edge(k)
-
-    @pytest.mark.parametrize("n", [2, 7, 30, 70])
-    def test_nth_non_edge_is_the_complements_nth_edge(self, n):
-        rng = np.random.default_rng(n)
-        for density in (0.0, float(rng.random()), 1.0):
-            g = random_graph(n, density, rng)
-            h = g.complement()
-            assert [g.nth_non_edge(k) for k in range(h.m)] == \
-                [h.nth_edge(k) for k in range(h.m)]
-            for k in (-1, h.m):
-                with pytest.raises(IndexError):
-                    g.nth_non_edge(k)
-
-    @pytest.mark.parametrize("n", [1, 2, 7, 30, 70])
+class TestNthPair:
+    @pytest.mark.parametrize("n", [*range(1, 41), 70])
     def test_pair_table_reads_both_edge_lists(self, n):
         rng = np.random.default_rng(100 + n)
         for density in (0.0, float(rng.random()), 1.0):

@@ -6,12 +6,12 @@ import math
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bngap.jsonutil import dumps, format_float
+from bngap.jsonutil import csv_cell, dumps
 
 
 def test_float_round_trip_17_digits():
     for x in (1 / 3, math.sqrt(2), 4.381966011250105, -1e-17, 6.02e23, 0.1):
-        assert float(format_float(x)) == x
+        assert float(csv_cell(x)) == x
 
 
 def test_dumps_parses_back():
@@ -35,7 +35,10 @@ def test_non_finite_floats_are_null():
     assert dumps(float("inf")) == "null"
     assert dumps(float("nan")) == "null"
     assert dumps({"gap": float("nan")}) == '{"gap": null}'
-    assert format_float(float("-inf")) == "-Infinity"
+    assert csv_cell(float("-inf")) == "-Infinity"
+    assert csv_cell(float("inf")) == "Infinity"
+    assert csv_cell(float("nan")) == "NaN"
+    assert csv_cell(7) == "7"
 
 
 def escape_loop(s: str) -> str:

@@ -662,12 +662,6 @@ class TestDraws:
             assert [draws.random() for _ in range(150)] == \
                 [theirs.random() for _ in range(150)]
 
-    def test_counts_outside_the_32_bit_path_raise(self):
-        draws = _Draws(np.random.default_rng(0))
-        for count in (0, -1, 2 ** 32 + 1):
-            with pytest.raises(ValueError, match="count"):
-                draws.integers(count)
-
 
 class TestParallelRestarts:
     def test_worker_count_is_capped(self, monkeypatch):
