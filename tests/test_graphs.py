@@ -292,6 +292,20 @@ class TestNthPair:
                     with pytest.raises(IndexError):
                         nth_pair(table, k, edge)
 
+    @pytest.mark.parametrize("n", [2, 7, 30, 70])
+    def test_non_edges_are_the_complements_edges(self, n):
+        # The Zykov walk reads non-edges from the graph's own table; the
+        # complement's table must give the same pairs as edges.
+        rng = np.random.default_rng(n)
+        for density in (0.0, float(rng.random()), 1.0):
+            g = random_graph(n, density, rng)
+            table, co_table = pair_table(g), pair_table(g.complement())
+            for edge in (True, False):
+                count = table[1 if edge else 2][-1]
+                assert co_table[2 if edge else 1][-1] == count
+                assert [nth_pair(table, k, edge) for k in range(count)] == \
+                    [nth_pair(co_table, k, not edge) for k in range(count)]
+
 
 class TestZykov:
     def test_identity_when_neighbourhoods_match(self):

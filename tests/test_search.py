@@ -310,6 +310,20 @@ class TestZykovTrajectory:
             lams = [tr.initial_lambda1] + [s.lambda1 for s in tr.steps]
             assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
 
+    def test_each_step_replaces_a_non_adjacent_pair(self):
+        # Replaying the recorded pairs with zykov gives the walk's edge
+        # counts and final graph, and every pair was a non-edge when drawn.
+        rng = np.random.default_rng(5)
+        for seed in range(10):
+            current = random_graph(12, 0.4, rng)
+            tr = zykov_trajectory(current, 15, seed=seed)
+            assert tr.steps
+            for s in tr.steps:
+                assert s.u != s.v and not current.adj[s.u] >> s.v & 1
+                current = zykov(current, s.u, s.v)
+                assert current.m == s.m
+            assert current == tr.final_graph
+
     def test_deterministic(self):
         g = cycle_graph(7)
         a = zykov_trajectory(g, 15, seed=9)
